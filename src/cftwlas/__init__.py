@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 from .analysis import (
     BlockValues,
     CrlbResult,
-    ErrorStats,
     crlb,
-    error_stats,
     flops_cftwlas,
     flops_iterative_per_iter,
     jacobian,
@@ -42,10 +40,8 @@ from .montecarlo import (
     CampaignStats,
     CellStats,
     MethodSpec,
-    TimingEntry,
     benchmark_config,
     run_campaign,
-    timing_report,
 )
 from .polysolve import (
     AuxiliaryPair,

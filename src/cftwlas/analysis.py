@@ -1,9 +1,9 @@
-"""Jacobians, estimation bounds, flop models, and campaign error statistics."""
+"""Measurement model, Jacobians, estimation bounds, flop models, and per-run
+block errors."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -14,13 +14,24 @@ from .scenario import AnchorSet, NoiseSpec, UdState
 _MIN_RANGE = 1e-9
 
 
-def predict_measurements(state: UdState, anchors: AnchorSet) -> np.ndarray:
-    """Noise-free stacked measurement vector [requests, responses] at a state."""
-    d_request = np.linalg.norm(anchors.positions - state.pos, axis=1)
-    disp = anchors.positions - state.pos - np.outer(anchors.schedule, state.vel)
-    d_response = np.linalg.norm(disp, axis=1)
-    if d_request.min() < _MIN_RANGE or d_response.min() < _MIN_RANGE:
+def _ranges(state: UdState, anchors: AnchorSet):
+    """Device-to-anchor vectors and ranges at the request and reception instants."""
+    diff0 = anchors.positions - state.pos
+    d0 = np.linalg.norm(diff0, axis=1)
+    diff1 = diff0 - np.outer(anchors.schedule, state.vel)
+    d1 = np.linalg.norm(diff1, axis=1)
+    if d0.min() < _MIN_RANGE or d1.min() < _MIN_RANGE:
         raise GeometryError("state coincides with an anchor")
+    return diff0, d0, diff1, d1
+
+
+def predict_measurements(state: UdState, anchors: AnchorSet) -> np.ndarray:
+    """Noise-free stacked measurement vector [requests, responses] at a state.
+
+    This is the package's one measurement model: synthesis, candidate
+    residuals, refinement and Gauss-Newton all read it.
+    """
+    _, d_request, _, d_response = _ranges(state, anchors)
     request = d_request - state.offset
     response = d_response + state.offset + state.drift * anchors.schedule
     return np.concatenate([request, response])
@@ -35,12 +46,7 @@ def jacobian(state: UdState, anchors: AnchorSet) -> np.ndarray:
     instant.
     """
     m, n = anchors.count, anchors.ndim
-    diff0 = anchors.positions - state.pos
-    d0 = np.linalg.norm(diff0, axis=1)
-    diff1 = diff0 - np.outer(anchors.schedule, state.vel)
-    d1 = np.linalg.norm(diff1, axis=1)
-    if d0.min() < _MIN_RANGE or d1.min() < _MIN_RANGE:
-        raise GeometryError("state coincides with an anchor")
+    diff0, d0, diff1, d1 = _ranges(state, anchors)
     e = diff0 / d0[:, None]
     l = diff1 / d1[:, None]
 
@@ -133,81 +139,4 @@ def block_sq_errors(estimate: UdState, truth: UdState) -> BlockValues:
         vel=float(np.sum((estimate.vel - truth.vel) ** 2)),
         offset=float((estimate.offset - truth.offset) ** 2),
         drift=float((estimate.drift - truth.drift) ** 2),
-    )
-
-
-@dataclass(frozen=True)
-class ErrorStats:
-    """Aggregate accuracy of a batch of runs against per-run bounds.
-
-    A run is a large-error run when its position error strictly exceeds three
-    times the square root of that run's position-bound trace. Runs without a
-    usable estimate count as failures and as large errors, and are excluded
-    from the RMSE averages.
-    """
-
-    refined_rmse: BlockValues
-    raw_rmse: BlockValues | None
-    crlb_mean: BlockValues
-    large_error_rate: float
-    failure_rate: float
-    count: int
-
-
-def _rmse_blocks(sq_sums: np.ndarray, count: int) -> BlockValues:
-    if count == 0:
-        return BlockValues(np.nan, np.nan, np.nan, np.nan)
-    vals = np.sqrt(sq_sums / count)
-    return BlockValues(*vals.tolist())
-
-
-def error_stats(
-    runs: Sequence[tuple[object, UdState, CrlbResult]],
-) -> ErrorStats:
-    """Summarize estimation errors over (estimate, truth, bound) triples.
-
-    The estimate may be an EstimateReport (its refined state is used, falling
-    back to the raw one) or a bare UdState. Raw RMSE is reported when any
-    report carries a raw estimate.
-    """
-    if not runs:
-        raise ConfigurationError("no runs to summarize")
-    refined_sums = np.zeros(4)
-    raw_sums = np.zeros(4)
-    crlb_sums = np.zeros(4)
-    n_refined = 0
-    n_raw = 0
-    n_large = 0
-    n_failed = 0
-    for estimate, truth, bound in runs:
-        raw = getattr(estimate, "raw", None)
-        state = getattr(estimate, "refined", None)
-        if state is None:
-            state = raw if raw is not None else (
-                estimate if isinstance(estimate, UdState) else None
-            )
-        crlb_sums += np.sqrt(
-            [bound.blocks.pos, bound.blocks.vel, bound.blocks.offset, bound.blocks.drift]
-        )
-        if raw is not None:
-            err = block_sq_errors(raw, truth)
-            raw_sums += [err.pos, err.vel, err.offset, err.drift]
-            n_raw += 1
-        if state is None or not np.isfinite(state.as_vector()).all():
-            n_failed += 1
-            n_large += 1
-            continue
-        err = block_sq_errors(state, truth)
-        refined_sums += [err.pos, err.vel, err.offset, err.drift]
-        n_refined += 1
-        if np.sqrt(err.pos) > 3.0 * np.sqrt(bound.blocks.pos):
-            n_large += 1
-    total = len(runs)
-    return ErrorStats(
-        refined_rmse=_rmse_blocks(refined_sums, n_refined),
-        raw_rmse=_rmse_blocks(raw_sums, n_raw) if n_raw else None,
-        crlb_mean=BlockValues(*(crlb_sums / total).tolist()),
-        large_error_rate=n_large / total,
-        failure_rate=n_failed / total,
-        count=total,
     )

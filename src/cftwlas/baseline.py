@@ -14,15 +14,14 @@ import numpy as np
 
 from .analysis import jacobian, predict_measurements
 from .errors import GeometryError
-from .estimator import compute_residuals
+from .estimator import _check_sizes, compute_residuals
 from .scenario import AnchorSet, MeasurementSet, NoiseSpec, UdState
 
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Iterates and weighted costs of one Gauss-Newton run."""
+    """Weighted costs of one Gauss-Newton run, initial state first."""
 
-    iterates: tuple[UdState, ...]
     costs: tuple[float, ...]
     converged: bool
     iterations_used: int
@@ -51,12 +50,14 @@ def gauss_newton(
     early stopping) or after ``max_iter`` iterations. A singular normal matrix
     or a non-finite iterate sets the diverged flag and returns the last valid
     iterate. No damping or line search is applied, so divergence is recorded,
-    not repaired.
+    not repaired. Inputs whose sizes disagree raise ConfigurationError; an
+    iterate (the initial guess included) on an anchor raises GeometryError from
+    the cost evaluation.
     """
+    _check_sizes(meas, anchors, noise)
     gamma = meas.stacked()
     w = noise.weights()
     state = init
-    iterates = [init]
     costs = [compute_residuals(init, meas, anchors, noise).weighted_cost]
     converged = False
     diverged = False
@@ -81,17 +82,15 @@ def gauss_newton(
             break
         iterations_used += 1
         state = UdState.from_vector(theta)
-        iterates.append(state)
         costs.append(compute_residuals(state, meas, anchors, noise).weighted_cost)
         if np.linalg.norm(delta) < tol:
             converged = True
             break
 
     trace = IterationTrace(
-        iterates=tuple(iterates),
         costs=tuple(costs),
         converged=converged,
         iterations_used=iterations_used,
         diverged=diverged,
     )
-    return iterates[-1], trace
+    return state, trace

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -56,45 +57,15 @@ def _fmt(value: float) -> str:
     return str(value)
 
 
-def campaign_rows(stats: CampaignStats, include_timing: bool = False) -> list[dict]:
-    """CSV rows, stable-ordered by (method, SNR, anchor count).
+def _cell_dicts(stats: CampaignStats, include_timing: bool) -> list[dict]:
+    """Per-cell summary records, stable-ordered by (method, SNR, anchor count).
 
-    Measured wall time varies between runs, so the column is zeroed unless
-    timing was explicitly requested; this keeps default output reproducible
-    byte for byte for a fixed seed.
+    Measured wall time varies between runs, so it is zeroed unless timing was
+    explicitly requested; this keeps default output reproducible byte for byte
+    for a fixed seed.
     """
-    rows = []
-    for cell in stats.cells:  # cells are already sorted
-        rows.append(
-            {
-                "method": cell.method,
-                "snr_db": cell.snr_db,
-                "an_count": cell.an_count,
-                "runs": cell.runs,
-                "rmse_pos_m": cell.rmse.pos,
-                "rmse_vel_mps": cell.rmse.vel,
-                "rmse_b_m": cell.rmse.offset,
-                "rmse_w_mps": cell.rmse.drift,
-                "crlb_pos_m": cell.crlb_mean.pos,
-                "large_error_rate": cell.large_error_rate,
-                "fallback_rate": cell.fallback_rate,
-                "wall_s": cell.wall_s if include_timing else 0.0,
-            }
-        )
-    return rows
-
-
-def _write_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in CSV_COLUMNS])
-
-
-def _summary_payload(stats: CampaignStats, include_timing: bool) -> dict:
     cells = []
-    for cell in stats.cells:
+    for cell in stats.cells:  # cells are already sorted
         cells.append(
             {
                 "method": cell.method,
@@ -118,11 +89,31 @@ def _summary_payload(stats: CampaignStats, include_timing: bool) -> dict:
                 "wall_s": cell.wall_s if include_timing else 0.0,
             }
         )
+    return cells
+
+
+def campaign_rows(stats: CampaignStats, include_timing: bool = False) -> list[dict]:
+    """CSV rows: the ``CSV_COLUMNS`` of each per-cell summary record."""
+    return [
+        {col: cell[col] for col in CSV_COLUMNS}
+        for cell in _cell_dicts(stats, include_timing)
+    ]
+
+
+def _write_csv(path: str, rows: list[dict]) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CSV_COLUMNS)
+        for row in rows:
+            writer.writerow([_fmt(row[col]) for col in CSV_COLUMNS])
+
+
+def _summary_payload(stats: CampaignStats, include_timing: bool) -> dict:
     return {
         "config": config_to_dict(stats.config),
         "seed": stats.config.seed,
         "timing_included": include_timing,
-        "cells": cells,
+        "cells": _cell_dicts(stats, include_timing),
     }
 
 
@@ -171,6 +162,16 @@ def _noise_from_dict(data: dict, count: int, context: str) -> NoiseSpec:
                      float(_require(data, "sigma_response_m", context)))
 
 
+def _emit(payload: dict, output: str | None) -> None:
+    """Write a result as indented JSON to ``output``, or print it."""
+    text = json.dumps(payload, indent=2)
+    if output:
+        with open(output, "w") as handle:
+            handle.write(text + "\n")
+    else:
+        print(text)
+
+
 def _cmd_simulate(args) -> int:
     if args.config:
         cfg = config_from_dict(_load_json(args.config))
@@ -205,18 +206,13 @@ def _cmd_estimate(args) -> int:
     meas = MeasurementSet(
         np.asarray(_require(data, "request_toa_m", context), dtype=float),
         np.asarray(_require(data, "response_toa_m", context), dtype=float),
-        anchors.schedule,
     )
     noise = _noise_from_dict(data, anchors.count, context)
     report = estimate(meas, anchors, noise, refine_steps=args.refine_steps)
     payload = {
         "raw": _state_to_dict(report.raw) if report.raw else None,
         "refined": _state_to_dict(report.refined) if report.refined else None,
-        "flags": {
-            "degenerate_geometry": report.flags.degenerate_geometry,
-            "no_real_root_fallback": report.flags.no_real_root_fallback,
-            "refinement_singular": report.flags.refinement_singular,
-        },
+        "flags": asdict(report.flags),
         "candidates": len(report.candidates),
     }
     if "truth" in data and report.refined is not None:
@@ -224,12 +220,7 @@ def _cmd_estimate(args) -> int:
         payload["position_error_m"] = float(
             np.linalg.norm(report.refined.pos - truth.pos)
         )
-    text = json.dumps(payload, indent=2)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    _emit(payload, args.output)
     return 0
 
 
@@ -252,12 +243,7 @@ def _cmd_crlb(args) -> int:
         "drift_rmse_bound_mps": math.sqrt(result.blocks.drift),
         "crlb_matrix": result.crlb.tolist(),
     }
-    text = json.dumps(payload, indent=2)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    _emit(payload, args.output)
     return 0
 
 

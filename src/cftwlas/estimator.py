@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import jacobian, predict_measurements
-from .errors import GeometryError
+from .errors import ConfigurationError, GeometryError
 from .linear_system import build_system
 from .polysolve import AuxiliaryPair, coefficients_from_system, solve_pair_detailed
 from .scenario import AnchorSet, MeasurementSet, NoiseSpec, UdState
@@ -47,17 +47,15 @@ class EstimateFlags:
     no_real_root_fallback: bool = False
     refinement_singular: bool = False
 
-    def fatal(self) -> bool:
-        return self.degenerate_geometry or self.refinement_singular
-
 
 @dataclass(frozen=True)
 class EstimateReport:
     """Full output of one estimation call.
 
-    ``refined`` is present exactly when no fatal flag is set; ``raw`` survives
-    a singular refinement as the best effort. ``refinement_cov`` is
-    (J' W J)^-1 at the last linearization point.
+    ``refined`` is present exactly when neither ``degenerate_geometry`` nor
+    ``refinement_singular`` is set; ``raw`` survives a singular refinement as
+    the best effort. ``refinement_cov`` is (J' W J)^-1 at the last
+    linearization point.
     """
 
     raw: UdState | None
@@ -67,20 +65,22 @@ class EstimateReport:
     flags: EstimateFlags = field(default_factory=EstimateFlags)
 
 
+def _check_sizes(meas: MeasurementSet, anchors: AnchorSet, noise: NoiseSpec) -> None:
+    """Reject inputs whose anchor, measurement and noise counts differ."""
+    if not anchors.count == meas.count == noise.count:
+        raise ConfigurationError(
+            f"{anchors.count} anchors, {meas.count} measurement pairs and "
+            f"{noise.count} request sigmas: the three counts must match"
+        )
+
+
 def compute_residuals(
     state: UdState, meas: MeasurementSet, anchors: AnchorSet, noise: NoiseSpec
 ) -> Residuals:
     """Residuals of the measurements against a candidate state."""
-    d_request = np.linalg.norm(anchors.positions - state.pos, axis=1)
-    disp = anchors.positions - state.pos - np.outer(meas.schedule, state.vel)
-    d_response = np.linalg.norm(disp, axis=1)
-    r_request = meas.request_toa - d_request + state.offset
-    r_response = (
-        meas.response_toa - d_response - state.offset - state.drift * meas.schedule
-    )
-    stacked = np.concatenate([r_request, r_response])
+    stacked = meas.stacked() - predict_measurements(state, anchors)
     cost = float(stacked @ (noise.weights() * stacked))
-    return Residuals(r_request, r_response, cost)
+    return Residuals(stacked[: meas.count], stacked[meas.count :], cost)
 
 
 def raw_estimate(
@@ -188,7 +188,11 @@ def estimate(
     refine_steps: int = 1,
     ref_index: int = 0,
 ) -> EstimateReport:
-    """Run the full pipeline, mapping failures to flags instead of raising."""
+    """Run the full pipeline, mapping failures to flags instead of raising.
+
+    Inputs whose sizes disagree raise ConfigurationError.
+    """
+    _check_sizes(meas, anchors, noise)
     flags = EstimateFlags()
     try:
         raw, candidates = raw_estimate(meas, anchors, noise, ref_index=ref_index)

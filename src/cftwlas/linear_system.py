@@ -21,6 +21,9 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateGeometryError
 from .scenario import AnchorSet, MeasurementSet
 
+# A smallest-to-largest singular value ratio of A below this is rank loss.
+_RANK_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -78,14 +81,13 @@ def build_system(
     meas: MeasurementSet,
     anchors: AnchorSet,
     ref_index: int = 0,
-    rank_rtol: float = 1e-9,
 ) -> LinearSystem:
     """Assemble the collective linear system from (possibly noisy) TOAs.
 
     Differencing uses the anchor at ``ref_index`` as reference; a
     near-collinear reference degrades conditioning, hence the knob. Raises
     DegenerateGeometryError when the smallest singular value of A falls below
-    ``rank_rtol`` times the largest (per-parameter observability is lost, as
+    ``_RANK_RTOL`` times the largest (per-parameter observability is lost, as
     when the device sits at the center of a 4-anchor square with zero
     velocity).
     """
@@ -129,7 +131,7 @@ def build_system(
     G = np.vstack([np.zeros((m - 1, 2)), g_response])
 
     svals = np.linalg.svd(A, compute_uv=False)
-    if svals[0] <= 0.0 or svals[-1] < rank_rtol * svals[0]:
+    if svals[0] <= 0.0 or svals[-1] < _RANK_RTOL * svals[0]:
         raise DegenerateGeometryError(
             "linearized system is rank deficient for this geometry"
         )

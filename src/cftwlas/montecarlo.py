@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -155,11 +155,11 @@ class CampaignStats:
         raise KeyError((method, snr_db, an_count))
 
 
-def _unit_noise(count: int) -> NoiseSpec:
-    return NoiseSpec(np.ones(count), 1.0)
-
-
 def _single_run(cfg: CampaignConfig, anchors, center, snr_db, cell_index, run):
+    """One run's record: the square-rooted bound blocks, then per method
+    (fallback, squared block errors, raw squared block errors, seconds,
+    iterations); an error entry is None when the state is missing or
+    non-finite."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, cell_index, run, 0]))
     ud = sample_ud_state(
         rng,
@@ -172,7 +172,7 @@ def _single_run(cfg: CampaignConfig, anchors, center, snr_db, cell_index, run):
     )
     clean = forward_model(ud, anchors)
     if cfg.noise_free:
-        noise = _unit_noise(anchors.count)
+        noise = NoiseSpec(np.ones(anchors.count), 1.0)
         meas = clean
     else:
         noise = noise_for_snr(ud, anchors, snr_db, cfg.response_sigma_rule)
@@ -210,18 +210,17 @@ def _single_run(cfg: CampaignConfig, anchors, center, snr_db, cell_index, run):
             iterations = trace.iterations_used
         seconds = time.perf_counter() - start
 
-        ok = state is not None and bool(np.isfinite(state.as_vector()).all())
-        ref_err2 = None
-        if ok:
-            err = block_sq_errors(state, ud)
-            ref_err2 = (err.pos, err.vel, err.offset, err.drift)
-        raw_err2 = None
-        if raw_state is not None and np.isfinite(raw_state.as_vector()).all():
-            err = block_sq_errors(raw_state, ud)
-            raw_err2 = (err.pos, err.vel, err.offset, err.drift)
-        large = (not ok) or math.sqrt(ref_err2[0]) > 3.0 * crlb_sqrt[0]
-        per_method.append((ok, fallback, large, ref_err2, raw_err2, seconds, iterations))
+        ref_err2, raw_err2 = _sq_errors(state, ud), _sq_errors(raw_state, ud)
+        per_method.append((fallback, ref_err2, raw_err2, seconds, iterations))
     return crlb_sqrt, tuple(per_method)
+
+
+def _sq_errors(state, truth):
+    """Per-block squared errors, or None for a missing or non-finite state."""
+    if state is None or not np.isfinite(state.as_vector()).all():
+        return None
+    err = block_sq_errors(state, truth)
+    return (err.pos, err.vel, err.offset, err.drift)
 
 
 def _run_batch(cfg, an_count, snr_db, cell_index, start, stop):
@@ -253,6 +252,13 @@ def _collect_cell(cfg, an_count, snr_db, cell_index):
 
 
 def _aggregate_cell(cfg, an_count, snr_db, records) -> list[CellStats]:
+    """Reduce per-run records, in run order, to one CellStats per method.
+
+    A run is a large-error run when its position error strictly exceeds three
+    times the square root of that run's position-bound trace. Runs without a
+    usable estimate count as failures and as large errors, and are excluded
+    from the RMSE averages.
+    """
     runs = len(records)
     crlb_sums = np.zeros(4)
     for crlb_sqrt, _ in records:
@@ -266,20 +272,21 @@ def _aggregate_cell(cfg, an_count, snr_db, records) -> list[CellStats]:
         n_ok = n_raw = n_large = n_fallback = n_fail = 0
         wall = 0.0
         iter_total = 0
-        for _, methods in records:
-            ok, fallback, large, ref_err2, raw_err2, seconds, iterations = methods[mi]
+        for crlb_sqrt, methods in records:
+            fallback, ref_err2, raw_err2, seconds, iterations = methods[mi]
             wall += seconds
             if iterations is not None:
                 iter_total += iterations
             if fallback:
                 n_fallback += 1
-            if large:
+            if ref_err2 is None:
+                n_fail += 1
                 n_large += 1
-            if ok:
+            else:
                 ref_sums += ref_err2
                 n_ok += 1
-            else:
-                n_fail += 1
+                if math.sqrt(ref_err2[0]) > 3.0 * crlb_sqrt[0]:
+                    n_large += 1
             if raw_err2 is not None:
                 raw_sums += raw_err2
                 n_raw += 1
@@ -333,99 +340,10 @@ def run_campaign(cfg: CampaignConfig) -> CampaignStats:
     return CampaignStats(config=cfg, cells=tuple(cells))
 
 
-@dataclass(frozen=True)
-class TimingEntry:
-    label: str
-    wall_s: float
-    flops_per_call: int
-    mean_iterations: float | None
-
-
-def timing_report(cfg: CampaignConfig) -> tuple[TimingEntry, ...]:
-    """Wall-clock totals per method over identical pre-generated inputs.
-
-    Measurements are synthesized once for the whole campaign; each method is
-    then timed end to end over all runs, so methods are compared on the same
-    inputs and the flop model can be read next to the measured time.
-    """
-    inputs = []
-    for cell_index, (an_count, snr_db) in enumerate(
-        (an, snr) for an in cfg.an_counts for snr in cfg.snr_points
-    ):
-        anchors = build_square_scenario(
-            cfg.anchor_side_m, an_count, cfg.response_step_s
-        )
-        center = anchors.center
-        for run in range(cfg.runs):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, cell_index, run, 0])
-            )
-            ud = sample_ud_state(
-                rng,
-                cfg.region_side_m,
-                cfg.vmax_mps,
-                cfg.offset_range_s,
-                cfg.drift_range_ppm,
-                center=center,
-                ndim=anchors.ndim,
-            )
-            clean = forward_model(ud, anchors)
-            if cfg.noise_free:
-                noise = _unit_noise(anchors.count)
-                meas = clean
-            else:
-                noise = noise_for_snr(ud, anchors, snr_db, cfg.response_sigma_rule)
-                meas = add_noise(clean, noise, rng)
-            inputs.append((cell_index, run, anchors, ud, meas, noise))
-
-    entries = []
-    for mi, spec in enumerate(cfg.methods):
-        iter_total = 0
-        start = time.perf_counter()
-        for cell_index, run, anchors, ud, meas, noise in inputs:
-            if spec.kind == "cftwlas":
-                estimate(meas, anchors, noise, refine_steps=spec.refine_steps)
-            else:
-                method_rng = np.random.default_rng(
-                    np.random.SeedSequence([cfg.seed, cell_index, run, mi + 1])
-                )
-                init = make_initializer(ud, spec.init_std_m, method_rng)
-                _, trace = gauss_newton(
-                    meas, anchors, noise, init, max_iter=spec.max_iter, tol=spec.tol_m
-                )
-                iter_total += trace.iterations_used
-        wall = time.perf_counter() - start
-        an0 = cfg.an_counts[0]
-        if spec.kind == "cftwlas":
-            flops = flops_cftwlas(2, an0)
-            mean_iter = None
-        else:
-            flops = flops_iterative_per_iter(2, an0)
-            mean_iter = iter_total / len(inputs)
-        entries.append(TimingEntry(spec.label, wall, flops, mean_iter))
-    return tuple(entries)
-
-
 # --- configuration (de)serialization -------------------------------------
 
-_CONFIG_KEYS = {
-    "anchor_side_m": float,
-    "an_counts": list,
-    "response_step_s": float,
-    "region_side_m": float,
-    "vmax_mps": float,
-    "offset_range_s": list,
-    "drift_range_ppm": list,
-    "snr_db": list,
-    "noise_free": bool,
-    "runs": int,
-    "seed": int,
-    "methods": list,
-    "response_sigma_rule": str,
-    "workers": int,
-}
-
-_METHOD_KEYS = {"kind", "refine_steps", "init_std_m", "max_iter", "tol_m"}
+_CONFIG_KEYS = frozenset(f.name for f in fields(CampaignConfig))
+_METHOD_KEYS = frozenset(f.name for f in fields(MethodSpec))
 
 
 def _method_from_dict(data: dict, index: int) -> MethodSpec:
@@ -446,7 +364,7 @@ def config_from_dict(data: dict) -> CampaignConfig:
     """Build a campaign configuration from parsed JSON, naming bad keys."""
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be an object")
-    unknown = set(data) - set(_CONFIG_KEYS)
+    unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigurationError(f"config key '{sorted(unknown)[0]}': unknown key")
     kwargs: dict = {}
@@ -484,29 +402,8 @@ def config_from_dict(data: dict) -> CampaignConfig:
 
 
 def config_to_dict(cfg: CampaignConfig) -> dict:
-    """Resolved configuration as JSON-ready primitives."""
+    """Resolved configuration as JSON-ready primitives, in field order."""
     return {
-        "anchor_side_m": cfg.anchor_side_m,
-        "an_counts": list(cfg.an_counts),
-        "response_step_s": cfg.response_step_s,
-        "region_side_m": cfg.region_side_m,
-        "vmax_mps": cfg.vmax_mps,
-        "offset_range_s": list(cfg.offset_range_s),
-        "drift_range_ppm": list(cfg.drift_range_ppm),
-        "snr_db": list(cfg.snr_db),
-        "noise_free": cfg.noise_free,
-        "runs": cfg.runs,
-        "seed": cfg.seed,
-        "methods": [
-            {
-                "kind": m.kind,
-                "refine_steps": m.refine_steps,
-                "init_std_m": m.init_std_m,
-                "max_iter": m.max_iter,
-                "tol_m": m.tol_m,
-            }
-            for m in cfg.methods
-        ],
-        "response_sigma_rule": cfg.response_sigma_rule,
-        "workers": cfg.workers,
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in asdict(cfg).items()
     }

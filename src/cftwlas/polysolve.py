@@ -34,6 +34,8 @@ _COEFF_ZERO_RTOL = 1e-12
 _IMAG_RTOL = 1e-6
 # Two pairs closer than this (relative) are the same solution.
 _DEDUPE_RTOL = 1e-7
+# A polished pair is a solution when its normalized residual is at most this.
+_RESIDUAL_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,8 @@ class BivariateSolution:
     complex_pairs: tuple[ComplexSeed, ...]
     ill_conditioned: bool
 
-    @property
-    def complex_seed(self) -> AuxiliaryPair | None:
-        """Real projection of the least-imaginary complex pair, if any."""
-        return self.complex_pairs[0].pair if self.complex_pairs else None
 
-
-def coefficients_from_system(sys, forms=None):
+def coefficients_from_system(sys):
     """Quadratic-pair coefficients for a linearized system.
 
     Substituting ``theta = g + U lam`` into the two constraint quadratic forms
@@ -137,16 +134,13 @@ def coefficients_from_system(sys, forms=None):
 
     Args:
         sys: LinearSystem with attributes ``g`` and ``U``.
-        forms: ConstraintMatrices; derived from the system dimension when
-            omitted.
 
     Returns:
         Tuple of two BivariateQuadratic in (lam1, lam2).
     """
     from .linear_system import constraint_matrices
 
-    if forms is None:
-        forms = constraint_matrices(sys.ndim)
+    forms = constraint_matrices(sys.ndim)
     g = sys.g
     u1 = sys.U[:, 0]
     u2 = sys.U[:, 1]
@@ -164,15 +158,13 @@ def coefficients_from_system(sys, forms=None):
     return quad(forms.h1, -1.0, 0.0), quad(forms.h2, 0.0, -2.0)
 
 
-def solve_pair(
-    q1: BivariateQuadratic, q2: BivariateQuadratic, residual_rtol: float = 1e-8
-) -> list[AuxiliaryPair]:
+def solve_pair(q1: BivariateQuadratic, q2: BivariateQuadratic) -> list[AuxiliaryPair]:
     """All real solutions of the two quadratics (0 to 4 pairs)."""
-    return list(solve_pair_detailed(q1, q2, residual_rtol).pairs)
+    return list(solve_pair_detailed(q1, q2).pairs)
 
 
 def solve_pair_detailed(
-    q1: BivariateQuadratic, q2: BivariateQuadratic, residual_rtol: float = 1e-8
+    q1: BivariateQuadratic, q2: BivariateQuadratic
 ) -> BivariateSolution:
     """Solve the quadratic pair, reporting fallback and conditioning info."""
     s1, s2 = q1.scale(), q2.scale()
@@ -194,11 +186,9 @@ def solve_pair_detailed(
         pairs, ill = _solve_linear(n1, n2)
         return BivariateSolution(pairs, (), ill)
 
-    result = _solve_by_elimination(m1, m2, eliminate="y", residual_rtol=residual_rtol)
+    result = _solve_by_elimination(m1, m2, eliminate="y")
     if result is None:
-        result = _solve_by_elimination(
-            m1, m2, eliminate="x", residual_rtol=residual_rtol
-        )
+        result = _solve_by_elimination(m1, m2, eliminate="x")
     if result is None:
         if _is_linear(m1) or _is_linear(m2):
             pairs, _ = _solve_linear(n1, n2)
@@ -278,22 +268,21 @@ def _poly_views(q: BivariateQuadratic, eliminate: str):
 
 
 def _solve_by_elimination(
-    n1: BivariateQuadratic,
-    n2: BivariateQuadratic,
-    eliminate: str,
-    residual_rtol: float,
+    n1: BivariateQuadratic, n2: BivariateQuadratic, eliminate: str
 ) -> BivariateSolution | None:
     """Eliminate one variable; None when the resultant vanishes identically."""
     p2, p1, p0 = _poly_views(n1, eliminate)
     q2, q1, q0 = _poly_views(n2, eliminate)
+    # Polynomials in the kept variable: the eliminated one is -t1/t2 wherever
+    # t2 does not vanish.
+    t1 = npoly.polysub(p2[0] * q0, q2[0] * p0)
+    t2 = npoly.polysub(p2[0] * q1, q2[0] * p1)
 
     degenerate_leads = abs(p2[0]) <= _COEFF_ZERO_RTOL and abs(q2[0]) <= _COEFF_ZERO_RTOL
     cross = npoly.polysub(npoly.polymul(p1, q0), npoly.polymul(p0, q1))
     if degenerate_leads:
         resultant = cross
     else:
-        t1 = npoly.polysub(p2[0] * q0, q2[0] * p0)
-        t2 = npoly.polysub(p2[0] * q1, q2[0] * p1)
         resultant = npoly.polysub(npoly.polymul(t1, t1), npoly.polymul(t2, cross))
 
     magnitude = np.abs(resultant).max()
@@ -326,23 +315,18 @@ def _solve_by_elimination(
             return
         rel = abs(other.imag) / max(1.0, abs(other.real))
         seed = ComplexSeed(AuxiliaryPair(*xy), rel)
-        for existing in complex_pairs:
-            if (
-                abs(existing.pair.lam1 - seed.pair.lam1)
-                <= _DEDUPE_RTOL * max(1.0, abs(seed.pair.lam1))
-                and abs(existing.pair.lam2 - seed.pair.lam2)
-                <= _DEDUPE_RTOL * max(1.0, abs(seed.pair.lam2))
-            ):
-                return
-        complex_pairs.append(seed)
+        if not any(_same_pair(seed.pair, s.pair) for s in complex_pairs):
+            complex_pairs.append(seed)
 
     for kept in _cluster(real_roots):
-        real_others, complex_others = _companion_candidates(n1, n2, kept, eliminate)
+        real_others, complex_others = _companion_candidates(
+            n1, n2, t1, t2, kept, eliminate
+        )
         for other in real_others:
             xy = _ordered(kept, other, eliminate)
             xy = _newton_polish(n1, n2, *xy)
             res = _normalized_residual(n1, n2, *xy)
-            if res <= residual_rtol:
+            if res <= _RESIDUAL_RTOL:
                 _insert_pair(pairs, AuxiliaryPair(*xy), res)
         # Real resultant root whose companion went complex: keep its
         # projection too.
@@ -352,7 +336,7 @@ def _solve_by_elimination(
     # One representative per conjugate pair of the resultant itself (roots of
     # real polynomials come in exact conjugate pairs).
     for z in (z for z in complex_roots if z.imag > 0):
-        other = _companion_value(n1, n2, z, eliminate)
+        other = _companion_value(n1, n2, t1, t2, z, eliminate)
         rel = abs(z.imag) / max(1.0, abs(z.real))
         xy = _ordered(z.real, complex(other).real, eliminate)
         if np.isfinite(xy[0]) and np.isfinite(xy[1]):
@@ -362,13 +346,7 @@ def _solve_by_elimination(
     # Deduplicate and order nearest-to-real first.
     deduped: list[ComplexSeed] = []
     for seed in sorted(complex_pairs, key=lambda s: s.rel_imag):
-        if not any(
-            abs(kept.pair.lam1 - seed.pair.lam1)
-            <= _DEDUPE_RTOL * max(1.0, abs(seed.pair.lam1))
-            and abs(kept.pair.lam2 - seed.pair.lam2)
-            <= _DEDUPE_RTOL * max(1.0, abs(seed.pair.lam2))
-            for kept in deduped
-        ):
+        if not any(_same_pair(seed.pair, kept.pair) for kept in deduped):
             deduped.append(seed)
     complex_pairs = deduped
 
@@ -389,12 +367,12 @@ def _cluster(values: list[float]) -> list[float]:
     return out
 
 
-def _companion_value(n1, n2, kept: complex, eliminate: str) -> complex:
+def _companion_value(
+    n1, n2, t1_poly, t2_poly, kept: complex, eliminate: str
+) -> complex:
     """Eliminated-variable value via the linear combination of the two conics."""
-    p2, p1, p0 = _poly_views(n1, eliminate)
-    q2, q1, q0 = _poly_views(n2, eliminate)
-    t1 = npoly.polyval(kept, npoly.polysub(p2[0] * q0, q2[0] * p0))
-    t2 = npoly.polyval(kept, npoly.polysub(p2[0] * q1, q2[0] * p1))
+    t1 = npoly.polyval(kept, t1_poly)
+    t2 = npoly.polyval(kept, t2_poly)
     if abs(t2) <= 1e-12 * max(1.0, abs(t1)):
         # Fall back to one equation's quadratic roots.
         for q in (n1, n2):
@@ -406,7 +384,7 @@ def _companion_value(n1, n2, kept: complex, eliminate: str) -> complex:
 
 
 def _companion_candidates(
-    n1, n2, kept: float, eliminate: str
+    n1, n2, t1_poly, t2_poly, kept: float, eliminate: str
 ) -> tuple[list[float], list[complex]]:
     """Candidates for the eliminated variable at a fixed kept value.
 
@@ -416,10 +394,8 @@ def _companion_candidates(
     """
     reals: list[float] = []
     cplx: list[complex] = []
-    p2, p1, p0 = _poly_views(n1, eliminate)
-    q2, q1, q0 = _poly_views(n2, eliminate)
-    t1 = npoly.polyval(kept, npoly.polysub(p2[0] * q0, q2[0] * p0))
-    t2 = npoly.polyval(kept, npoly.polysub(p2[0] * q1, q2[0] * p1))
+    t1 = npoly.polyval(kept, t1_poly)
+    t2 = npoly.polyval(kept, t2_poly)
     if abs(t2) > 1e-10 * max(1.0, abs(kept)):
         reals.append(float(np.real(-t1 / t2)))
     for q in (n1, n2):
@@ -509,13 +485,18 @@ def _normalized_residual(n1, n2, x: float, y: float) -> float:
     return max(r1, r2)
 
 
+def _same_pair(new: AuxiliaryPair, kept: AuxiliaryPair) -> bool:
+    """Both components agree within _DEDUPE_RTOL relative to the new pair."""
+    same_x = abs(new.lam1 - kept.lam1) <= _DEDUPE_RTOL * max(1.0, abs(new.lam1))
+    same_y = abs(new.lam2 - kept.lam2) <= _DEDUPE_RTOL * max(1.0, abs(new.lam2))
+    return same_x and same_y
+
+
 def _insert_pair(
     pairs: list[tuple[AuxiliaryPair, float]], pair: AuxiliaryPair, res: float
 ) -> None:
     for i, (kept, kept_res) in enumerate(pairs):
-        same_x = abs(pair.lam1 - kept.lam1) <= _DEDUPE_RTOL * max(1.0, abs(pair.lam1))
-        same_y = abs(pair.lam2 - kept.lam2) <= _DEDUPE_RTOL * max(1.0, abs(pair.lam2))
-        if same_x and same_y:
+        if _same_pair(pair, kept):
             if res < kept_res:
                 pairs[i] = (pair, res)
             return

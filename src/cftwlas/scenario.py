@@ -21,9 +21,6 @@ from .errors import ConfigurationError, GeometryError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-# Device closer than this to an anchor makes direction vectors undefined.
-_MIN_ANCHOR_DISTANCE = 1e-9
-
 
 @dataclass(frozen=True)
 class AnchorSet:
@@ -126,33 +123,18 @@ class MeasurementSet:
 
     ``request_toa[i]`` is the TOA of the device's request at anchor i;
     ``response_toa[i]`` the TOA of anchor i's response at the device. Both are
-    in meters. When synthesized, the noise-free values are kept in the
-    ``truth_*`` fields.
+    in meters; the response schedule is the anchors' own.
     """
 
     request_toa: np.ndarray
     response_toa: np.ndarray
-    schedule: np.ndarray
-    truth_request: np.ndarray | None = None
-    truth_response: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         req = np.asarray(self.request_toa, dtype=float).ravel()
         rsp = np.asarray(self.response_toa, dtype=float).ravel()
-        sched = np.asarray(self.schedule, dtype=float).ravel()
         object.__setattr__(self, "request_toa", req)
         object.__setattr__(self, "response_toa", rsp)
-        object.__setattr__(self, "schedule", sched)
-        for name in ("truth_request", "truth_response"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, np.asarray(val, dtype=float).ravel())
-        lengths = {req.shape[0], rsp.shape[0], sched.shape[0]}
-        for name in ("truth_request", "truth_response"):
-            val = getattr(self, name)
-            if val is not None:
-                lengths.add(val.shape[0])
-        if len(lengths) != 1:
+        if req.shape != rsp.shape:
             raise ConfigurationError("measurement arrays must share one length")
 
     @property
@@ -192,9 +174,6 @@ class NoiseSpec:
         """Diagonal of the 2M x 2M inverse-variance weight matrix."""
         resp = np.full(self.count, 1.0 / self.sigma_response**2)
         return np.concatenate([1.0 / self.sigma_request**2, resp])
-
-    def weight_matrix(self) -> np.ndarray:
-        return np.diag(self.weights())
 
 
 def build_square_scenario(
@@ -262,22 +241,14 @@ def forward_model(ud: UdState, anchors: AnchorSet) -> MeasurementSet:
 
     Request TOA at anchor i is the distance at the request instant minus the
     clock offset; response TOA is the distance at the reception instant plus
-    the offset plus drift accumulated over the response delay.
+    the offset plus drift accumulated over the response delay. The values come
+    from ``analysis.predict_measurements``, the package's one measurement
+    model.
     """
-    d_request = np.linalg.norm(anchors.positions - ud.pos, axis=1)
-    disp = anchors.positions - ud.pos - np.outer(anchors.schedule, ud.vel)
-    d_response = np.linalg.norm(disp, axis=1)
-    if d_request.min() < _MIN_ANCHOR_DISTANCE or d_response.min() < _MIN_ANCHOR_DISTANCE:
-        raise GeometryError("device coincides with an anchor")
-    request = d_request - ud.offset
-    response = d_response + ud.offset + ud.drift * anchors.schedule
-    return MeasurementSet(
-        request,
-        response,
-        anchors.schedule,
-        truth_request=request.copy(),
-        truth_response=response.copy(),
-    )
+    from .analysis import predict_measurements
+
+    stacked = predict_measurements(ud, anchors)
+    return MeasurementSet(stacked[: anchors.count], stacked[anchors.count :])
 
 
 def sigma_from_snr(distance: float, snr_db: float) -> float:
@@ -320,29 +291,15 @@ def add_noise(
 ) -> MeasurementSet:
     """Add independent zero-mean Gaussian noise to both TOA families.
 
-    ``noise=None`` is the zero-noise limit and returns an exact copy. The
-    noise-free values are retained in the truth fields.
+    ``noise=None`` is the zero-noise limit and returns an exact copy; the input
+    set is never modified.
     """
-    truth_request = (
-        meas.truth_request if meas.truth_request is not None else meas.request_toa
-    )
-    truth_response = (
-        meas.truth_response if meas.truth_response is not None else meas.response_toa
-    )
     if noise is None:
-        request = meas.request_toa.copy()
-        response = meas.response_toa.copy()
-    else:
-        if noise.count != meas.count:
-            raise ConfigurationError("noise and measurement sizes differ")
-        request = meas.request_toa + rng.normal(0.0, noise.sigma_request)
-        response = meas.response_toa + rng.normal(
-            0.0, noise.sigma_response, size=meas.count
-        )
-    return MeasurementSet(
-        request,
-        response,
-        meas.schedule,
-        truth_request=truth_request.copy(),
-        truth_response=truth_response.copy(),
+        return MeasurementSet(meas.request_toa.copy(), meas.response_toa.copy())
+    if noise.count != meas.count:
+        raise ConfigurationError("noise and measurement sizes differ")
+    request = meas.request_toa + rng.normal(0.0, noise.sigma_request)
+    response = meas.response_toa + rng.normal(
+        0.0, noise.sigma_response, size=meas.count
     )
+    return MeasurementSet(request, response)

@@ -3,22 +3,24 @@ import pytest
 
 from cftwlas import (
     AnchorSet,
+    CampaignConfig,
     ConfigurationError,
     DegenerateGeometryError,
+    GeometryError,
     NoiseSpec,
     UdState,
     build_square_scenario,
+    compute_residuals,
     crlb,
-    error_stats,
-    estimate,
     flops_cftwlas,
     flops_iterative_per_iter,
     forward_model,
     jacobian,
     predict_measurements,
+    run_campaign,
     sample_ud_state,
 )
-from cftwlas.analysis import BlockValues, CrlbResult
+from cftwlas.montecarlo import _aggregate_cell
 
 ANCHORS = build_square_scenario(800.0, 8)
 
@@ -179,55 +181,67 @@ class TestFlopModels:
             flops_iterative_per_iter(2, 3)
 
 
-def _fake_crlb(pos_trace):
-    blocks = BlockValues(pos=pos_trace, vel=1.0, offset=1.0, drift=1.0)
-    return CrlbResult(fisher=np.eye(6), crlb=np.eye(6), blocks=blocks)
+@pytest.mark.parametrize("an_count", [4, 5, 8])
+def test_one_measurement_model(an_count):
+    # Synthesis, residuals and prediction share one model: bitwise equal
+    # values, an exactly zero cost at the truth, and one on-anchor error.
+    anchors = build_square_scenario(800.0, an_count)
+    noise = NoiseSpec(np.ones(an_count), 1.0)
+    rng = np.random.default_rng(an_count)
+    for _ in range(50):
+        ud = sample_ud_state(rng, 500.0, center=anchors.center)
+        meas = forward_model(ud, anchors)
+        np.testing.assert_array_equal(meas.stacked(), predict_measurements(ud, anchors))
+        assert compute_residuals(ud, meas, anchors, noise).weighted_cost == 0.0
+    on_anchor = UdState(anchors.positions[-1], [0.0, 0.0], 10.0, 1.0)
+    with pytest.raises(GeometryError):
+        forward_model(on_anchor, anchors)
+    with pytest.raises(GeometryError):
+        predict_measurements(on_anchor, anchors)
+    with pytest.raises(GeometryError):
+        compute_residuals(on_anchor, meas, anchors, noise)
+
+
+def _reduce(runs, crlb_pos_sqrt=2.0):
+    """Reduce (squared block errors or None, raw squared errors or None) per
+    run with the campaign's cell reducer, as one closed-form cell."""
+    records = [
+        ((crlb_pos_sqrt, 1.0, 1.0, 1.0), ((False, ref, raw, 0.0, None),))
+        for ref, raw in runs
+    ]
+    cfg = CampaignConfig(runs=len(records))
+    (cell,) = _aggregate_cell(cfg, 8, 30.0, records)
+    return cell
 
 
 class TestErrorStats:
+    """Cell error statistics, as the campaign reducer computes them."""
+
     def test_all_zero_errors(self):
-        truth = UdState([1.0, 2.0], [3.0, 4.0], 5.0, 6.0)
-        runs = [(truth, truth, _fake_crlb(4.0))] * 5
-        stats = error_stats(runs)
-        assert stats.refined_rmse.pos == 0.0
-        assert stats.large_error_rate == 0.0
-        assert stats.failure_rate == 0.0
-        assert stats.count == 5
+        cell = _reduce([((0.0, 0.0, 0.0, 0.0), None)] * 5)
+        assert cell.rmse.pos == 0.0
+        assert cell.raw_rmse is None
+        assert cell.large_error_rate == 0.0
+        assert cell.failure_rate == 0.0
+        assert cell.runs == 5
 
     def test_boundary_error_not_counted_large(self):
-        # Error exactly at three sigma stays inside (strict inequality).
-        truth = UdState([0.0, 0.0], [0.0, 0.0], 0.0, 0.0)
-        bound = _fake_crlb(pos_trace=4.0)  # sqrt = 2, threshold = 6
-        exactly = UdState([6.0, 0.0], [0.0, 0.0], 0.0, 0.0)
-        just_over = UdState([6.0 + 1e-9, 0.0], [0.0, 0.0], 0.0, 0.0)
-        stats = error_stats([(exactly, truth, bound)])
-        assert stats.large_error_rate == 0.0
-        stats = error_stats([(just_over, truth, bound)])
-        assert stats.large_error_rate == 1.0
+        # Error exactly at three sigma stays inside (strict inequality):
+        # sqrt(bound) = 2, threshold = 6.
+        exactly = (6.0**2, 0.0, 0.0, 0.0)
+        just_over = ((6.0 + 1e-9) ** 2, 0.0, 0.0, 0.0)
+        assert _reduce([(exactly, None)]).large_error_rate == 0.0
+        assert _reduce([(just_over, None)]).large_error_rate == 1.0
+
+    def test_failures_count_as_large_and_skip_rmse(self):
+        cell = _reduce([((1.0, 4.0, 9.0, 16.0), None), (None, None)])
+        assert cell.failure_rate == 0.5
+        assert cell.large_error_rate == 0.5
+        assert (cell.rmse.pos, cell.rmse.vel) == (1.0, 2.0)
+        assert (cell.rmse.offset, cell.rmse.drift) == (3.0, 4.0)
 
     def test_reports_raw_and_refined_separately(self):
-        rng = np.random.default_rng(6)
-        from cftwlas import add_noise, noise_for_snr
-
-        runs = []
-        for _ in range(20):
-            ud = sample_ud_state(rng, 500.0, center=ANCHORS.center)
-            noise = noise_for_snr(ud, ANCHORS, 30.0)
-            meas = add_noise(forward_model(ud, ANCHORS), noise, rng)
-            report = estimate(meas, ANCHORS, noise)
-            runs.append((report, ud, crlb(ud, ANCHORS, noise)))
-        stats = error_stats(runs)
-        assert stats.raw_rmse is not None
-        assert stats.refined_rmse.pos <= stats.raw_rmse.pos
-        assert 0.0 <= stats.large_error_rate <= 1.0
-
-    def test_accepts_bare_states(self):
-        truth = UdState([0.0, 0.0], [0.0, 0.0], 0.0, 0.0)
-        est = UdState([1.0, 0.0], [0.0, 0.0], 0.0, 0.0)
-        stats = error_stats([(est, truth, _fake_crlb(100.0))])
-        assert stats.raw_rmse is None
-        assert stats.refined_rmse.pos == pytest.approx(1.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            error_stats([])
+        cell = run_campaign(CampaignConfig(runs=20, seed=6)).cells[0]
+        assert cell.raw_rmse is not None
+        assert cell.rmse.pos <= cell.raw_rmse.pos
+        assert 0.0 <= cell.large_error_rate <= 1.0

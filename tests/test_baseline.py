@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cftwlas import (
+    ConfigurationError,
     NoiseSpec,
     UdState,
     add_noise,
@@ -43,9 +44,7 @@ class TestGaussNewton:
         est, trace = gauss_newton(meas, ANCHORS, UNIT_NOISE, ud)
         assert trace.converged
         assert trace.iterations_used == 1
-        first_update = np.linalg.norm(
-            trace.iterates[1].as_vector() - trace.iterates[0].as_vector()
-        )
+        first_update = np.linalg.norm(est.as_vector() - ud.as_vector())
         assert first_update <= 1e-9
 
     def test_deterministic_given_identical_inputs(self):
@@ -80,7 +79,7 @@ class TestGaussNewton:
         meas = add_noise(forward_model(ud, ANCHORS), noise, rng)
         init = make_initializer(ud, 50.0, rng)
         _, trace = gauss_newton(meas, ANCHORS, noise, init, max_iter=7)
-        assert len(trace.costs) == len(trace.iterates)
+        assert len(trace.costs) == trace.iterations_used + 1
         assert trace.iterations_used <= 7
 
     def test_zero_tol_disables_convergence(self):
@@ -109,3 +108,12 @@ class TestGaussNewton:
                 errors.append(np.linalg.norm(est.pos - ud.pos))
         rmse = float(np.sqrt(np.mean(np.square(errors))))
         assert rmse < 15.0
+
+    def test_size_mismatch_rejected(self):
+        ud = UdState([300.0, 500.0], [0.0, 0.0], 0.0, 0.0)
+        meas = forward_model(ud, ANCHORS)
+        with pytest.raises(ConfigurationError, match="counts must match"):
+            gauss_newton(meas, ANCHORS, NoiseSpec(np.ones(7), 1.0), ud)
+        short = forward_model(ud, build_square_scenario(800.0, 5))
+        with pytest.raises(ConfigurationError, match="counts must match"):
+            gauss_newton(short, ANCHORS, UNIT_NOISE, ud)

@@ -175,6 +175,16 @@ class TestEstimateCommand:
         assert main(["estimate", "--input", path]) == 2
         assert "schedule_s" in capsys.readouterr().err
 
+    def test_sigma_length_mismatch_reported(self, tmp_path, capsys):
+        case_path, _ = estimate_case(tmp_path)
+        payload = json.loads(open(case_path).read())
+        payload["sigma_request_m"] = payload["sigma_request_m"][:-1]
+        path = write_json(tmp_path / "short.json", payload)
+        assert main(["estimate", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "7 request sigmas" in err
+
 
 class TestCrlbCommand:
     def test_bound_for_scenario_file(self, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from cftwlas import (
     AnchorSet,
+    ConfigurationError,
     MeasurementSet,
     NoiseSpec,
     UdState,
@@ -222,6 +223,15 @@ class TestEstimate:
         assert res.weighted_cost == pytest.approx(
             float(stacked @ (noise.weights() * stacked))
         )
+
+    def test_size_mismatch_rejected(self):
+        ud = UdState([300.0, 500.0], [0.0, 0.0], 0.0, 0.0)
+        meas = forward_model(ud, ANCHORS)
+        with pytest.raises(ConfigurationError, match="counts must match"):
+            estimate(meas, ANCHORS, NoiseSpec(np.ones(7), 1.0))
+        short = forward_model(ud, build_square_scenario(800.0, 5))
+        with pytest.raises(ConfigurationError, match="counts must match"):
+            estimate(short, ANCHORS, UNIT_NOISE)
 
     def test_report_shapes(self):
         rng = np.random.default_rng(10)

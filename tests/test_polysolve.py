@@ -188,9 +188,9 @@ class TestSolvePair:
         sol = solve_pair_detailed(q1, q2)
         assert sol.pairs == ()
         assert sol.complex_pairs
-        assert sol.complex_seed is not None
-        assert sol.complex_seed.lam1 == pytest.approx(2.0, abs=1e-9)
-        assert sol.complex_seed.lam2 == pytest.approx(0.0, abs=1e-9)
+        seed = sol.complex_pairs[0].pair
+        assert seed.lam1 == pytest.approx(2.0, abs=1e-9)
+        assert seed.lam2 == pytest.approx(0.0, abs=1e-9)
 
     def test_inconsistent_system_returns_nothing(self):
         # Same conic shifted by a constant: the variety is empty even over

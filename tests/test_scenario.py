@@ -95,13 +95,6 @@ class TestForwardModel:
         with pytest.raises(GeometryError):
             forward_model(ud, anchors)
 
-    def test_truth_fields_populated(self):
-        anchors = build_square_scenario(800.0, 4)
-        ud = UdState([300.0, 300.0], [10.0, 0.0], 50.0, 10.0)
-        meas = forward_model(ud, anchors)
-        np.testing.assert_array_equal(meas.truth_request, meas.request_toa)
-        np.testing.assert_array_equal(meas.truth_response, meas.response_toa)
-
 
 class TestSigmaFromSnr:
     def test_forty_db(self):
@@ -181,10 +174,12 @@ class TestAddNoise:
         np.testing.assert_array_equal(a.response_toa, b.response_toa)
 
     def test_truth_retained(self):
+        # The noise-free input set is left untouched.
         meas = self._clean()
+        truth = meas.stacked().copy()
         noise = NoiseSpec(np.full(4, 2.0), 3.0)
         out = add_noise(meas, noise, np.random.default_rng(7))
-        np.testing.assert_array_equal(out.truth_request, meas.request_toa)
+        np.testing.assert_array_equal(meas.stacked(), truth)
         assert not np.array_equal(out.request_toa, meas.request_toa)
 
     def test_sample_variance_matches_declared_sigma(self):
@@ -263,10 +258,10 @@ class TestDomainTypes:
 
     def test_measurement_lengths_must_match(self):
         with pytest.raises(ConfigurationError):
-            MeasurementSet([1.0, 2.0], [1.0], [0.01, 0.02])
+            MeasurementSet([1.0, 2.0], [1.0])
 
     def test_stacked_order_requests_first(self):
-        meas = MeasurementSet([1.0, 2.0], [3.0, 4.0], [0.01, 0.02])
+        meas = MeasurementSet([1.0, 2.0], [3.0, 4.0])
         np.testing.assert_array_equal(meas.stacked(), [1, 2, 3, 4])
 
     def test_noise_spec_weights(self):
@@ -274,9 +269,6 @@ class TestDomainTypes:
         np.testing.assert_allclose(
             noise.weights(), [0.25, 0.0625, 0.04, 0.04]
         )
-        w = noise.weight_matrix()
-        assert w.shape == (4, 4)
-        assert np.all(np.linalg.eigvalsh(w) > 0)
 
     def test_noise_spec_rejects_nonpositive(self):
         with pytest.raises(ConfigurationError):
