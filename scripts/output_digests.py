@@ -1,0 +1,116 @@
+"""Per-input digests of what estimate(), gauss_newton() and crlb() return.
+
+Two checkouts that print the same digests for a seed produce bitwise-equal
+outputs on every input drawn from it, so a change meant to keep the numbers
+(a speed-up, a refactor) can be checked against its parent:
+
+    PYTHONPATH=<parent>/src python3 scripts/output_digests.py 7 > parent.json
+    PYTHONPATH=src python3 scripts/output_digests.py 7 > change.json
+    cmp parent.json change.json
+
+The inputs: 2-D square layouts with 4, 5 and 8 anchors at ten SNRs from 6 to
+50 dB (150 noisy runs each, Gauss-Newton from a 50 m initialization and the
+CRLB on the first 40 of them), 600 3-D runs with 5 to 9 random anchors, and
+50 noise-free runs per 2-D layout. An estimate's digest covers its flags, raw
+and refined states, covariance, every candidate (pair, state, cost, source)
+and which candidate won; a Gauss-Newton digest covers the state and the
+trace.
+"""
+
+import hashlib
+import json
+import sys
+
+import numpy as np
+
+from cftwlas import (
+    AnchorSet,
+    GeometryError,
+    NoiseSpec,
+    add_noise,
+    build_square_scenario,
+    crlb,
+    estimate,
+    forward_model,
+    gauss_newton,
+    make_initializer,
+    noise_for_snr,
+    sample_ud_state,
+)
+
+
+def digest(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(np.ascontiguousarray(part, dtype=float).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+def estimate_digest(meas, anchors, noise) -> str:
+    rep = estimate(meas, anchors, noise)
+    flags = rep.flags
+    parts = [flags.degenerate_geometry, flags.no_real_root_fallback,
+             flags.refinement_singular]
+    for state in (rep.raw, rep.refined):
+        parts.append(None if state is None else state.as_vector())
+    parts.append(rep.refinement_cov)
+    for c in rep.candidates:
+        parts += [float(c.pair.lam1), float(c.pair.lam2), c.state.as_vector(),
+                  float(c.weighted_cost), c.from_fallback]
+    parts.append([i for i, c in enumerate(rep.candidates) if c.state is rep.raw])
+    return digest(parts)
+
+
+def gn_digest(meas, anchors, noise, init) -> str:
+    try:
+        state, trace = gauss_newton(meas, anchors, noise, init)
+    except GeometryError as exc:
+        return f"GeometryError: {exc}"
+    return digest([state.as_vector(), trace.costs, trace.converged,
+                   trace.iterations_used, trace.diverged])
+
+
+def main(seed: int) -> dict[str, str]:
+    out = {}
+    for an in (4, 5, 8):
+        anchors = build_square_scenario(800.0, an)
+        for snr in np.linspace(6.0, 50.0, 10):
+            rng = np.random.default_rng([seed, an, int(snr * 10)])
+            for run in range(150):
+                ud = sample_ud_state(rng, 600.0, center=anchors.center)
+                noise = noise_for_snr(ud, anchors, snr)
+                meas = add_noise(forward_model(ud, anchors), noise, rng)
+                key = f"{an}an_{snr:.1f}db_{run}"
+                out[f"est_{key}"] = estimate_digest(meas, anchors, noise)
+                if run < 40:
+                    init = make_initializer(ud, 50.0, rng)
+                    out[f"gn_{key}"] = gn_digest(meas, anchors, noise, init)
+                    out[f"crlb_{key}"] = digest([crlb(ud, anchors, noise).crlb])
+        rng = np.random.default_rng([seed, an, 0])
+        unit = NoiseSpec(np.ones(an), 1.0)
+        for run in range(50):
+            ud = sample_ud_state(rng, 600.0, center=anchors.center)
+            out[f"est_{an}an_clean_{run}"] = estimate_digest(
+                forward_model(ud, anchors), anchors, unit
+            )
+    rng = np.random.default_rng([seed, 3])
+    for run in range(600):
+        m = int(rng.integers(5, 10))
+        anchors = AnchorSet(rng.uniform(0.0, 800.0, size=(m, 3)),
+                            0.01 * np.arange(1, m + 1))
+        ud = sample_ud_state(rng, 500.0, center=anchors.center, ndim=3)
+        noise = noise_for_snr(ud, anchors, float(rng.uniform(6.0, 50.0)))
+        meas = add_noise(forward_model(ud, anchors), noise, rng)
+        out[f"est_3d_{run}"] = estimate_digest(meas, anchors, noise)
+        out[f"gn_3d_{run}"] = gn_digest(meas, anchors, noise,
+                                        make_initializer(ud, 50.0, rng))
+    return out
+
+
+if __name__ == "__main__":
+    json.dump(main(int(sys.argv[1]) if len(sys.argv) > 1 else 7), sys.stdout,
+              indent=0, sort_keys=True)
+    sys.stdout.write("\n")

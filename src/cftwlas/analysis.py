@@ -8,33 +8,67 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateGeometryError, GeometryError
-from .scenario import AnchorSet, NoiseSpec, UdState
-
-# Direction vectors are undefined below this range.
-_MIN_RANGE = 1e-9
+from .scenario import MIN_RANGE, AnchorSet, NoiseSpec, UdState
 
 
-def _ranges(state: UdState, anchors: AnchorSet):
-    """Device-to-anchor vectors and ranges at the request and reception instants."""
-    diff0 = anchors.positions - state.pos
-    d0 = np.linalg.norm(diff0, axis=1)
-    diff1 = diff0 - np.outer(anchors.schedule, state.vel)
-    d1 = np.linalg.norm(diff1, axis=1)
-    if d0.min() < _MIN_RANGE or d1.min() < _MIN_RANGE:
-        raise GeometryError("state coincides with an anchor")
-    return diff0, d0, diff1, d1
+def _ranges(pos: np.ndarray, vel: np.ndarray, anchors: AnchorSet):
+    """Device-to-anchor vectors and ranges of K states.
+
+    ``pos`` and ``vel`` are (K, N). Returns the (K, M, N) vectors and (K, M)
+    ranges at the request and reception instants, and a (K,) mask of the
+    states that sit on an anchor, where direction vectors are undefined.
+    """
+    diff0 = anchors.positions - pos[:, None, :]
+    # sqrt of the summed squares is what np.linalg.norm(axis=-1) computes.
+    d0 = np.sqrt(np.add.reduce(diff0 * diff0, axis=-1))
+    diff1 = diff0 - anchors.schedule[:, None] * vel[:, None, :]
+    d1 = np.sqrt(np.add.reduce(diff1 * diff1, axis=-1))
+    on_anchor = (d0.min(axis=1) < MIN_RANGE) | (d1.min(axis=1) < MIN_RANGE)
+    return diff0, d0, diff1, d1, on_anchor
+
+
+def _model(pos, vel, offset, drift, anchors: AnchorSet):
+    """The measurement model of K states: (K, 2M) rows and the on-anchor mask.
+
+    ``offset`` and ``drift`` are (K, 1) columns, or numbers when K is 1.
+    """
+    _, d_request, _, d_response, on_anchor = _ranges(pos, vel, anchors)
+    request = d_request - offset
+    response = d_response + offset + drift * anchors.schedule
+    return np.concatenate([request, response], axis=1), on_anchor
+
+
+def predict_stacked(thetas: np.ndarray, anchors: AnchorSet):
+    """Noise-free measurement vectors of K parameter vectors at once.
+
+    This is the package's one measurement model: synthesis, candidate
+    scoring, residuals, refinement and Gauss-Newton all read it, the
+    single-state callers through ``predict_measurements``. ``thetas`` is
+    (K, 2N+2). Returns the (K, 2M) stacked [requests, responses] rows and
+    the (K,) mask of states on an anchor, whose rows carry no meaning.
+    """
+    n = anchors.ndim
+    return _model(
+        thetas[:, :n],
+        thetas[:, n : 2 * n],
+        thetas[:, 2 * n, None],
+        thetas[:, 2 * n + 1, None],
+        anchors,
+    )
 
 
 def predict_measurements(state: UdState, anchors: AnchorSet) -> np.ndarray:
     """Noise-free stacked measurement vector [requests, responses] at a state.
 
-    This is the package's one measurement model: synthesis, candidate
-    residuals, refinement and Gauss-Newton all read it.
+    The K=1 case of ``predict_stacked``; raises GeometryError for a state on
+    an anchor.
     """
-    _, d_request, _, d_response = _ranges(state, anchors)
-    request = d_request - state.offset
-    response = d_response + state.offset + state.drift * anchors.schedule
-    return np.concatenate([request, response])
+    rows, on_anchor = _model(
+        state.pos[None], state.vel[None], state.offset, state.drift, anchors
+    )
+    if on_anchor[0]:
+        raise GeometryError("state coincides with an anchor")
+    return rows[0]
 
 
 def jacobian(state: UdState, anchors: AnchorSet) -> np.ndarray:
@@ -46,7 +80,10 @@ def jacobian(state: UdState, anchors: AnchorSet) -> np.ndarray:
     instant.
     """
     m, n = anchors.count, anchors.ndim
-    diff0, d0, diff1, d1 = _ranges(state, anchors)
+    diff0, d0, diff1, d1, on_anchor = _ranges(state.pos[None], state.vel[None], anchors)
+    if on_anchor[0]:
+        raise GeometryError("state coincides with an anchor")
+    diff0, d0, diff1, d1 = diff0[0], d0[0], diff1[0], d1[0]
     e = diff0 / d0[:, None]
     l = diff1 / d1[:, None]
 

@@ -11,11 +11,12 @@ linearization point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import jacobian, predict_measurements
+from .analysis import jacobian, predict_measurements, predict_stacked
 from .errors import ConfigurationError, GeometryError
 from .linear_system import build_system
 from .polysolve import AuxiliaryPair, coefficients_from_system, solve_pair_detailed
@@ -105,35 +106,37 @@ def raw_estimate(
     q1, q2 = coefficients_from_system(system)
     solution = solve_pair_detailed(q1, q2)
 
-    def realize(pair: AuxiliaryPair, fallback: bool) -> Candidate | None:
-        theta = system.g + system.U @ [pair.lam1, pair.lam2]
-        if not np.isfinite(theta).all():
-            return None
-        state = UdState.from_vector(theta)
-        try:
-            cost = compute_residuals(state, meas, anchors, noise).weighted_cost
-        except GeometryError:
-            return None
-        if not np.isfinite(cost):
-            return None
-        return Candidate(pair, state, cost, from_fallback=fallback)
+    roots = [(pair, False) for pair in solution.pairs]
+    roots.extend((seed.pair, True) for seed in solution.complex_pairs)
+    thetas = np.array(
+        [system.g + system.U @ [pair.lam1, pair.lam2] for pair, _ in roots]
+    ).reshape(len(roots), system.g.size)
+    finite = np.isfinite(thetas).all(axis=1)
+    roots = [root for root, keep in zip(roots, finite) if keep]
+    thetas = thetas[finite]
 
-    candidates = [
-        cand
-        for pair in solution.pairs
-        if (cand := realize(pair, fallback=False)) is not None
-    ]
-    candidates.extend(
-        cand
-        for seed in solution.complex_pairs
-        if (cand := realize(seed.pair, fallback=True)) is not None
-    )
+    # One model evaluation scores every candidate; a candidate on an anchor
+    # has no meaningful model row and is dropped.
+    rows, on_anchor = predict_stacked(thetas, anchors)
+    residuals = meas.stacked() - rows
+    weighted = noise.weights() * residuals
+    candidates = []
+    for (pair, fallback), theta, r, wr, skip in zip(
+        roots, thetas, residuals, weighted, on_anchor
+    ):
+        cost = float(r @ wr)
+        if not skip and math.isfinite(cost):
+            state = UdState.from_vector(theta)
+            candidates.append(Candidate(pair, state, cost, from_fallback=fallback))
     if not candidates:
         raise GeometryError("no usable raw-estimate candidate")
 
+    # Lowest cost wins, the first of equal-cost candidates with the smallest
+    # parameter norm on a tie.
+    lowest = min(c.weighted_cost for c in candidates)
     best = min(
-        candidates,
-        key=lambda c: (c.weighted_cost, float(np.linalg.norm(c.state.as_vector()))),
+        (c for c in candidates if c.weighted_cost == lowest),
+        key=lambda c: float(np.linalg.norm(c.state.as_vector())),
     )
     return best.state, candidates
 

@@ -15,6 +15,7 @@ auxiliary pair consistent with the measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,8 +64,13 @@ class ConstraintMatrices:
     h2: np.ndarray
 
 
+@lru_cache(maxsize=8)
 def constraint_matrices(ndim: int) -> ConstraintMatrices:
-    """Build the two (2N+2)-square constraint matrices for dimension N."""
+    """The two (2N+2)-square constraint matrices for dimension N.
+
+    Built once per dimension; the arrays are read-only because every caller
+    shares them.
+    """
     if ndim < 1:
         raise ConfigurationError("dimension must be at least 1")
     n = ndim
@@ -74,6 +80,8 @@ def constraint_matrices(ndim: int) -> ConstraintMatrices:
     h2[n : 2 * n, :n] = -np.eye(n)
     h2[2 * n, 2 * n + 1] = 1.0
     h2[2 * n + 1, 2 * n] = 1.0
+    h1.setflags(write=False)
+    h2.setflags(write=False)
     return ConstraintMatrices(h1, h2)
 
 
@@ -101,40 +109,39 @@ def build_system(
     if not 0 <= ref_index < m:
         raise ConfigurationError(f"reference index {ref_index} out of range")
 
-    q = anchors.positions
-    dt = anchors.schedule
-    rho = meas.request_toa
-    tau = meas.response_toa
-    idx = np.array([i for i in range(m) if i != ref_index])
+    # Reference anchor r, the others in order.
     r = ref_index
+    idx = np.array([i for i in range(m) if i != r])
+    q, qi = anchors.positions[r], anchors.positions[idx]
+    dt, dti = anchors.schedule[r], anchors.schedule[idx]
+    rho, rhoi = meas.request_toa[r], meas.request_toa[idx]
+    tau, taui = meas.response_toa[r], meas.response_toa[idx]
+    q_sq = np.sum(anchors.positions**2, axis=1)
+    q_sq, q_sqi = q_sq[r], q_sq[idx]
 
-    dq = q[idx] - q[r]
-    zeros_col = np.zeros((m - 1, 1))
-    a_request = np.hstack(
-        [dq, np.zeros((m - 1, n)), (rho[idx] - rho[r])[:, None], zeros_col]
-    )
-    a_response = np.hstack(
-        [
-            dq,
-            dt[idx, None] * q[idx] - dt[r] * q[r],
-            (tau[r] - tau[idx])[:, None],
-            (dt[r] * tau[r] - dt[idx] * tau[idx])[:, None],
-        ]
-    )
-    q_sq = np.sum(q**2, axis=1)
-    y_request = 0.5 * (q_sq[idx] - q_sq[r] - (rho[idx] ** 2 - rho[r] ** 2))
-    y_response = 0.5 * (q_sq[idx] - q_sq[r] - (tau[idx] ** 2 - tau[r] ** 2))
-    g_response = np.column_stack([0.5 * (dt[r] ** 2 - dt[idx] ** 2), dt[r] - dt[idx]])
+    # Request rows on top of response rows; the right-hand sides y and G are
+    # the columns of ``rhs``.
+    k = m - 1
+    A = np.zeros((2 * k, 2 * n + 2))
+    rhs = np.zeros((2 * k, 3))
+    dq = qi - q
+    A[:k, :n] = dq
+    A[:k, 2 * n] = rhoi - rho
+    A[k:, :n] = dq
+    A[k:, n : 2 * n] = dti[:, None] * qi - dt * q
+    A[k:, 2 * n] = tau - taui
+    A[k:, 2 * n + 1] = dt * tau - dti * taui
+    rhs[:k, 0] = 0.5 * (q_sqi - q_sq - (rhoi**2 - rho**2))
+    rhs[k:, 0] = 0.5 * (q_sqi - q_sq - (taui**2 - tau**2))
+    rhs[k:, 1] = 0.5 * (dt**2 - dti**2)
+    rhs[k:, 2] = dt - dti
+    y, G = rhs[:, 0], rhs[:, 1:]
 
-    A = np.vstack([a_request, a_response])
-    y = np.concatenate([y_request, y_response])
-    G = np.vstack([np.zeros((m - 1, 2)), g_response])
-
-    svals = np.linalg.svd(A, compute_uv=False)
+    # The least squares solve also returns the singular values of A, which
+    # decide the rank check.
+    solution, _, _, svals = np.linalg.lstsq(A, rhs, rcond=None)
     if svals[0] <= 0.0 or svals[-1] < _RANK_RTOL * svals[0]:
         raise DegenerateGeometryError(
             "linearized system is rank deficient for this geometry"
         )
-
-    solution, *_ = np.linalg.lstsq(A, np.column_stack([y, G]), rcond=None)
     return LinearSystem(A=A, y=y, G=G, g=solution[:, 0], U=solution[:, 1:])

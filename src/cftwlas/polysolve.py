@@ -8,9 +8,13 @@ quadratics
 in x = lam1, y = lam2. One variable is eliminated through the classical
 resultant of the two conics, giving a univariate polynomial of degree at most
 four whose real roots are found via companion-matrix eigenvalues; the other
-variable is back-substituted and every candidate pair is polished with two
-Newton steps on the 2x2 system. By Bezout's bound at most four real pairs
-exist.
+variable is back-substituted. All real candidate pairs of one elimination are
+then polished together: two Newton steps on the 2x2 system and the
+normalized-residual test run once over float64 arrays, with the same
+arithmetic, in the same order, as a per-pair loop would do. The singular-
+Jacobian early stop and the non-finite exit apply to each pair on its own.
+The accepted pairs are merged in seed order, and by Bezout's bound at most
+four real pairs are kept.
 
 Solutions can be many orders of magnitude larger than unity (the auxiliary
 variables of the TOA problem reach 1e7) while the quadratic coefficients are
@@ -26,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 # Coefficients this small relative to the equation scale are treated as zero.
 _COEFF_ZERO_RTOL = 1e-12
@@ -50,10 +53,11 @@ class BivariateQuadratic:
     f: float
 
     def __post_init__(self) -> None:
-        for name in "abcdef":
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not all(np.isfinite(getattr(self, name)) for name in "abcdef"):
+        values = tuple(map(float, (self.a, self.b, self.c, self.d, self.e, self.f)))
+        if not all(map(math.isfinite, values)):
             raise ValueError("quadratic coefficients must be finite")
+        for name, value in zip("abcdef", values):
+            object.__setattr__(self, name, value)
 
     def __call__(self, x: float, y: float) -> float:
         return (
@@ -66,11 +70,18 @@ class BivariateQuadratic:
         )
 
     def scale(self) -> float:
-        return max(abs(getattr(self, name)) for name in "abcdef")
+        return max(
+            abs(self.a), abs(self.b), abs(self.c), abs(self.d), abs(self.e), abs(self.f)
+        )
 
     def scaled(self, factor: float) -> "BivariateQuadratic":
         return BivariateQuadratic(
-            *(factor * getattr(self, name) for name in "abcdef")
+            factor * self.a,
+            factor * self.b,
+            factor * self.c,
+            factor * self.d,
+            factor * self.e,
+            factor * self.f,
         )
 
     def with_substitution(self, sx: float, sy: float) -> "BivariateQuadratic":
@@ -146,12 +157,14 @@ def coefficients_from_system(sys):
     u2 = sys.U[:, 1]
 
     def quad(h: np.ndarray, shift_d: float, shift_e: float) -> BivariateQuadratic:
+        u1h = u1 @ h
+        u2h = u2 @ h
         return BivariateQuadratic(
-            a=u1 @ h @ u1,
-            b=2.0 * (u1 @ h @ u2),
-            c=u2 @ h @ u2,
-            d=2.0 * (u1 @ h @ g) + shift_d,
-            e=2.0 * (u2 @ h @ g) + shift_e,
+            a=u1h @ u1,
+            b=2.0 * (u1h @ u2),
+            c=u2h @ u2,
+            d=2.0 * (u1h @ g) + shift_d,
+            e=2.0 * (u2h @ g) + shift_e,
             f=g @ h @ g,
         )
 
@@ -250,21 +263,60 @@ def _solve_linear(
 def _poly_views(q: BivariateQuadratic, eliminate: str):
     """Coefficients of q as a quadratic in the eliminated variable.
 
-    Returns (p2, p1, p0): polynomials in the kept variable (lowest power
-    first) multiplying the square, linear, and constant powers of the
-    eliminated one.
+    Returns (p2, p1, p0): the number multiplying the square of the eliminated
+    variable, and the polynomials in the kept variable (lowest power first)
+    multiplying its linear and constant powers.
     """
     if eliminate == "y":
-        return (
-            np.array([q.c]),
-            np.array([q.e, q.b]),
-            np.array([q.f, q.d, q.a]),
-        )
-    return (
-        np.array([q.a]),
-        np.array([q.d, q.b]),
-        np.array([q.f, q.e, q.c]),
-    )
+        return q.c, np.array([q.e, q.b]), np.array([q.f, q.d, q.a])
+    return q.a, np.array([q.d, q.b]), np.array([q.f, q.e, q.c])
+
+
+def _trim(c: np.ndarray) -> np.ndarray:
+    """Drop trailing zero coefficients, keeping at least one."""
+    if c[-1] != 0:
+        return c
+    nonzero = np.flatnonzero(c)
+    return c[: nonzero[-1] + 1] if nonzero.size else c[:1]
+
+
+def _polysub(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Coefficients of c1 - c2 (lowest power first), trimmed."""
+    c1, c2 = _trim(c1), _trim(c2)
+    if len(c1) > len(c2):
+        out = c1.copy()
+        out[: len(c2)] -= c2
+    else:
+        out = -c2
+        out[: len(c1)] += c1
+    return _trim(out)
+
+
+def _polymul(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Coefficients of c1 * c2 (lowest power first), trimmed."""
+    return _trim(np.convolve(_trim(c1), _trim(c2)))
+
+
+def _polyval(x, c: np.ndarray):
+    """Horner evaluation of c (lowest power first) at the scalar x."""
+    *rest, value = c.tolist()
+    value = value + x * 0
+    for coef in reversed(rest):
+        value = coef + value * x
+    return value
+
+
+def _polyroots(c: np.ndarray) -> np.ndarray:
+    """Sorted roots of c (lowest power first, nonzero leading coefficient)."""
+    if len(c) == 2:
+        return np.array([-c[0] / c[1]])
+    n = len(c) - 1
+    companion = np.zeros((n, n))
+    companion.reshape(-1)[n :: n + 1] = 1
+    companion[:, -1] -= c[:-1] / c[-1]
+    roots = np.linalg.eigvals(companion)
+    roots.sort()
+    return roots
 
 
 def _solve_by_elimination(
@@ -275,15 +327,15 @@ def _solve_by_elimination(
     q2, q1, q0 = _poly_views(n2, eliminate)
     # Polynomials in the kept variable: the eliminated one is -t1/t2 wherever
     # t2 does not vanish.
-    t1 = npoly.polysub(p2[0] * q0, q2[0] * p0)
-    t2 = npoly.polysub(p2[0] * q1, q2[0] * p1)
+    t1 = _polysub(p2 * q0, q2 * p0)
+    t2 = _polysub(p2 * q1, q2 * p1)
 
-    degenerate_leads = abs(p2[0]) <= _COEFF_ZERO_RTOL and abs(q2[0]) <= _COEFF_ZERO_RTOL
-    cross = npoly.polysub(npoly.polymul(p1, q0), npoly.polymul(p0, q1))
+    degenerate_leads = abs(p2) <= _COEFF_ZERO_RTOL and abs(q2) <= _COEFF_ZERO_RTOL
+    cross = _polysub(_polymul(p1, q0), _polymul(p0, q1))
     if degenerate_leads:
         resultant = cross
     else:
-        resultant = npoly.polysub(npoly.polymul(t1, t1), npoly.polymul(t2, cross))
+        resultant = _polysub(_polymul(t1, t1), _polymul(t2, cross))
 
     magnitude = np.abs(resultant).max()
     if magnitude <= 1e-14:
@@ -297,16 +349,16 @@ def _solve_by_elimination(
         # Nonzero constant: no finite intersections along this variable.
         return BivariateSolution((), (), False)
 
-    roots = npoly.polyroots(resultant)
+    roots = _polyroots(resultant)
     real_roots = []
     complex_roots = []
     for root in roots:
         if abs(root.imag) <= _IMAG_RTOL * max(1.0, abs(root.real)):
-            real_roots.append(root.real)
+            real_roots.append(float(root.real))
         else:
             complex_roots.append(root)
 
-    pairs: list[tuple[AuxiliaryPair, float]] = []
+    seeds: list[tuple[float, float]] = []
     complex_pairs: list[ComplexSeed] = []
 
     def add_seed(kept_value: float, other: complex) -> None:
@@ -322,16 +374,19 @@ def _solve_by_elimination(
         real_others, complex_others = _companion_candidates(
             n1, n2, t1, t2, kept, eliminate
         )
-        for other in real_others:
-            xy = _ordered(kept, other, eliminate)
-            xy = _newton_polish(n1, n2, *xy)
-            res = _normalized_residual(n1, n2, *xy)
-            if res <= _RESIDUAL_RTOL:
-                _insert_pair(pairs, AuxiliaryPair(*xy), res)
+        seeds.extend(_ordered(kept, other, eliminate) for other in real_others)
         # Real resultant root whose companion went complex: keep its
         # projection too.
         for other in complex_others:
             add_seed(kept, other)
+
+    pairs: list[tuple[AuxiliaryPair, float]] = []
+    if seeds:
+        x, y = _newton_polish(n1, n2, *np.array(seeds).T)
+        res = _normalized_residual(n1, n2, x, y)
+        for xi, yi, ri in zip(x.tolist(), y.tolist(), res.tolist()):
+            if ri <= _RESIDUAL_RTOL:
+                _insert_pair(pairs, AuxiliaryPair(xi, yi), ri)
 
     # One representative per conjugate pair of the resultant itself (roots of
     # real polynomials come in exact conjugate pairs).
@@ -371,8 +426,8 @@ def _companion_value(
     n1, n2, t1_poly, t2_poly, kept: complex, eliminate: str
 ) -> complex:
     """Eliminated-variable value via the linear combination of the two conics."""
-    t1 = npoly.polyval(kept, t1_poly)
-    t2 = npoly.polyval(kept, t2_poly)
+    t1 = _polyval(kept, t1_poly)
+    t2 = _polyval(kept, t2_poly)
     if abs(t2) <= 1e-12 * max(1.0, abs(t1)):
         # Fall back to one equation's quadratic roots.
         for q in (n1, n2):
@@ -394,8 +449,8 @@ def _companion_candidates(
     """
     reals: list[float] = []
     cplx: list[complex] = []
-    t1 = npoly.polyval(kept, t1_poly)
-    t2 = npoly.polyval(kept, t2_poly)
+    t1 = _polyval(kept, t1_poly)
+    t2 = _polyval(kept, t2_poly)
     if abs(t2) > 1e-10 * max(1.0, abs(kept)):
         reals.append(float(np.real(-t1 / t2)))
     for q in (n1, n2):
@@ -436,60 +491,78 @@ def _quadratic_in_eliminated(
     return [r1, r2]
 
 
+# The polish and residual below run on arrays with one column per seed and
+# one row per equation. Each element must be bitwise what a per-seed scalar
+# loop gives (tests/test_polysolve.py keeps that loop as the reference), so
+# every expression keeps the scalar evaluation order. np.fmax stands in for
+# Python's max(), which skips a NaN that is not its first argument; it is used
+# only where that first argument cannot be NaN.
+
+
+def _columns(n1: BivariateQuadratic, n2: BivariateQuadratic):
+    """The six coefficients of both equations, each as a (2, 1) column."""
+    rows = np.array(
+        [(n1.a, n1.b, n1.c, n1.d, n1.e, n1.f), (n2.a, n2.b, n2.c, n2.d, n2.e, n2.f)]
+    )
+    return rows.T[:, :, None]
+
+
 def _newton_polish(
     n1: BivariateQuadratic,
     n2: BivariateQuadratic,
-    x: float,
-    y: float,
+    x: np.ndarray,
+    y: np.ndarray,
     steps: int = 2,
-) -> tuple[float, float]:
-    for _ in range(steps):
-        f1 = n1(x, y)
-        f2 = n2(x, y)
-        j11 = 2.0 * n1.a * x + n1.b * y + n1.d
-        j12 = n1.b * x + 2.0 * n1.c * y + n1.e
-        j21 = 2.0 * n2.a * x + n2.b * y + n2.d
-        j22 = n2.b * x + 2.0 * n2.c * y + n2.e
-        det = j11 * j22 - j12 * j21
-        if abs(det) <= 1e-14 * max(1.0, abs(j11 * j22), abs(j12 * j21)):
-            break
-        x -= (f1 * j22 - f2 * j12) / det
-        y -= (j11 * f2 - j21 * f1) / det
-        if not (np.isfinite(x) and np.isfinite(y)):
-            return np.nan, np.nan
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps on the 2x2 system from each seed (x[i], y[i]).
+
+    A seed stops where its Jacobian is singular and becomes NaN where an
+    iterate is not finite; the others carry on.
+    """
+    a, b, c, d, e, f = _columns(n1, n2)
+    a2, c2 = 2.0 * a, 2.0 * c
+    active = np.ones(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            (f1, f2) = a * x * x + b * x * y + c * y * y + d * x + e * y + f
+            (j11, j21) = a2 * x + b * y + d
+            (j12, j22) = b * x + c2 * y + e
+            det = j11 * j22 - j12 * j21
+            bound = 1e-14 * np.fmax(np.fmax(1.0, np.abs(j11 * j22)), np.abs(j12 * j21))
+            active &= ~(np.abs(det) <= bound)
+            new_x = x - (f1 * j22 - f2 * j12) / det
+            new_y = y - (j11 * f2 - j21 * f1) / det
+            finite = np.isfinite(new_x) & np.isfinite(new_y)
+            x = np.where(active, np.where(finite, new_x, np.nan), x)
+            y = np.where(active, np.where(finite, new_y, np.nan), y)
+            active &= finite
     return x, y
 
 
-def _term_scale(q: BivariateQuadratic, x: float, y: float) -> float:
-    return max(
-        abs(q.a * x * x),
-        abs(q.b * x * y),
-        abs(q.c * y * y),
-        abs(q.d * x),
-        abs(q.e * y),
-        abs(q.f),
-    )
-
-
-def _normalized_residual(n1, n2, x: float, y: float) -> float:
+def _normalized_residual(n1, n2, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Residual relative to the largest term of each equation at the point.
 
     Dividing by the point magnitude instead would let far-away points pass on
     sheer size, since their tiny-coefficient terms never reach the tolerance
-    times x^2.
+    times x^2. Points that are not finite get inf.
     """
-    if not (np.isfinite(x) and np.isfinite(y)):
-        return np.inf
-    r1 = abs(n1(x, y)) / max(_term_scale(n1, x, y), 1e-30)
-    r2 = abs(n2(x, y)) / max(_term_scale(n2, x, y), 1e-30)
-    return max(r1, r2)
+    a, b, c, d, e, f = _columns(n1, n2)
+    with np.errstate(all="ignore"):
+        value = a * x * x + b * x * y + c * y * y + d * x + e * y + f
+        # |a x x| is not NaN for finite x, the only points whose value is used.
+        scale = np.abs(a * x * x)
+        for term in (b * x * y, c * y * y, d * x, e * y, f):
+            scale = np.fmax(scale, np.abs(term))
+        (r1, r2) = np.abs(value) / np.fmax(scale, 1e-30)
+    # max(r1, r2) keeps a NaN r1, so no fmax here.
+    res = np.where(r2 > r1, r2, r1)
+    return np.where(np.isfinite(x) & np.isfinite(y), res, np.inf)
 
 
 def _same_pair(new: AuxiliaryPair, kept: AuxiliaryPair) -> bool:
     """Both components agree within _DEDUPE_RTOL relative to the new pair."""
     same_x = abs(new.lam1 - kept.lam1) <= _DEDUPE_RTOL * max(1.0, abs(new.lam1))
-    same_y = abs(new.lam2 - kept.lam2) <= _DEDUPE_RTOL * max(1.0, abs(new.lam2))
-    return same_x and same_y
+    return same_x and abs(new.lam2 - kept.lam2) <= _DEDUPE_RTOL * max(1.0, abs(new.lam2))
 
 
 def _insert_pair(

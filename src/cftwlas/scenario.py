@@ -20,6 +20,9 @@ import numpy as np
 from .errors import ConfigurationError, GeometryError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+# A device closer than this (meters) to an anchor sits on it: the measurement
+# model's direction vectors and the SNR noise sigmas are undefined there.
+MIN_RANGE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -276,8 +279,8 @@ def noise_for_snr(
     "max").
     """
     distances = np.linalg.norm(anchors.positions - ud.pos, axis=1)
-    if distances.min() <= 0.0:
-        raise GeometryError("device coincides with an anchor")
+    if distances.min() < MIN_RANGE:
+        raise GeometryError("state coincides with an anchor")
     sigma_request = np.array([sigma_from_snr(d, snr_db) for d in distances])
     reducers = {"mean": np.mean, "min": np.min, "max": np.max}
     if response_rule not in reducers:

@@ -4,13 +4,16 @@
 ``CALL_SITES`` to a timing wrapper and names the span after the module that
 defines the wrapped function. A refactor that drops a call site, or moves a
 function to another module, leaves some per-layer span list empty and the
-traced run fails; this test catches that in the default suite, which does not
+traced run fails; these tests catch that in the default suite, which does not
 run ``bench/test_smoke.py``.
 """
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -55,3 +58,57 @@ def test_call_sites_resolve_to_their_defining_modules():
         assert callable(fn), (module_name, attr)
         assert fn.__name__ == attr, (module_name, attr)
         assert fn.__module__ == DEFINED_IN[(module_name, attr)], (module_name, attr)
+
+
+# Span names the traced benchmark run reduces to per-layer figures; each must
+# fire at least once for one estimate(), one gauss_newton() and one crlb().
+TRACED_SPANS = {
+    "linear_system.build_system",
+    "polysolve.coefficients_from_system",
+    "polysolve.solve_pair_detailed",
+    "estimator.raw_estimate",
+    "estimator.wls_refine",
+    "analysis.jacobian",
+    "analysis.predict_measurements",
+    "analysis.crlb",
+}
+
+
+def test_traced_spans_fire_through_call_sites(monkeypatch):
+    counts = Counter()
+
+    def counting(fn):
+        name = f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}"
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module_name, attr in _call_sites():
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, counting(getattr(module, attr)))
+
+    from cftwlas import montecarlo
+    from cftwlas.scenario import (
+        add_noise,
+        build_square_scenario,
+        forward_model,
+        noise_for_snr,
+        sample_ud_state,
+    )
+
+    rng = np.random.default_rng(4)
+    anchors = build_square_scenario(800.0, 8)
+    ud = sample_ud_state(rng, 500.0, center=anchors.center)
+    noise = noise_for_snr(ud, anchors, 30.0)
+    meas = add_noise(forward_model(ud, anchors), noise, rng)
+    report = montecarlo.estimate(meas, anchors, noise)
+    init = montecarlo.make_initializer(ud, 50.0, rng)
+    montecarlo.gauss_newton(meas, anchors, noise, init)
+    montecarlo.crlb(ud, anchors, noise)
+
+    assert report.refined is not None
+    missing = {name for name in TRACED_SPANS if counts[name] == 0}
+    assert not missing, f"spans that never fired: {sorted(missing)}"

@@ -3,21 +3,30 @@ import pytest
 
 from cftwlas import (
     AnchorSet,
+    AuxiliaryPair,
+    BivariateSolution,
     ConfigurationError,
+    GeometryError,
     MeasurementSet,
     NoiseSpec,
     UdState,
     add_noise,
     build_square_scenario,
+    build_system,
+    coefficients_from_system,
     compute_residuals,
     estimate,
     forward_model,
     jacobian,
     noise_for_snr,
+    predict_measurements,
     raw_estimate,
     sample_ud_state,
+    solve_pair_detailed,
     wls_refine,
 )
+from cftwlas import estimator
+from cftwlas.analysis import predict_stacked
 
 
 ANCHORS = build_square_scenario(800.0, 8)
@@ -241,3 +250,78 @@ class TestEstimate:
         report = estimate(meas, ANCHORS, noise, refine_steps=2)
         assert report.refinement_cov.shape == (6, 6)
         assert len(report.candidates) >= 1
+
+
+def _noisy_inputs(an_count, seed, snr_db=20.0, runs=6):
+    anchors = build_square_scenario(800.0, an_count)
+    rng = np.random.default_rng(seed)
+    for _ in range(runs):
+        ud = sample_ud_state(rng, 600.0, center=anchors.center)
+        noise = noise_for_snr(ud, anchors, snr_db)
+        yield anchors, add_noise(forward_model(ud, anchors), noise, rng), noise
+
+
+def _pair_on_an_anchor(system, anchors):
+    """An auxiliary pair whose state meets an anchor at the request instant
+    or at a reception instant, found from the affine map theta = g + U lam."""
+    n = anchors.ndim
+    g, u = system.g, system.U
+    for dt, anchor in zip(anchors.schedule, anchors.positions):
+        for k in (0.0, dt):
+            # Device position at time k after the request: pos + k vel.
+            lin = u[:n] + k * u[n : 2 * n]
+            if np.linalg.cond(lin) < 1e8:
+                lam = np.linalg.solve(lin, anchor - g[:n] - k * g[n : 2 * n])
+                return AuxiliaryPair(*lam)
+    raise AssertionError("no auxiliary pair reaches an anchor")
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestOnePassScoring:
+    """raw_estimate scores all candidates with one stacked model evaluation."""
+
+    @pytest.mark.parametrize("an_count", [4, 5, 8])
+    def test_costs_equal_per_candidate_residuals_bitwise(self, an_count):
+        for snr_db in (10.0, 30.0):
+            for anchors, meas, noise in _noisy_inputs(an_count, an_count, snr_db):
+                raw, candidates = raw_estimate(meas, anchors, noise)
+                assert any(c.state is raw for c in candidates)
+                for c in candidates:
+                    cost = compute_residuals(c.state, meas, anchors, noise).weighted_cost
+                    assert _bits(c.weighted_cost) == _bits(cost)
+
+    @pytest.mark.parametrize("an_count", [4, 5, 8])
+    def test_stacked_rows_equal_single_state_model_bitwise(self, an_count):
+        for anchors, meas, noise in _noisy_inputs(an_count, 10 + an_count):
+            _, candidates = raw_estimate(meas, anchors, noise)
+            thetas = np.array([c.state.as_vector() for c in candidates])
+            rows, on_anchor = predict_stacked(thetas, anchors)
+            assert not on_anchor.any()
+            for row, c in zip(rows, candidates):
+                assert _bits(row) == _bits(predict_measurements(c.state, anchors))
+
+    @pytest.mark.parametrize("an_count", [4, 5, 8])
+    def test_candidate_on_an_anchor_is_dropped(self, an_count, monkeypatch):
+        anchors, meas, noise = next(_noisy_inputs(an_count, 20 + an_count))
+        system = build_system(meas, anchors)
+        solution = solve_pair_detailed(*coefficients_from_system(system))
+        on_anchor = _pair_on_an_anchor(system, anchors)
+        state = UdState.from_vector(
+            system.g + system.U @ [on_anchor.lam1, on_anchor.lam2]
+        )
+        with pytest.raises(GeometryError):
+            compute_residuals(state, meas, anchors, noise)
+
+        planted = BivariateSolution(
+            solution.pairs + (on_anchor,), solution.complex_pairs, False
+        )
+        monkeypatch.setattr(estimator, "solve_pair_detailed", lambda q1, q2: planted)
+        raw, candidates = raw_estimate(meas, anchors, noise)
+        assert len(candidates) == len(solution.pairs) + len(solution.complex_pairs)
+        assert all(c.pair is not on_anchor for c in candidates)
+        monkeypatch.undo()
+        expected_raw, _ = raw_estimate(meas, anchors, noise)
+        assert _bits(raw.as_vector()) == _bits(expected_raw.as_vector())

@@ -1,5 +1,10 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cftwlas import (
     AuxiliaryPair,
@@ -13,6 +18,7 @@ from cftwlas import (
     solve_pair,
     solve_pair_detailed,
 )
+from cftwlas.polysolve import _newton_polish, _normalized_residual
 
 
 def term_scale(q, x, y):
@@ -212,3 +218,104 @@ class TestSolvePair:
     def test_auxiliary_pair_is_plain_data(self):
         pair = AuxiliaryPair(1.5, -2.5)
         assert pair.lam1 == 1.5 and pair.lam2 == -2.5
+
+
+# Per-seed scalar reference for the array polish and residual of
+# cftwlas.polysolve: every array element must equal, bit for bit, what this
+# loop gives for its seed.
+def ref_newton_polish(n1, n2, x, y, steps=2):
+    for _ in range(steps):
+        f1 = n1(x, y)
+        f2 = n2(x, y)
+        j11 = 2.0 * n1.a * x + n1.b * y + n1.d
+        j12 = n1.b * x + 2.0 * n1.c * y + n1.e
+        j21 = 2.0 * n2.a * x + n2.b * y + n2.d
+        j22 = n2.b * x + 2.0 * n2.c * y + n2.e
+        det = j11 * j22 - j12 * j21
+        if abs(det) <= 1e-14 * max(1.0, abs(j11 * j22), abs(j12 * j21)):
+            break
+        x -= (f1 * j22 - f2 * j12) / det
+        y -= (j11 * f2 - j21 * f1) / det
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return math.nan, math.nan
+    return x, y
+
+
+def ref_term_scale(q, x, y):
+    return max(
+        abs(q.a * x * x), abs(q.b * x * y), abs(q.c * y * y),
+        abs(q.d * x), abs(q.e * y), abs(q.f),
+    )
+
+
+def ref_normalized_residual(n1, n2, x, y):
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    r1 = abs(n1(x, y)) / max(ref_term_scale(n1, x, y), 1e-30)
+    r2 = abs(n2(x, y)) / max(ref_term_scale(n2, x, y), 1e-30)
+    return max(r1, r2)
+
+
+def same_bits(a, b):
+    """Bitwise equality of two floats, any two NaNs counting as equal."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+_coef = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.floats(-1e-12, 1e-12, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+)
+_quadratic = st.builds(BivariateQuadratic, *([_coef] * 6))
+_seed_value = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.floats(9.9e6, 1.01e7).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e155, 0.0]),
+)
+
+
+@st.composite
+def _polish_case(draw):
+    kind = draw(st.sampled_from(["free", "proportional", "constant"]))
+    if kind == "constant":
+        # Constant equations: the Jacobian vanishes.
+        n1, n2 = (BivariateQuadratic(0, 0, 0, 0, 0, draw(_coef)) for _ in range(2))
+    else:
+        n1 = draw(_quadratic)
+        # Proportional equations have a singular Jacobian everywhere.
+        factor = draw(st.floats(-1e3, 1e3).filter(lambda v: v != 0.0))
+        n2 = n1.scaled(factor) if kind == "proportional" else draw(_quadratic)
+    seeds = draw(st.lists(st.tuples(_seed_value, _seed_value), min_size=1, max_size=8))
+    return n1, n2, seeds
+
+
+@settings(max_examples=400, deadline=None)
+@given(_polish_case())
+def test_array_polish_matches_per_seed_loop_bitwise(case):
+    n1, n2, seeds = case
+    xs = np.array([s[0] for s in seeds])
+    ys = np.array([s[1] for s in seeds])
+    x, y = _newton_polish(n1, n2, xs, ys)
+    res = _normalized_residual(n1, n2, x, y)
+    for i, (sx, sy) in enumerate(seeds):
+        rx, ry = ref_newton_polish(n1, n2, sx, sy)
+        assert same_bits(float(x[i]), rx) and same_bits(float(y[i]), ry), (i, sx, sy)
+        assert same_bits(float(res[i]), ref_normalized_residual(n1, n2, rx, ry)), i
+
+
+def test_array_polish_covers_early_stop_and_nan_exit():
+    # x^2 = 1 and y^2 = 1: the Jacobian is singular on both axes, a seed at
+    # 1e200 overflows to a NaN exit, and a regular seed takes both steps.
+    n1 = BivariateQuadratic(1, 0, 0, 0, 0, -1)
+    n2 = BivariateQuadratic(0, 0, 1, 0, 0, -1)
+    xs = np.array([0.0, 1e200, 1.2, math.inf])
+    ys = np.array([0.5, 1.0, 0.9, 1.0])
+    x, y = _newton_polish(n1, n2, xs, ys)
+    assert x[0] == 0.0 and y[0] == 0.5  # stopped before the first step
+    assert math.isnan(x[1]) and math.isnan(y[1])
+    assert (x[2], y[2]) == ref_newton_polish(n1, n2, 1.2, 0.9)
+    res = _normalized_residual(n1, n2, x, y)
+    assert res[1] == math.inf and res[3] == math.inf

@@ -235,6 +235,16 @@ class TestNoiseForSnr:
         with pytest.raises(ConfigurationError):
             noise_for_snr(ud, anchors, 30.0, "median")
 
+    def test_device_within_model_threshold_of_anchor_rejected(self):
+        # 1e-10 m is inside the measurement model's on-anchor range, so the
+        # noise levels are refused just as the model would refuse the state.
+        anchors = build_square_scenario(800.0, 4)
+        ud = UdState(anchors.positions[2] + [1e-10, 0.0], [0.0, 0.0], 0.0, 0.0)
+        with pytest.raises(GeometryError, match="coincides with an anchor"):
+            noise_for_snr(ud, anchors, 30.0)
+        with pytest.raises(GeometryError, match="coincides with an anchor"):
+            forward_model(ud, anchors)
+
 
 class TestDomainTypes:
     def test_anchor_schedule_must_increase(self):
