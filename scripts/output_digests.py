@@ -8,6 +8,16 @@ outputs on every input drawn from it, so a change meant to keep the numbers
     PYTHONPATH=src python3 scripts/output_digests.py 7 > change.json
     cmp parent.json change.json
 
+A change that alters the closed form's arithmetic cannot pass that check.
+``--values`` writes each estimate as values instead (the winning pair and
+whether a complex projection seeded it, the raw, refined and true states and
+the flags; Gauss-Newton and CRLB entries stay digests), and
+``scripts/compare_outputs.py`` reports how far two such files differ:
+
+    PYTHONPATH=<parent>/src python3 scripts/output_digests.py 7 --values > parent.json
+    PYTHONPATH=src python3 scripts/output_digests.py 7 --values > change.json
+    python3 scripts/compare_outputs.py parent.json change.json
+
 The inputs: 2-D square layouts with 4, 5 and 8 anchors at ten SNRs from 6 to
 50 dB (150 noisy runs each, Gauss-Newton from a 50 m initialization and the
 CRLB on the first 40 of them), 600 3-D runs with 5 to 9 random anchors, and
@@ -64,6 +74,21 @@ def estimate_digest(meas, anchors, noise) -> str:
     return digest(parts)
 
 
+def estimate_values(meas, anchors, noise, truth) -> dict:
+    rep = estimate(meas, anchors, noise)
+    flags = rep.flags
+    winner = next((c for c in rep.candidates if c.state is rep.raw), None)
+    return {
+        "winner": None if winner is None else [winner.pair.lam1, winner.pair.lam2],
+        "complex_win": None if winner is None else winner.from_fallback,
+        "raw": None if rep.raw is None else rep.raw.as_vector().tolist(),
+        "refined": None if rep.refined is None else rep.refined.as_vector().tolist(),
+        "truth": truth.as_vector().tolist(),
+        "flags": [flags.degenerate_geometry, flags.no_real_root_fallback,
+                  flags.refinement_singular],
+    }
+
+
 def gn_digest(meas, anchors, noise, init) -> str:
     try:
         state, trace = gauss_newton(meas, anchors, noise, init)
@@ -73,8 +98,14 @@ def gn_digest(meas, anchors, noise, init) -> str:
                    trace.iterations_used, trace.diverged])
 
 
-def main(seed: int) -> dict[str, str]:
+def main(seed: int, values: bool = False) -> dict:
     out = {}
+
+    def estimate_entry(meas, anchors, noise, truth):
+        if values:
+            return estimate_values(meas, anchors, noise, truth)
+        return estimate_digest(meas, anchors, noise)
+
     for an in (4, 5, 8):
         anchors = build_square_scenario(800.0, an)
         for snr in np.linspace(6.0, 50.0, 10):
@@ -84,7 +115,7 @@ def main(seed: int) -> dict[str, str]:
                 noise = noise_for_snr(ud, anchors, snr)
                 meas = add_noise(forward_model(ud, anchors), noise, rng)
                 key = f"{an}an_{snr:.1f}db_{run}"
-                out[f"est_{key}"] = estimate_digest(meas, anchors, noise)
+                out[f"est_{key}"] = estimate_entry(meas, anchors, noise, ud)
                 if run < 40:
                     init = make_initializer(ud, 50.0, rng)
                     out[f"gn_{key}"] = gn_digest(meas, anchors, noise, init)
@@ -93,8 +124,8 @@ def main(seed: int) -> dict[str, str]:
         unit = NoiseSpec(np.ones(an), 1.0)
         for run in range(50):
             ud = sample_ud_state(rng, 600.0, center=anchors.center)
-            out[f"est_{an}an_clean_{run}"] = estimate_digest(
-                forward_model(ud, anchors), anchors, unit
+            out[f"est_{an}an_clean_{run}"] = estimate_entry(
+                forward_model(ud, anchors), anchors, unit, ud
             )
     rng = np.random.default_rng([seed, 3])
     for run in range(600):
@@ -104,13 +135,14 @@ def main(seed: int) -> dict[str, str]:
         ud = sample_ud_state(rng, 500.0, center=anchors.center, ndim=3)
         noise = noise_for_snr(ud, anchors, float(rng.uniform(6.0, 50.0)))
         meas = add_noise(forward_model(ud, anchors), noise, rng)
-        out[f"est_3d_{run}"] = estimate_digest(meas, anchors, noise)
+        out[f"est_3d_{run}"] = estimate_entry(meas, anchors, noise, ud)
         out[f"gn_3d_{run}"] = gn_digest(meas, anchors, noise,
                                         make_initializer(ud, 50.0, rng))
     return out
 
 
 if __name__ == "__main__":
-    json.dump(main(int(sys.argv[1]) if len(sys.argv) > 1 else 7), sys.stdout,
-              indent=0, sort_keys=True)
+    args = [a for a in sys.argv[1:] if a != "--values"]
+    json.dump(main(int(args[0]) if args else 7, "--values" in sys.argv[1:]),
+              sys.stdout, indent=0, sort_keys=True)
     sys.stdout.write("\n")

@@ -1,5 +1,4 @@
-"""Measurement model, Jacobians, estimation bounds, flop models, and per-run
-block errors."""
+"""Measurement model, Jacobians, estimation bounds and flop models."""
 
 from __future__ import annotations
 
@@ -27,15 +26,54 @@ def _ranges(pos: np.ndarray, vel: np.ndarray, anchors: AnchorSet):
     return diff0, d0, diff1, d1, on_anchor
 
 
-def _model(pos, vel, offset, drift, anchors: AnchorSet):
-    """The measurement model of K states: (K, 2M) rows and the on-anchor mask.
+def _rows(d_request, d_response, offset, drift, anchors: AnchorSet) -> np.ndarray:
+    """The (K, 2M) stacked [requests, responses] model rows from the ranges.
 
     ``offset`` and ``drift`` are (K, 1) columns, or numbers when K is 1.
     """
-    _, d_request, _, d_response, on_anchor = _ranges(pos, vel, anchors)
     request = d_request - offset
     response = d_response + offset + drift * anchors.schedule
-    return np.concatenate([request, response], axis=1), on_anchor
+    return np.concatenate([request, response], axis=1)
+
+
+def _evaluate(thetas: np.ndarray, anchors: AnchorSet):
+    """``_ranges`` (the on-anchor mask last) and model rows of K parameter
+    vectors, (K, 2N+2)."""
+    n = anchors.ndim
+    ranges = _ranges(thetas[:, :n], thetas[:, n : 2 * n], anchors)
+    rows = _rows(
+        ranges[1], ranges[3], thetas[:, 2 * n, None], thetas[:, 2 * n + 1, None], anchors
+    )
+    return ranges, rows
+
+
+def _jacobians(diff0, d0, diff1, d1, anchors: AnchorSet) -> np.ndarray:
+    """The (K, 2M, 2N+2) Jacobians of K states from their ranges.
+
+    Request rows are [-e_i, 0, -1, 0] with e_i the unit vector from the
+    device to anchor i at the request instant; response rows are
+    [-l_i, -l_i*dt_i, 1, dt_i] with l_i the unit vector at the reception
+    instant.
+    """
+    m, n = anchors.count, anchors.ndim
+    e = diff0 / d0[:, :, None]
+    l = diff1 / d1[:, :, None]
+    jac = np.zeros((d0.shape[0], 2 * m, 2 * n + 2))
+    jac[:, :m, :n] = -e
+    jac[:, :m, 2 * n] = -1.0
+    jac[:, m:, :n] = -l
+    jac[:, m:, n : 2 * n] = -l * anchors.schedule[:, None]
+    jac[:, m:, 2 * n] = 1.0
+    jac[:, m:, 2 * n + 1] = anchors.schedule
+    return jac
+
+
+def _state_ranges(state: UdState, anchors: AnchorSet):
+    """``_ranges`` of one state; raises GeometryError for a state on an anchor."""
+    ranges = _ranges(state.pos[None], state.vel[None], anchors)
+    if ranges[4][0]:
+        raise GeometryError("state coincides with an anchor")
+    return ranges
 
 
 def predict_stacked(thetas: np.ndarray, anchors: AnchorSet):
@@ -47,14 +85,8 @@ def predict_stacked(thetas: np.ndarray, anchors: AnchorSet):
     (K, 2N+2). Returns the (K, 2M) stacked [requests, responses] rows and
     the (K,) mask of states on an anchor, whose rows carry no meaning.
     """
-    n = anchors.ndim
-    return _model(
-        thetas[:, :n],
-        thetas[:, n : 2 * n],
-        thetas[:, 2 * n, None],
-        thetas[:, 2 * n + 1, None],
-        anchors,
-    )
+    ranges, rows = _evaluate(thetas, anchors)
+    return rows, ranges[4]
 
 
 def predict_measurements(state: UdState, anchors: AnchorSet) -> np.ndarray:
@@ -63,38 +95,14 @@ def predict_measurements(state: UdState, anchors: AnchorSet) -> np.ndarray:
     The K=1 case of ``predict_stacked``; raises GeometryError for a state on
     an anchor.
     """
-    rows, on_anchor = _model(
-        state.pos[None], state.vel[None], state.offset, state.drift, anchors
-    )
-    if on_anchor[0]:
-        raise GeometryError("state coincides with an anchor")
-    return rows[0]
+    ranges = _state_ranges(state, anchors)
+    return _rows(ranges[1], ranges[3], state.offset, state.drift, anchors)[0]
 
 
 def jacobian(state: UdState, anchors: AnchorSet) -> np.ndarray:
-    """Derivative of the stacked measurement vector in the parameter vector.
-
-    Request rows are [-e_i, 0, -1, 0] with e_i the unit vector from the device
-    to anchor i at the request instant; response rows are
-    [-l_i, -l_i*dt_i, 1, dt_i] with l_i the unit vector at the reception
-    instant.
-    """
-    m, n = anchors.count, anchors.ndim
-    diff0, d0, diff1, d1, on_anchor = _ranges(state.pos[None], state.vel[None], anchors)
-    if on_anchor[0]:
-        raise GeometryError("state coincides with an anchor")
-    diff0, d0, diff1, d1 = diff0[0], d0[0], diff1[0], d1[0]
-    e = diff0 / d0[:, None]
-    l = diff1 / d1[:, None]
-
-    jac = np.zeros((2 * m, 2 * n + 2))
-    jac[:m, :n] = -e
-    jac[:m, 2 * n] = -1.0
-    jac[m:, :n] = -l
-    jac[m:, n : 2 * n] = -l * anchors.schedule[:, None]
-    jac[m:, 2 * n] = 1.0
-    jac[m:, 2 * n + 1] = anchors.schedule
-    return jac
+    """Derivative of the stacked measurement vector in the parameter vector;
+    the K=1 case of ``_jacobians``."""
+    return _jacobians(*_state_ranges(state, anchors)[:4], anchors)[0]
 
 
 @dataclass(frozen=True)
@@ -167,13 +175,3 @@ def flops_iterative_per_iter(ndim: int, an_count: int) -> int:
     _check_flop_args(ndim, an_count)
     n, m = ndim, an_count
     return 16 * n**3 + 16 * n**2 * m + 56 * n**2 + 44 * n * m + 64 * n + 32 * m + 24
-
-
-def block_sq_errors(estimate: UdState, truth: UdState) -> BlockValues:
-    """Squared error norms per parameter block."""
-    return BlockValues(
-        pos=float(np.sum((estimate.pos - truth.pos) ** 2)),
-        vel=float(np.sum((estimate.vel - truth.vel) ** 2)),
-        offset=float((estimate.offset - truth.offset) ** 2),
-        drift=float((estimate.drift - truth.drift) ** 2),
-    )

@@ -12,10 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# gauss_newton takes its residuals from compute_residuals, but bench/spans.py
-# rebinds baseline.predict_measurements, so the name stays importable.
-from .analysis import jacobian, predict_measurements  # noqa: F401
-from .estimator import _check_sizes, compute_residuals
+# gauss_newton takes the residual and the Jacobian of a state from one
+# _state_ranges pass; bench/spans.py rebinds jacobian, predict_measurements and
+# compute_residuals here, so those names stay importable.
+from .analysis import (  # noqa: F401
+    _jacobians,
+    _rows,
+    _state_ranges,
+    jacobian,
+    predict_measurements,
+)
+from .estimator import _check_sizes, compute_residuals  # noqa: F401
 from .scenario import AnchorSet, MeasurementSet, NoiseSpec, UdState
 
 
@@ -56,19 +63,26 @@ def gauss_newton(
     the cost evaluation.
     """
     _check_sizes(meas, anchors, noise)
+    gamma = meas.stacked()
     w = noise.weights()
+
+    def evaluate(state: UdState):
+        """Ranges, residual and weighted cost at a state, from one range pass;
+        the same arithmetic as compute_residuals."""
+        ranges = _state_ranges(state, anchors)
+        model = _rows(ranges[1], ranges[3], state.offset, state.drift, anchors)[0]
+        residual = gamma - model
+        return ranges, residual, float(residual @ (w * residual))
+
     state = init
-    residuals = compute_residuals(init, meas, anchors, noise)
-    costs = [residuals.weighted_cost]
+    ranges, residual, cost = evaluate(init)
+    costs = [cost]
     converged = False
     diverged = False
     iterations_used = 0
 
     for _ in range(max_iter):
-        # The residual at ``state`` is the one its cost was computed from, so
-        # the model is evaluated once per iteration.
-        residual = np.concatenate([residuals.request, residuals.response])
-        jac = jacobian(state, anchors)
+        jac = _jacobians(*ranges[:4], anchors)[0]
         jt_w = jac.T * w
         try:
             delta = np.linalg.solve(jt_w @ jac, jt_w @ residual)
@@ -81,8 +95,8 @@ def gauss_newton(
             break
         iterations_used += 1
         state = UdState.from_vector(theta)
-        residuals = compute_residuals(state, meas, anchors, noise)
-        costs.append(residuals.weighted_cost)
+        ranges, residual, cost = evaluate(state)
+        costs.append(cost)
         if np.linalg.norm(delta) < tol:
             converged = True
             break

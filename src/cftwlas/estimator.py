@@ -7,19 +7,30 @@ candidate with the smallest weighted residual cost), then apply a single
 weighted least squares step linearized at the raw estimate (refinement). The
 refinement also yields the error covariance (J' W J)^-1 at the final
 linearization point.
+
+Every stage is a stacked kernel over K measurement rows that share one anchor
+geometry, and a row's output does not depend on the other rows of its batch.
+``estimate_batch`` runs them on many rows at once; ``estimate`` and the
+functions it calls through this module (``raw_estimate``, ``wls_refine`` and
+the solver stages) are their one-row case and build the report objects.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import jacobian, predict_measurements, predict_stacked
+from .analysis import _evaluate, _jacobians, jacobian, predict_measurements
 from .errors import ConfigurationError, GeometryError
-from .linear_system import build_system
-from .polysolve import AuxiliaryPair, coefficients_from_system, solve_pair_detailed
+from .linear_system import build_system, build_systems
+from .polysolve import (
+    AuxiliaryPair,
+    coefficients_from_system,
+    quadratic_coefficients,
+    solve_pair_detailed,
+    solve_pairs,
+)
 from .scenario import AnchorSet, MeasurementSet, NoiseSpec, UdState
 
 
@@ -84,6 +95,112 @@ def compute_residuals(
     return Residuals(stacked[: meas.count], stacked[meas.count :], cost)
 
 
+def _candidate_states(g: np.ndarray, U: np.ndarray, solutions):
+    """Flat candidates of the rows of ``solve_pairs``: each candidate's row,
+    its parameter vector ``g + U lam`` (C, 2N+2) and whether a complex
+    projection seeded it, the real pairs of a row first."""
+    row, lam, from_complex = [], [], []
+    for k, (pairs, complex_pairs, _) in enumerate(solutions):
+        for x, y in pairs:
+            row.append(k)
+            lam.append((x, y))
+            from_complex.append(False)
+        for x, y, _ in complex_pairs:
+            row.append(k)
+            lam.append((x, y))
+            from_complex.append(True)
+    row = np.array(row, dtype=np.intp)
+    lam = np.array(lam, dtype=float).reshape(-1, 2, 1)
+    with np.errstate(all="ignore"):
+        thetas = g[row] + np.matmul(U[row], lam)[:, :, 0]
+    return row, thetas, np.array(from_complex, dtype=bool)
+
+
+def _score(row, thetas, gamma, weights, anchors: AnchorSet, rows: int):
+    """Weighted residual cost of every candidate and each row's winner.
+
+    One model evaluation scores all candidates; a candidate that is not
+    finite, sits on an anchor or has a non-finite cost is unusable. The
+    lowest cost wins, the first of equal-cost candidates with the smallest
+    parameter norm on a tie; a row without a usable candidate gets -1.
+    Returns the costs, the usable mask, the winners and the model ranges and
+    rows of the candidates.
+    """
+    with np.errstate(all="ignore"):
+        ranges, model = _evaluate(thetas, anchors)
+        residuals = gamma[row] - model
+        weighted = weights[row] * residuals
+        # r @ (w * r) per candidate, as compute_residuals evaluates it.
+        cost = np.matmul(residuals[:, None, :], weighted[:, :, None])[:, 0, 0]
+        usable = np.isfinite(thetas).all(axis=1) & ~ranges[4] & np.isfinite(cost)
+    winner = [-1] * rows
+    costs = cost.tolist()
+    for i, (k, c, keep) in enumerate(zip(row.tolist(), costs, usable.tolist())):
+        if not keep:
+            continue
+        best = winner[k]
+        if best < 0 or c < costs[best]:
+            winner[k] = i
+        elif c == costs[best] and np.linalg.norm(thetas[i]) < np.linalg.norm(thetas[best]):
+            winner[k] = i
+    return cost, usable, winner, ranges, model
+
+
+def _refine(thetas, jac, model, gamma, weights, steps: int, anchors: AnchorSet):
+    """WLS refinement of R raw states given their Jacobians and model rows.
+
+    Each step applies one weighted least squares correction linearized at
+    the current state. Returns the refined states, (J' W J)^-1 at the last
+    linearization point and the mask of the rows whose refinement held: a
+    state on an anchor, a singular normal matrix or a non-finite result
+    fails a row, whose outputs are then NaN.
+    """
+    ok = np.ones(thetas.shape[0], dtype=bool)
+    state = thetas
+    with np.errstate(all="ignore"):
+        for step in range(steps):
+            if step:
+                ranges, model = _evaluate(state, anchors)
+                ok &= ~ranges[4]
+                jac = _jacobians(*ranges[:4], anchors)
+            jt_w = (jac * weights[:, :, None]).transpose(0, 2, 1)
+            normal = np.matmul(jt_w, jac)
+            rhs = np.matmul(jt_w, (gamma - model)[:, :, None])
+            state = state + _solve_rows(normal, rhs, ok)[:, :, 0]
+        cov = _solve_rows(normal, None, ok)
+        # A state that went non-finite stays so through later steps.
+        ok &= np.isfinite(state).all(axis=1) & np.isfinite(cov).all(axis=(1, 2))
+    if not ok.all():
+        state[~ok] = np.nan
+        cov[~ok] = np.nan
+    return state, cov, ok
+
+
+def _solve_rows(normal, rhs, ok):
+    """``solve(normal, rhs)``, or ``inv(normal)`` when ``rhs`` is None, on
+    the rows in ``ok``; a singular row gives NaN and leaves ``ok``."""
+    if rhs is None:
+        solve, args = np.linalg.inv, (normal,)
+    else:
+        solve, args = np.linalg.solve, (normal, rhs)
+    if ok.all():
+        try:
+            return solve(*args)
+        except np.linalg.LinAlgError:
+            pass
+    out = np.full(args[-1].shape, np.nan)
+    idx = np.flatnonzero(ok)
+    try:
+        out[idx] = solve(*(a[idx] for a in args))
+    except np.linalg.LinAlgError:
+        for i in idx.tolist():
+            try:
+                out[i] = solve(*(a[i] for a in args))
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    return out
+
+
 def raw_estimate(
     meas: MeasurementSet,
     anchors: AnchorSet,
@@ -108,37 +225,27 @@ def raw_estimate(
 
     roots = [(pair, False) for pair in solution.pairs]
     roots.extend((seed.pair, True) for seed in solution.complex_pairs)
-    thetas = np.array(
-        [system.g + system.U @ [pair.lam1, pair.lam2] for pair, _ in roots]
-    ).reshape(len(roots), system.g.size)
-    finite = np.isfinite(thetas).all(axis=1)
-    roots = [root for root, keep in zip(roots, finite) if keep]
-    thetas = thetas[finite]
-
-    # One model evaluation scores every candidate; a candidate on an anchor
-    # has no meaningful model row and is dropped.
-    rows, on_anchor = predict_stacked(thetas, anchors)
-    residuals = meas.stacked() - rows
-    weighted = noise.weights() * residuals
-    candidates = []
-    for (pair, fallback), theta, r, wr, skip in zip(
-        roots, thetas, residuals, weighted, on_anchor
-    ):
-        cost = float(r @ wr)
-        if not skip and math.isfinite(cost):
-            state = UdState.from_vector(theta)
-            candidates.append(Candidate(pair, state, cost, from_fallback=fallback))
-    if not candidates:
-        raise GeometryError("no usable raw-estimate candidate")
-
-    # Lowest cost wins, the first of equal-cost candidates with the smallest
-    # parameter norm on a tie.
-    lowest = min(c.weighted_cost for c in candidates)
-    best = min(
-        (c for c in candidates if c.weighted_cost == lowest),
-        key=lambda c: float(np.linalg.norm(c.state.as_vector())),
+    as_rows = [(
+        [(p.lam1, p.lam2) for p in solution.pairs],
+        [(s.pair.lam1, s.pair.lam2, s.rel_imag) for s in solution.complex_pairs],
+        solution.ill_conditioned,
+    )]
+    row, thetas, _ = _candidate_states(system.g[None], system.U[None], as_rows)
+    cost, usable, (winner,), _, _ = _score(
+        row, thetas, meas.stacked()[None], noise.weights()[None], anchors, 1
     )
-    return best.state, candidates
+    candidates = []
+    best = None
+    for i, ((pair, fallback), keep) in enumerate(zip(roots, usable.tolist())):
+        if keep:
+            state = UdState.from_vector(thetas[i])
+            candidate = Candidate(pair, state, float(cost[i]), from_fallback=fallback)
+            candidates.append(candidate)
+            if i == winner:
+                best = state
+    if best is None:
+        raise GeometryError("no usable raw-estimate candidate")
+    return best, candidates
 
 
 def wls_refine(
@@ -155,33 +262,93 @@ def wls_refine(
     evaluated at the final linearization point; on a singular normal matrix
     the raw state comes back with covariance None.
     """
-    state = raw
-    gamma = meas.stacked()
-    w = noise.weights()
-    normal = None
-    for _ in range(steps):
-        try:
-            jac = jacobian(state, anchors)
-            residual = gamma - predict_measurements(state, anchors)
-        except GeometryError:
-            return raw, None
-        jt_w = jac.T * w
-        normal = jt_w @ jac
-        try:
-            delta = np.linalg.solve(normal, jt_w @ residual)
-        except np.linalg.LinAlgError:
-            return raw, None
-        theta = state.as_vector() + delta
-        if not np.isfinite(theta).all():
-            return raw, None
-        state = UdState.from_vector(theta)
     try:
-        cov = np.linalg.inv(normal)
-    except np.linalg.LinAlgError:
+        jac = jacobian(raw, anchors)
+        model = predict_measurements(raw, anchors)
+    except GeometryError:
         return raw, None
-    if not np.isfinite(cov).all():
+    refined, cov, ok = _refine(
+        raw.as_vector()[None],
+        jac[None],
+        model[None],
+        meas.stacked()[None],
+        noise.weights()[None],
+        steps,
+        anchors,
+    )
+    if not ok[0]:
         return raw, None
-    return state, cov
+    return UdState.from_vector(refined[0]), cov[0]
+
+
+@dataclass(frozen=True)
+class BatchEstimate:
+    """Closed-form estimates of K measurement rows on one anchor geometry.
+
+    ``raw`` and ``refined`` are (K, 2N+2) parameter vectors, NaN where
+    ``estimate`` would report None. The (K,) flags mean what EstimateFlags
+    says; ``candidates`` counts each row's candidates and ``scalar`` marks
+    the rows whose elimination took the scalar path.
+    """
+
+    raw: np.ndarray
+    refined: np.ndarray
+    degenerate: np.ndarray
+    no_real_root: np.ndarray
+    refine_singular: np.ndarray
+    candidates: np.ndarray
+    scalar: np.ndarray
+
+
+def estimate_batch(
+    request: np.ndarray,
+    response: np.ndarray,
+    weights: np.ndarray,
+    anchors: AnchorSet,
+    refine_steps: int = 1,
+    ref_index: int = 0,
+) -> BatchEstimate:
+    """``estimate`` for K rows of (K, M) request and response TOAs with
+    their (K, 2M) weights, through the same kernels; row k of the result
+    equals, bit for bit, what ``estimate`` reports for row k alone."""
+    rows, p = request.shape[0], 2 * anchors.ndim + 2
+    _, _, solution, full_rank = build_systems(request, response, anchors, ref_index)
+    solved = np.flatnonzero(full_rank)
+    g, U = solution[solved, :, 0], solution[solved, :, 1:]
+    solutions, scalar_solved = solve_pairs(quadratic_coefficients(g, U, anchors.ndim))
+    scalar = np.zeros(rows, dtype=bool)
+    scalar[solved] = scalar_solved
+
+    local, thetas, from_complex = _candidate_states(g, U, solutions)
+    row = solved[local]
+    gamma = np.concatenate([request, response], axis=1)
+    _, usable, winner, ranges, model = _score(row, thetas, gamma, weights, anchors, rows)
+    candidates = np.bincount(row[usable], minlength=rows)
+    real = np.bincount(row[usable & ~from_complex], minlength=rows)
+
+    won = np.array([k for k in range(rows) if winner[k] >= 0], dtype=np.intp)
+    pick = np.array([winner[k] for k in won.tolist()], dtype=np.intp)
+    raw = np.full((rows, p), np.nan)
+    raw[won] = thetas[pick]
+    jac = _jacobians(*(r[pick] for r in ranges[:4]), anchors)
+    refined_won, _, ok = _refine(
+        thetas[pick], jac, model[pick], gamma[won], weights[won], refine_steps, anchors
+    )
+    refined = np.full((rows, p), np.nan)
+    refined[won] = refined_won
+    degenerate = np.ones(rows, dtype=bool)
+    degenerate[won] = False
+    refine_singular = np.zeros(rows, dtype=bool)
+    refine_singular[won] = ~ok
+    return BatchEstimate(
+        raw=raw,
+        refined=refined,
+        degenerate=degenerate,
+        no_real_root=~degenerate & (real == 0),
+        refine_singular=refine_singular,
+        candidates=candidates,
+        scalar=scalar,
+    )
 
 
 def estimate(

@@ -15,16 +15,10 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .analysis import (
-    BlockValues,
-    block_sq_errors,
-    crlb,
-    flops_cftwlas,
-    flops_iterative_per_iter,
-)
+from .analysis import BlockValues, crlb, flops_cftwlas, flops_iterative_per_iter
 from .baseline import gauss_newton, make_initializer
 from .errors import ConfigurationError, DegenerateGeometryError
-from .estimator import estimate
+from .estimator import estimate, estimate_batch
 from .scenario import (
     NoiseSpec,
     add_noise,
@@ -35,6 +29,8 @@ from .scenario import (
 )
 
 _METHOD_KINDS = ("cftwlas", "gauss_newton")
+# Closed-form runs solved per stacked batch; bounds the memory of one batch.
+_BATCH_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -136,6 +132,8 @@ class CellStats:
     large_error_rate: float
     fallback_rate: float
     failure_rate: float
+    # Share of runs whose elimination took the scalar path (closed form only).
+    batch_scalar_fallback_rate: float | None
     flops_per_call: int
     mean_iterations: float | None
     wall_s: float  # volatile: measured solver time, not reproducible
@@ -155,11 +153,8 @@ class CampaignStats:
         raise KeyError((method, snr_db, an_count))
 
 
-def _single_run(cfg: CampaignConfig, anchors, center, snr_db, cell_index, run):
-    """One run's record: the square-rooted bound blocks, then per method
-    (fallback, squared block errors, raw squared block errors, seconds,
-    iterations); an error entry is None when the state is missing or
-    non-finite."""
+def _synthesize(cfg: CampaignConfig, anchors, center, snr_db, cell_index, run):
+    """One run's truth, measurements, noise and square-rooted bound blocks."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, cell_index, run, 0]))
     ud = sample_ud_state(
         rng,
@@ -187,49 +182,107 @@ def _single_run(cfg: CampaignConfig, anchors, center, snr_db, cell_index, run):
         )
     except DegenerateGeometryError:
         crlb_sqrt = (math.nan,) * 4
+    return ud, meas, noise, crlb_sqrt
 
-    per_method = []
-    for mi, spec in enumerate(cfg.methods):
+
+def _sq_errors(states: np.ndarray, truths: np.ndarray, ndim: int) -> list:
+    """Per-block squared errors of K (K, 2N+2) states, None for a row that
+    is not finite."""
+    sq = (states - truths) ** 2
+    pos, vel = sq[:, 0], sq[:, ndim]
+    for i in range(1, ndim):
+        pos = pos + sq[:, i]
+        vel = vel + sq[:, ndim + i]
+    blocks = np.stack([pos, vel, sq[:, 2 * ndim], sq[:, 2 * ndim + 1]], axis=1)
+    finite = np.isfinite(states).all(axis=1)
+    return [tuple(b) if ok else None for b, ok in zip(blocks.tolist(), finite.tolist())]
+
+
+def _closed_form(spec: MethodSpec, runs, anchors) -> list[tuple]:
+    """Method records (fallback, squared block errors, raw squared block
+    errors, seconds, iterations, scalar elimination) of the closed form on
+    every run, solved ``_BATCH_ROWS`` runs per batch.
+
+    A run the batch leaves without a finite state goes through ``estimate``,
+    which runs the same kernels on that row alone and reports the same
+    result.
+    """
+    ndim = anchors.ndim
+    records = []
+    for lo in range(0, len(runs), _BATCH_ROWS):
+        chunk = runs[lo : lo + _BATCH_ROWS]
         start = time.perf_counter()
-        raw_state = None
-        iterations = None
-        if spec.kind == "cftwlas":
+        batch = estimate_batch(
+            np.array([meas.request_toa for _, meas, _, _ in chunk]),
+            np.array([meas.response_toa for _, meas, _, _ in chunk]),
+            np.array([noise.weights() for _, _, noise, _ in chunk]),
+            anchors,
+            refine_steps=spec.refine_steps,
+        )
+        raw = batch.raw
+        final = np.where(np.isnan(batch.refined), raw, batch.refined)
+        seconds = [(time.perf_counter() - start) / len(chunk)] * len(chunk)
+        fallback = batch.no_real_root.tolist()
+        for i in np.flatnonzero(~np.isfinite(final).all(axis=1)).tolist():
+            _, meas, noise, _ = chunk[i]
+            start = time.perf_counter()
             report = estimate(meas, anchors, noise, refine_steps=spec.refine_steps)
+            seconds[i] += time.perf_counter() - start
             state = report.refined if report.refined is not None else report.raw
-            fallback = report.flags.no_real_root_fallback
-            raw_state = report.raw
-        else:
-            method_rng = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, cell_index, run, mi + 1])
+            final[i] = np.nan if state is None else state.as_vector()
+            raw[i] = np.nan if report.raw is None else report.raw.as_vector()
+            fallback[i] = report.flags.no_real_root_fallback
+        truths = np.array([ud.as_vector() for ud, _, _, _ in chunk])
+        records.extend(
+            zip(
+                fallback,
+                _sq_errors(final, truths, ndim),
+                _sq_errors(raw, truths, ndim),
+                seconds,
+                [None] * len(chunk),
+                batch.scalar.tolist(),
             )
-            init = make_initializer(ud, spec.init_std_m, method_rng)
-            state, trace = gauss_newton(
-                meas, anchors, noise, init, max_iter=spec.max_iter, tol=spec.tol_m
-            )
-            fallback = not trace.converged
-            iterations = trace.iterations_used
-        seconds = time.perf_counter() - start
-
-        ref_err2, raw_err2 = _sq_errors(state, ud), _sq_errors(raw_state, ud)
-        per_method.append((fallback, ref_err2, raw_err2, seconds, iterations))
-    return crlb_sqrt, tuple(per_method)
+        )
+    return records
 
 
-def _sq_errors(state, truth):
-    """Per-block squared errors, or None for a missing or non-finite state."""
-    if state is None or not np.isfinite(state.as_vector()).all():
-        return None
-    err = block_sq_errors(state, truth)
-    return (err.pos, err.vel, err.offset, err.drift)
+def _gauss_newton(cfg, spec, mi, cell_index, start, runs, anchors) -> list[tuple]:
+    """Method records of one Gauss-Newton method, run by run."""
+    records = []
+    for run, (ud, meas, noise, _) in enumerate(runs, start):
+        clock = time.perf_counter()
+        method_rng = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, cell_index, run, mi + 1])
+        )
+        init = make_initializer(ud, spec.init_std_m, method_rng)
+        state, trace = gauss_newton(
+            meas, anchors, noise, init, max_iter=spec.max_iter, tol=spec.tol_m
+        )
+        seconds = time.perf_counter() - clock
+        (err2,) = _sq_errors(state.as_vector()[None], ud.as_vector()[None], anchors.ndim)
+        records.append(
+            (not trace.converged, err2, None, seconds, trace.iterations_used, None)
+        )
+    return records
 
 
 def _run_batch(cfg, an_count, snr_db, cell_index, start, stop):
+    """Records of runs ``start`` to ``stop`` of one cell: the square-rooted
+    bound blocks, then one method record per method (see ``_closed_form``);
+    an error entry is None when the state is missing or non-finite."""
     anchors = build_square_scenario(cfg.anchor_side_m, an_count, cfg.response_step_s)
     center = anchors.center
-    return [
-        _single_run(cfg, anchors, center, snr_db, cell_index, run)
+    runs = [
+        _synthesize(cfg, anchors, center, snr_db, cell_index, run)
         for run in range(start, stop)
     ]
+    per_method = [
+        _closed_form(spec, runs, anchors)
+        if spec.kind == "cftwlas"
+        else _gauss_newton(cfg, spec, mi, cell_index, start, runs, anchors)
+        for mi, spec in enumerate(cfg.methods)
+    ]
+    return [(run[3], methods) for run, methods in zip(runs, zip(*per_method))]
 
 
 def _collect_cell(cfg, an_count, snr_db, cell_index):
@@ -269,12 +322,13 @@ def _aggregate_cell(cfg, an_count, snr_db, records) -> list[CellStats]:
     for mi, spec in enumerate(cfg.methods):
         ref_sums = np.zeros(4)
         raw_sums = np.zeros(4)
-        n_ok = n_raw = n_large = n_fallback = n_fail = 0
+        n_ok = n_raw = n_large = n_fallback = n_fail = n_scalar = 0
         wall = 0.0
         iter_total = 0
         for crlb_sqrt, methods in records:
-            fallback, ref_err2, raw_err2, seconds, iterations = methods[mi]
+            fallback, ref_err2, raw_err2, seconds, iterations, scalar = methods[mi]
             wall += seconds
+            n_scalar += bool(scalar)
             if iterations is not None:
                 iter_total += iterations
             if fallback:
@@ -314,6 +368,9 @@ def _aggregate_cell(cfg, an_count, snr_db, records) -> list[CellStats]:
                 large_error_rate=n_large / runs,
                 fallback_rate=n_fallback / runs,
                 failure_rate=n_fail / runs,
+                batch_scalar_fallback_rate=(
+                    n_scalar / runs if spec.kind == "cftwlas" else None
+                ),
                 flops_per_call=flops,
                 mean_iterations=mean_iter,
                 wall_s=wall,

@@ -8,13 +8,18 @@ quadratics
 in x = lam1, y = lam2. One variable is eliminated through the classical
 resultant of the two conics, giving a univariate polynomial of degree at most
 four whose real roots are found via companion-matrix eigenvalues; the other
-variable is back-substituted. All real candidate pairs of one elimination are
-then polished together: two Newton steps on the 2x2 system and the
-normalized-residual test run once over float64 arrays, with the same
-arithmetic, in the same order, as a per-pair loop would do. The singular-
-Jacobian early stop and the non-finite exit apply to each pair on its own.
-The accepted pairs are merged in seed order, and by Bezout's bound at most
-four real pairs are kept.
+variable is back-substituted. Two Newton steps on the 2x2 system and a
+normalized-residual test then polish and check every real candidate pair;
+the singular-Jacobian early stop and the non-finite exit apply to each pair
+on its own. The accepted pairs are merged in seed order, and by Bezout's
+bound at most four real pairs are kept.
+
+``solve_pairs`` does this for K pairs at once in stacked arrays, and
+``solve_pair_detailed`` is its one-pair case. Each pair's result depends on
+that pair alone: every array operation is elementwise or acts on one pair's
+own matrix, and where a loop on Python floats replaces an array pass for a
+few values (``_kept_roots_each``, ``_polish_seed``) it repeats the same
+arithmetic in the same order.
 
 Solutions can be many orders of magnitude larger than unity (the auxiliary
 variables of the TOA problem reach 1e7) while the quadratic coefficients are
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,17 +90,6 @@ class BivariateQuadratic:
             factor * self.f,
         )
 
-    def with_substitution(self, sx: float, sy: float) -> "BivariateQuadratic":
-        """Coefficients after substituting x -> sx*x, y -> sy*y."""
-        return BivariateQuadratic(
-            self.a * sx * sx,
-            self.b * sx * sy,
-            self.c * sy * sy,
-            self.d * sx,
-            self.e * sy,
-            self.f,
-        )
-
 
 @dataclass(frozen=True)
 class AuxiliaryPair:
@@ -136,12 +131,47 @@ class BivariateSolution:
     ill_conditioned: bool
 
 
-def coefficients_from_system(sys):
-    """Quadratic-pair coefficients for a linearized system.
+def _terms(q: BivariateQuadratic) -> tuple[float, ...]:
+    return (q.a, q.b, q.c, q.d, q.e, q.f)
 
-    Substituting ``theta = g + U lam`` into the two constraint quadratic forms
-    and moving lam1 (respectively 2 lam2) to the left side yields the two
-    equations solved here; the moves contribute the -1 in d1 and the -2 in e2.
+
+# quadratic_coefficients reads a, b, c, d, e, f of each equation off the gram
+# matrix of [u1, u2, g] under its constraint form.
+_GRAM_ROW = [0, 0, 1, 0, 1, 2]
+_GRAM_COL = [0, 1, 1, 2, 2, 2]
+_GRAM_SCALE = np.array([1.0, 2.0, 1.0, 2.0, 2.0, 1.0])
+_SHIFT = np.array([[0.0, 0.0, 0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, -2.0, 0.0]])
+
+
+def quadratic_coefficients(g: np.ndarray, U: np.ndarray, ndim: int) -> np.ndarray:
+    """Quadratic-pair coefficients of K linearized systems.
+
+    ``g`` is (K, 2N+2) and ``U`` (K, 2N+2, 2). Substituting
+    ``theta = g + U lam`` into the two constraint quadratic forms and moving
+    lam1 (respectively 2 lam2) to the left side yields the two equations
+    solved here; the moves contribute the -1 in d1 and the -2 in e2. Returns
+    (K, 2, 6): [a, b, c, d, e, f] per row and equation.
+    """
+    basis = np.concatenate([U, g[:, :, None]], axis=2)[:, None]  # u1, u2, g
+    # gram[:, i, j, l] is column j' h_i column l.
+    gram = np.matmul(np.matmul(basis.transpose(0, 1, 3, 2), _forms(ndim)), basis)
+    return gram[:, :, _GRAM_ROW, _GRAM_COL] * _GRAM_SCALE + _SHIFT
+
+
+@lru_cache(maxsize=8)
+def _forms(ndim: int) -> np.ndarray:
+    """The two constraint matrices of dimension N as one (2, 2N+2, 2N+2) stack."""
+    from .linear_system import constraint_matrices
+
+    forms = constraint_matrices(ndim)
+    stacked = np.stack([forms.h1, forms.h2])
+    stacked.setflags(write=False)
+    return stacked
+
+
+def coefficients_from_system(sys):
+    """Quadratic-pair coefficients for a linearized system; the one-row case
+    of ``quadratic_coefficients``.
 
     Args:
         sys: LinearSystem with attributes ``g`` and ``U``.
@@ -149,26 +179,8 @@ def coefficients_from_system(sys):
     Returns:
         Tuple of two BivariateQuadratic in (lam1, lam2).
     """
-    from .linear_system import constraint_matrices
-
-    forms = constraint_matrices(sys.ndim)
-    g = sys.g
-    u1 = sys.U[:, 0]
-    u2 = sys.U[:, 1]
-
-    def quad(h: np.ndarray, shift_d: float, shift_e: float) -> BivariateQuadratic:
-        u1h = u1 @ h
-        u2h = u2 @ h
-        return BivariateQuadratic(
-            a=u1h @ u1,
-            b=2.0 * (u1h @ u2),
-            c=u2h @ u2,
-            d=2.0 * (u1h @ g) + shift_d,
-            e=2.0 * (u2h @ g) + shift_e,
-            f=g @ h @ g,
-        )
-
-    return quad(forms.h1, -1.0, 0.0), quad(forms.h2, 0.0, -2.0)
+    ((q1, q2),) = quadratic_coefficients(sys.g[None], sys.U[None], sys.ndim).tolist()
+    return BivariateQuadratic(*q1), BivariateQuadratic(*q2)
 
 
 def solve_pair(q1: BivariateQuadratic, q2: BivariateQuadratic) -> list[AuxiliaryPair]:
@@ -179,85 +191,207 @@ def solve_pair(q1: BivariateQuadratic, q2: BivariateQuadratic) -> list[Auxiliary
 def solve_pair_detailed(
     q1: BivariateQuadratic, q2: BivariateQuadratic
 ) -> BivariateSolution:
-    """Solve the quadratic pair, reporting fallback and conditioning info."""
-    s1, s2 = q1.scale(), q2.scale()
-    if s1 == 0.0 or s2 == 0.0:
+    """Solve the quadratic pair, reporting fallback and conditioning info; the
+    one-row case of ``solve_pairs``."""
+    if q1.scale() == 0.0 or q2.scale() == 0.0:
         raise ValueError("an equation is identically zero")
-    n1, n2 = q1.scaled(1.0 / s1), q2.scaled(1.0 / s2)
+    ((pairs, complex_pairs, ill),), _ = solve_pairs(np.array([[_terms(q1), _terms(q2)]]))
+    return BivariateSolution(
+        tuple(AuxiliaryPair(x, y) for x, y in pairs),
+        tuple(ComplexSeed(AuxiliaryPair(x, y), rel) for x, y, rel in complex_pairs),
+        ill,
+    )
 
-    sx = _variable_scale(n1, n2, "x")
-    sy = _variable_scale(n1, n2, "y")
-    m1 = n1.with_substitution(sx, sy)
-    m1 = m1.scaled(1.0 / m1.scale())
-    m2 = n2.with_substitution(sx, sy)
-    m2 = m2.scaled(1.0 / m2.scale())
+
+def solve_pairs(coef: np.ndarray):
+    """Solve K quadratic pairs at once.
+
+    ``coef`` is (K, 2, 6): [a, b, c, d, e, f] per row and equation. Returns a
+    list with one ``(pairs, complex_pairs, ill_conditioned)`` per row, where
+    ``pairs`` holds the real solutions as ascending (lam1, lam2) tuples and
+    ``complex_pairs`` the (lam1, lam2, rel_imag) projections of complex roots,
+    nearest-to-real first (see BivariateSolution), and the (K,) mask of the
+    rows solved by the scalar elimination.
+
+    The common row, a y-elimination, runs in stacked arrays: one companion
+    eigenvalue call per resultant degree, then one Newton polish and one
+    residual pass over the seeds of every row. A linear row, one whose
+    equations both lose their y^2 term, or one whose y-resultant vanishes
+    (which needs the x-elimination) goes through the scalar elimination
+    instead and then shares the back-substitution. Each row's result depends
+    on that row alone. A row with an identically zero or a non-finite
+    equation has no solution and counts as ill conditioned.
+    """
+    with np.errstate(all="ignore"):
+        return _solve_pairs(coef)
+
+
+def _solve_pairs(coef: np.ndarray):
+    """The body of ``solve_pairs``, run with floating-point warnings off."""
+    rows = coef.shape[0]
+    results: list = [((), (), True)] * rows
+    s = np.abs(coef).max(axis=2)
+    usable = (np.isfinite(s) & (s > 0.0)).all(axis=1)
+    n = coef / s[:, :, None]
+    sx, sy = _variable_scales(n)
+    m = n.copy()
+    m[:, :, :5] *= np.array([sx * sx, sx * sy, sy * sy, sx, sy]).T[:, None]
+    m /= np.abs(m).max(axis=2)[:, :, None]
 
     # Linearity must be judged at the scale of the solution: quadratic
-    # coefficients that look negligible next to the constant term can still
-    # dominate once the variables reach their natural magnitude.
-    if _is_linear(m1) and _is_linear(m2):
-        pairs, ill = _solve_linear(n1, n2)
-        return BivariateSolution(pairs, (), ill)
-
-    result = _solve_by_elimination(m1, m2, eliminate="y")
-    if result is None:
-        result = _solve_by_elimination(m1, m2, eliminate="x")
-    if result is None:
-        if _is_linear(m1) or _is_linear(m2):
-            pairs, _ = _solve_linear(n1, n2)
-            if pairs:
-                return BivariateSolution(pairs, (), True)
-        return BivariateSolution((), (), True)
-
-    def unscale(p: AuxiliaryPair) -> AuxiliaryPair:
-        return AuxiliaryPair(p.lam1 * sx, p.lam2 * sy)
-
-    return BivariateSolution(
-        tuple(unscale(p) for p in result.pairs),
-        tuple(
-            ComplexSeed(unscale(s.pair), s.rel_imag) for s in result.complex_pairs
-        ),
-        result.ill_conditioned,
+    # coefficients that look negligible next to the constant term can
+    # still dominate once the variables reach their natural magnitude.
+    linear = np.abs(m[:, :, :3]).max(axis=2) <= _COEFF_ZERO_RTOL
+    t1, t2, resultant = _y_resultants(m)
+    magnitude = np.abs(resultant).max(axis=1)
+    resultant = resultant / magnitude[:, None]
+    stacked = (
+        usable
+        & ~linear.all(axis=1)
+        & (np.abs(m[:, :, 2]).max(axis=1) > _COEFF_ZERO_RTOL)
+        & (magnitude > 1e-14)
     )
+    # The degree left once negligible leading coefficients are dropped.
+    degree = 4 - np.argmax(np.abs(resultant[:, ::-1]) > 1e-13, axis=1)
+    roots = np.full((rows, 4), np.nan, dtype=complex)
+    for d in sorted(set(degree[stacked].tolist()) - {0}):
+        at = np.flatnonzero(stacked & (degree == d))
+        roots[at, :d] = _companion_roots(resultant[at, : d + 1])
+
+    scalar = usable & ~stacked
+    kept_is_x = np.ones(rows, dtype=bool)
+    eliminated = stacked.copy()
+    for k in np.flatnonzero(scalar).tolist():
+        result, elimination = _scalar_elimination(n[k], m[k])
+        if elimination is None:
+            results[k] = result
+            continue
+        eliminate, t1k, t2k, rk = elimination
+        kept_is_x[k] = eliminate == "y"
+        t1[k] = 0.0
+        t1[k, : t1k.size] = t1k
+        t2[k] = 0.0
+        t2[k, : t2k.size] = t2k
+        roots[k] = np.nan
+        roots[k, : rk.size] = rk
+        eliminated[k] = True
+
+    solved = _back_substitute(m, kept_is_x, t1, t2, roots)
+    sx_l, sy_l = sx.tolist(), sy.tolist()
+    for k in np.flatnonzero(eliminated).tolist():
+        pairs, complex_pairs = solved[k]
+        fx, fy = sx_l[k], sy_l[k]
+        results[k] = (
+            tuple((x * fx, y * fy) for x, y in pairs),
+            tuple((x * fx, y * fy, rel) for x, y, rel in complex_pairs),
+            False,
+        )
+    return results, scalar
+
+
+def _variable_scales(n: np.ndarray):
+    """Order-of-magnitude estimates of both solution components per row.
+
+    ``n`` is (K, 2, 6). At a root the constant term is balanced by the
+    linear or the pure-square term of the variable, so |f|/|linear| and
+    sqrt(|f|/|square|) bound the magnitude from above; the smaller of the
+    two tracks whichever term dominates. Returns the (K,) scales of x and y.
+    """
+    size = np.abs(n)
+    const, linear, squares = size[:, :, 5:6], size[:, :, 3:5], size[:, :, 0:3:2]
+    has = const > 1e-30
+    by_linear = np.where(has & (linear > 1e-30), const / linear, np.inf)
+    by_square = np.where(has & (squares > 1e-30), np.sqrt(const / squares), np.inf)
+    best = np.minimum(by_linear, by_square).min(axis=1)
+    scales = np.maximum(1.0, np.where(best == np.inf, 1.0, best))
+    return scales[:, 0], scales[:, 1]
+
+
+@lru_cache(maxsize=8)
+def _antidiagonals(a: int, b: int) -> np.ndarray:
+    """0/1 matrix summing an (a, b) outer product into polynomial powers."""
+    out = np.zeros((a * b, a + b - 1))
+    for i in range(a):
+        for j in range(b):
+            out[i * b + j, i + j] = 1.0
+    out.setflags(write=False)
+    return out
+
+
+def _conv(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Products of K polynomial pairs (K, a) and (K, b), lowest power first."""
+    k, a = p.shape
+    b = q.shape[1]
+    outer = (p[:, :, None] * q[:, None, :]).reshape(k, 1, a * b)
+    return np.matmul(outer, _antidiagonals(a, b))[:, 0]
+
+
+def _y_resultants(m: np.ndarray):
+    """t1 (K, 3), t2 (K, 2) and the resultant (K, 5) of the y-elimination of
+    every row, as polynomials in x (lowest power first).
+
+    Written as a quadratic in y, equation i reads c_i y^2 + P1_i(x) y +
+    P0_i(x) with P1 = e + b x and P0 = f + d x + a x^2; y is -t1/t2 where
+    t2 does not vanish.
+    """
+    # Per equation: [c, e, b, f, d, a] = y^2, P1 and P0 coefficients.
+    views = m[:, :, [2, 4, 1, 5, 3, 0]]
+    c1, p1, p0 = views[:, 0, :1], views[:, 0, 1:3], views[:, 0, 3:]
+    c2, q1, q0 = views[:, 1, :1], views[:, 1, 1:3], views[:, 1, 3:]
+    t1 = c1 * q0 - c2 * p0
+    t2 = c1 * q1 - c2 * p1
+    cross = _conv(p1, q0) - _conv(p0, q1)
+    return t1, t2, _conv(t1, t1) - _conv(t2, cross)
+
+
+def _companion_roots(c: np.ndarray) -> np.ndarray:
+    """Sorted roots of K polynomials of one degree d, (K, d+1) lowest power
+    first, through one stacked companion eigenvalue call."""
+    d = c.shape[1] - 1
+    companion = np.zeros((c.shape[0], d, d))
+    companion.reshape(c.shape[0], -1)[:, d :: d + 1] = 1.0
+    companion[:, :, -1] = -(c[:, :d] / c[:, d, None])
+    roots = np.linalg.eigvals(companion).astype(complex)
+    roots.sort(axis=1)
+    return roots
+
+
+def _scalar_elimination(n: np.ndarray, m: np.ndarray):
+    """One row outside the common case, (2, 6) coefficients before and after
+    the variable scaling.
+
+    Returns ``(result, None)`` with the row's final ``(pairs, complex_pairs,
+    ill_conditioned)`` when the pair is linear or both resultants vanish, and
+    otherwise ``(None, (eliminated variable, t1, t2, resultant roots))`` for
+    the back-substitution.
+    """
+    n1, n2 = BivariateQuadratic(*n[0]), BivariateQuadratic(*n[1])
+    m1, m2 = BivariateQuadratic(*m[0]), BivariateQuadratic(*m[1])
+    if _is_linear(m1) and _is_linear(m2):
+        return _solve_linear(n1, n2), None
+    for eliminate in ("y", "x"):
+        out = _eliminate(m1, m2, eliminate)
+        if out is not None:
+            return None, (eliminate, *out)
+    if _is_linear(m1) or _is_linear(m2):
+        pairs, _, _ = _solve_linear(n1, n2)
+        if pairs:
+            return (pairs, (), True), None
+    return ((), (), True), None
 
 
 def _is_linear(q: BivariateQuadratic) -> bool:
     return max(abs(q.a), abs(q.b), abs(q.c)) <= _COEFF_ZERO_RTOL
 
 
-def _variable_scale(n1: BivariateQuadratic, n2: BivariateQuadratic, var: str) -> float:
-    """Order-of-magnitude estimate of a solution component.
-
-    At a root the constant term is balanced by the linear or the pure-square
-    term of the variable, so |f|/|linear| and sqrt(|f|/|square|) bound the
-    magnitude from above; the smaller of the two tracks whichever term
-    dominates.
-    """
-    candidates = []
-    for q in (n1, n2):
-        lin = abs(q.d) if var == "x" else abs(q.e)
-        square = abs(q.a) if var == "x" else abs(q.c)
-        const = abs(q.f)
-        if const > 1e-30:
-            if lin > 1e-30:
-                candidates.append(const / lin)
-            if square > 1e-30:
-                candidates.append(math.sqrt(const / square))
-    if not candidates:
-        return 1.0
-    return max(1.0, min(candidates))
-
-
-def _solve_linear(
-    q1: BivariateQuadratic, q2: BivariateQuadratic
-) -> tuple[tuple[AuxiliaryPair, ...], bool]:
+def _solve_linear(q1: BivariateQuadratic, q2: BivariateQuadratic):
     det = q1.d * q2.e - q1.e * q2.d
     scale = max(abs(q1.d * q2.e), abs(q1.e * q2.d), 1e-30)
     if abs(det) <= 1e-12 * scale:
-        return (), True
+        return (), (), True
     x = (-q1.f * q2.e + q2.f * q1.e) / det
     y = (-q1.d * q2.f + q2.d * q1.f) / det
-    return (AuxiliaryPair(x, y),), False
+    return ((x, y),), (), False
 
 
 def _poly_views(q: BivariateQuadratic, eliminate: str):
@@ -297,32 +431,10 @@ def _polymul(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return _trim(np.convolve(_trim(c1), _trim(c2)))
 
 
-def _polyval(x, c: np.ndarray):
-    """Horner evaluation of c (lowest power first) at the scalar x."""
-    *rest, value = c.tolist()
-    value = value + x * 0
-    for coef in reversed(rest):
-        value = coef + value * x
-    return value
-
-
-def _polyroots(c: np.ndarray) -> np.ndarray:
-    """Sorted roots of c (lowest power first, nonzero leading coefficient)."""
-    if len(c) == 2:
-        return np.array([-c[0] / c[1]])
-    n = len(c) - 1
-    companion = np.zeros((n, n))
-    companion.reshape(-1)[n :: n + 1] = 1
-    companion[:, -1] -= c[:-1] / c[-1]
-    roots = np.linalg.eigvals(companion)
-    roots.sort()
-    return roots
-
-
-def _solve_by_elimination(
-    n1: BivariateQuadratic, n2: BivariateQuadratic, eliminate: str
-) -> BivariateSolution | None:
-    """Eliminate one variable; None when the resultant vanishes identically."""
+def _eliminate(n1: BivariateQuadratic, n2: BivariateQuadratic, eliminate: str):
+    """Scalar elimination of one variable: (t1, t2, resultant roots), or None
+    when the resultant vanishes identically. A nonzero constant resultant has
+    no roots (no finite intersections along this variable)."""
     p2, p1, p0 = _poly_views(n1, eliminate)
     q2, q1, q0 = _poly_views(n2, eliminate)
     # Polynomials in the kept variable: the eliminated one is -t1/t2 wherever
@@ -346,71 +458,250 @@ def _solve_by_elimination(
         return None
     resultant = resultant[: keep[-1] + 1]
     if resultant.size == 1:
-        # Nonzero constant: no finite intersections along this variable.
-        return BivariateSolution((), (), False)
+        return t1, t2, np.empty(0, dtype=complex)
+    return t1, t2, _companion_roots(resultant[None])[0]
 
-    roots = _polyroots(resultant)
-    real_roots = []
-    complex_roots = []
-    for root in roots:
-        if abs(root.imag) <= _IMAG_RTOL * max(1.0, abs(root.real)):
-            real_roots.append(float(root.real))
-        else:
-            complex_roots.append(root)
 
-    seeds: list[tuple[float, float]] = []
-    complex_pairs: list[ComplexSeed] = []
+# Oriented coefficients: x-elimination is y-elimination with x and y swapped.
+_SWAP_XY = [2, 1, 0, 4, 3, 5]
+# Below this many kept values or seeds the per-value loops on Python floats
+# (_kept_roots_each, _polish_seed) are cheaper than the array passes; each
+# loop gives the bits of its array pass.
+_ARRAY_MIN = 24
 
-    def add_seed(kept_value: float, other: complex) -> None:
-        xy = _ordered(kept_value, other.real, eliminate)
-        if not (np.isfinite(xy[0]) and np.isfinite(xy[1])):
-            return
-        rel = abs(other.imag) / max(1.0, abs(other.real))
-        seed = ComplexSeed(AuxiliaryPair(*xy), rel)
-        if not any(_same_pair(seed.pair, s.pair) for s in complex_pairs):
-            complex_pairs.append(seed)
 
-    for kept in _cluster(real_roots):
-        real_others, complex_others = _companion_candidates(
-            n1, n2, t1, t2, kept, eliminate
-        )
-        seeds.extend(_ordered(kept, other, eliminate) for other in real_others)
-        # Real resultant root whose companion went complex: keep its
-        # projection too.
-        for other in complex_others:
-            add_seed(kept, other)
+def _back_substitute(m, kept_is_x, t1, t2, roots):
+    """Real pairs and complex projections of J eliminations.
 
-    pairs: list[tuple[AuxiliaryPair, float]] = []
-    if seeds:
-        x, y = _newton_polish(n1, n2, *np.array(seeds).T)
-        res = _normalized_residual(n1, n2, x, y)
-        for xi, yi, ri in zip(x.tolist(), y.tolist(), res.tolist()):
-            if ri <= _RESIDUAL_RTOL:
-                _insert_pair(pairs, AuxiliaryPair(xi, yi), ri)
+    ``m`` is (J, 2, 6), ``kept_is_x`` (J,) tells a y-elimination, ``t1`` and
+    ``t2`` are (J, 3) and (J, 2) and ``roots`` (J, 4) holds the resultant
+    roots in the kept variable, NaN-padded. Every real root yields seeds from
+    -t1/t2 and from both equations as quadratics in the eliminated variable;
+    the seeds of all eliminations are polished together and a seed whose
+    normalized residual passes joins its elimination's pairs. Complex
+    candidates become projections. Returns one ``(pairs, complex_pairs)``
+    per elimination, in the scaled variables.
+    """
+    all_y = bool(kept_is_x.all())
+    oriented = m if all_y else np.where(kept_is_x[:, None, None], m, m[:, :, _SWAP_XY])
+    re, im = roots.real, roots.imag
+    real = np.abs(im) <= _IMAG_RTOL * np.maximum(1.0, np.abs(re))
+    upper = ~real & (im > 0)
+
+    # Distinct real roots of each elimination, flat with their elimination.
+    kept_row: list[int] = []
+    kept: list[float] = []
+    for j, (values, is_real) in enumerate(zip(re.tolist(), real.tolist())):
+        for v in _cluster([v for v, r in zip(values, is_real) if r]):
+            kept_row.append(j)
+            kept.append(v)
+    kr = np.array(kept_row, dtype=np.intp)
+    kv = np.array(kept, dtype=float)
+
+    kept_roots = _kept_roots if kv.size >= _ARRAY_MIN else _kept_roots_each
+    others, ok, cplx_re, cplx_im, cplx_ok = kept_roots(oriented[kr], t1[kr], t2[kr], kv)
+
+    # Real seeds in kept order, polished together.
+    seed_k, seed_c = np.nonzero(ok)
+    seed_row = kr[seed_k]
+    x, y = kv[seed_k], others[seed_k, seed_c]
+    if not all_y:
+        kept_first = kept_is_x[seed_row]
+        x, y = np.where(kept_first, x, y), np.where(kept_first, y, x)
+    if x.size < _ARRAY_MIN:
+        polished = [
+            _polish_seed(q, xi, yi)
+            for q, xi, yi in zip(m[seed_row].tolist(), x.tolist(), y.tolist())
+        ]
+    else:
+        coef = m[seed_row].transpose(2, 1, 0)
+        x, y = _newton_polish(coef, x, y)
+        polished = zip(x.tolist(), y.tolist(), _normalized_residual(coef, x, y).tolist())
+
+    pairs: list[list] = [[] for _ in range(m.shape[0])]
+    for j, (xi, yi, ri) in zip(seed_row.tolist(), polished):
+        if ri <= _RESIDUAL_RTOL:
+            _insert_pair(pairs[j], (xi, yi), ri)
+
+    # A real kept value whose companion went complex: keep its projection.
+    complex_pairs: list[list] = [[] for _ in range(m.shape[0])]
+    orient = kept_is_x.tolist()
+    if cplx_ok.any():
+        ck, ce = np.nonzero(cplx_ok)
+        for j, kept_value, o_re, o_im in zip(
+            kr[ck].tolist(),
+            kv[ck].tolist(),
+            cplx_re[ck, ce].tolist(),
+            cplx_im[ck, ce].tolist(),
+        ):
+            rel = abs(o_im) / max(1.0, abs(o_re))
+            _add_projection(complex_pairs[j], orient[j], kept_value, o_re, rel, dedupe=True)
 
     # One representative per conjugate pair of the resultant itself (roots of
     # real polynomials come in exact conjugate pairs).
-    for z in (z for z in complex_roots if z.imag > 0):
-        other = _companion_value(n1, n2, t1, t2, z, eliminate)
-        rel = abs(z.imag) / max(1.0, abs(z.real))
-        xy = _ordered(z.real, complex(other).real, eliminate)
-        if np.isfinite(xy[0]) and np.isfinite(xy[1]):
-            seed = ComplexSeed(AuxiliaryPair(*xy), rel)
-            complex_pairs.append(seed)
+    zj, zc = np.nonzero(upper)
+    if zj.size:
+        z = roots[zj, zc]
+        t1z, t2z = t1[zj], t2[zj]
+        t1z = t1z[:, 0] + (t1z[:, 1] + t1z[:, 2] * z) * z
+        t2z = t2z[:, 0] + t2z[:, 1] * z
+        other = (-t1z / t2z).real
+        flat = np.abs(t2z) <= 1e-12 * np.maximum(1.0, np.abs(t1z))
+        if flat.any():
+            for i in np.flatnonzero(flat).tolist():
+                other[i] = _first_root(oriented[zj[i]], complex(z[i])).real
+        for j, z_kept, z_im, o_re in zip(
+            zj.tolist(), z.real.tolist(), z.imag.tolist(), other.tolist()
+        ):
+            rel = abs(z_im) / max(1.0, abs(z_kept))
+            _add_projection(complex_pairs[j], orient[j], z_kept, o_re, rel)
 
-    # Deduplicate and order nearest-to-real first.
-    deduped: list[ComplexSeed] = []
-    for seed in sorted(complex_pairs, key=lambda s: s.rel_imag):
-        if not any(_same_pair(seed.pair, kept.pair) for kept in deduped):
-            deduped.append(seed)
-    complex_pairs = deduped
+    out = []
+    for found, projections in zip(pairs, complex_pairs):
+        # Deduplicate and order nearest-to-real first.
+        deduped: list[tuple] = []
+        for seed in sorted(projections, key=lambda s: s[2]):
+            if not any(_same_pair(seed, kept_seed) for kept_seed in deduped):
+                deduped.append(seed)
+        out.append((sorted(p for p, _ in found), deduped))
+    return out
 
-    ordered = tuple(p for p, _ in sorted(pairs, key=lambda t: (t[0].lam1, t[0].lam2)))
-    return BivariateSolution(ordered, tuple(complex_pairs), False)
+
+def _add_projection(projections, kept_is_x, kept, other, rel, dedupe=False):
+    """Append the projection (x, y, rel_imag) of a complex candidate when its
+    coordinates are finite (and, with ``dedupe``, new)."""
+    xy = (kept, other) if kept_is_x else (other, kept)
+    if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
+        return
+    seed = (*xy, rel)
+    if not (dedupe and any(_same_pair(seed, s) for s in projections)):
+        projections.append(seed)
 
 
-def _ordered(kept: float, other: float, eliminate: str) -> tuple[float, float]:
-    return (kept, other) if eliminate == "y" else (other, kept)
+def _kept_roots(q: np.ndarray, t1: np.ndarray, t2: np.ndarray, kept: np.ndarray):
+    """Candidates for the eliminated variable at F real kept values.
+
+    ``q`` is (F, 2, 6) (both oriented equations), ``t1`` (F, 3) and ``t2``
+    (F, 2). Returns the real candidates as (F, 5) values [-t1/t2, eq1 r1,
+    eq1 r2, eq2 r1, eq2 r2] with their validity mask, and each equation's
+    complex root of positive imaginary part as (F, 2) real and imaginary
+    parts with a validity mask. A real pair takes the larger-magnitude root
+    first and its companion via the product (stable pairing); a conjugate
+    pair within _IMAG_RTOL of the real axis counts as one real root.
+    """
+    out = np.empty((kept.shape[0], 5))
+    ok = np.empty(out.shape, dtype=bool)
+    t1v = t1[:, 0] + (t1[:, 1] + t1[:, 2] * kept) * kept
+    t2v = t2[:, 0] + t2[:, 1] * kept
+    out[:, 0] = -t1v / t2v
+    ok[:, 0] = np.abs(t2v) > 1e-10 * np.maximum(1.0, np.abs(kept))
+
+    k = kept[:, None]
+    aa = q[:, :, 2]
+    bb = q[:, :, 1] * k + q[:, :, 4]
+    cc = (q[:, :, 0] * k + q[:, :, 3]) * k + q[:, :, 5]
+    abs_a, abs_b = np.abs(aa), np.abs(bb)
+    tiny = _COEFF_ZERO_RTOL * np.maximum(np.maximum(abs_a, abs_b), np.abs(cc))
+    quadratic = abs_a > tiny
+    linear = ~quadratic & (abs_b > tiny)
+    two_a = 2.0 * aa
+    disc = bb * bb - 2.0 * two_a * cc
+    root = np.sqrt(np.abs(disc))
+    # The root of larger magnitude, then its companion through the product;
+    # a zero denominator leaves the single root 0.
+    denom = -bb - np.copysign(root, bb)
+    r1 = denom / two_a
+    re = -bb / two_a
+    im = root / np.abs(two_a)
+    near = im <= _IMAG_RTOL * np.maximum(1.0, np.abs(re))
+    real_pair = quadratic & (disc >= 0.0)
+    out[:, 1::2] = np.where(linear, -cc / bb, np.where(real_pair, r1, re))
+    out[:, 2::2] = cc / (aa * r1)
+    ok[:, 1::2] = linear | real_pair | (quadratic & near)
+    ok[:, 2::2] = real_pair & (denom != 0.0)
+    return out, ok, re, im, quadratic & ~real_pair & ~near
+
+
+def _kept_roots_each(q: np.ndarray, t1: np.ndarray, t2: np.ndarray, kept: np.ndarray):
+    """``_kept_roots`` on Python floats, one kept value at a time.
+
+    Each valid entry is computed with the arithmetic of ``_kept_roots`` in
+    the same order, so it has the same bits; entries outside the validity
+    masks are NaN.
+    """
+    out, ok, re_part, im_part, cplx = [], [], [], [], []
+    nan = math.nan
+    per_kept = zip(q.tolist(), t1.tolist(), t2.tolist(), kept.tolist())
+    for eqs, (a0, a1, a2), (b0, b1), k in per_kept:
+        t1v = a0 + (a1 + a2 * k) * k
+        t2v = b0 + b1 * k
+        valid = abs(t2v) > 1e-10 * max(1.0, abs(k))
+        values, flags = [-t1v / t2v if valid else nan], [valid]
+        for a, b, c, d, e, f in eqs:
+            aa, bb, cc = c, b * k + e, (a * k + d) * k + f
+            tiny = _COEFF_ZERO_RTOL * max(max(abs(aa), abs(bb)), abs(cc))
+            re = im = nan
+            near = True
+            if abs(aa) > tiny:
+                two_a = 2.0 * aa
+                disc = bb * bb - 2.0 * two_a * cc
+                root = math.sqrt(abs(disc))
+                re, im = -bb / two_a, root / abs(two_a)
+                if disc >= 0.0:
+                    denom = -bb - math.copysign(root, bb)
+                    r1 = denom / two_a
+                    values += [r1, _divide(cc, aa * r1) if denom != 0.0 else nan]
+                    flags += [True, denom != 0.0]
+                else:
+                    near = im <= _IMAG_RTOL * max(1.0, abs(re))
+                    values += [re if near else nan, nan]
+                    flags += [near, False]
+            elif abs(bb) > tiny:
+                values += [-cc / bb, nan]
+                flags += [True, False]
+            else:
+                values += [nan, nan]
+                flags += [False, False]
+            re_part.append(re)
+            im_part.append(im)
+            cplx.append(not near)
+        out.append(values)
+        ok.append(flags)
+    rows = kept.shape[0]
+    return (
+        np.array(out, dtype=float).reshape(rows, 5),
+        np.array(ok, dtype=bool).reshape(rows, 5),
+        np.array(re_part, dtype=float).reshape(rows, 2),
+        np.array(im_part, dtype=float).reshape(rows, 2),
+        np.array(cplx, dtype=bool).reshape(rows, 2),
+    )
+
+
+def _divide(a: float, b: float) -> float:
+    """a / b with IEEE results for a zero divisor, as numpy divides."""
+    if b:
+        return a / b
+    if a == 0.0 or math.isnan(a):
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _first_root(q: np.ndarray, kept: complex) -> complex:
+    """The first root in the eliminated variable of the first of two oriented
+    equations (2, 6) that has one, at a complex kept value; 0 if neither."""
+    for a, b, c, d, e, f in q.tolist():
+        aa, bb, cc = c, b * kept + e, a * kept * kept + d * kept + f
+        scale = max(abs(aa), abs(bb), abs(cc))
+        if scale == 0.0:
+            continue
+        if abs(aa) <= _COEFF_ZERO_RTOL * scale:
+            if abs(bb) > _COEFF_ZERO_RTOL * scale:
+                return -cc / bb
+            continue
+        disc = np.sqrt(complex(bb * bb - 4.0 * aa * cc))
+        denom = -bb - disc if abs(-bb - disc) >= abs(-bb + disc) else -bb + disc
+        return denom / (2.0 * aa)
+    return 0.0
 
 
 def _cluster(values: list[float]) -> list[float]:
@@ -422,104 +713,61 @@ def _cluster(values: list[float]) -> list[float]:
     return out
 
 
-def _companion_value(
-    n1, n2, t1_poly, t2_poly, kept: complex, eliminate: str
-) -> complex:
-    """Eliminated-variable value via the linear combination of the two conics."""
-    t1 = _polyval(kept, t1_poly)
-    t2 = _polyval(kept, t2_poly)
-    if abs(t2) <= 1e-12 * max(1.0, abs(t1)):
-        # Fall back to one equation's quadratic roots.
-        for q in (n1, n2):
-            cands = _quadratic_in_eliminated(q, kept, eliminate)
-            if cands:
-                return cands[0]
-        return 0.0
-    return -t1 / t2
+def _polish_seed(q: list, x: float, y: float, steps: int = 2):
+    """Newton polish and normalized residual of one seed on Python floats.
 
-
-def _companion_candidates(
-    n1, n2, t1_poly, t2_poly, kept: float, eliminate: str
-) -> tuple[list[float], list[complex]]:
-    """Candidates for the eliminated variable at a fixed kept value.
-
-    Returns the real candidates and, separately, one representative per
-    complex conjugate candidate pair (the back-substituted variable can go
-    complex even when the resultant root itself is real).
+    ``q`` holds both equations' [a, b, c, d, e, f]. The arithmetic is the
+    per-seed loop that the array pass below reproduces element by element.
     """
-    reals: list[float] = []
-    cplx: list[complex] = []
-    t1 = _polyval(kept, t1_poly)
-    t2 = _polyval(kept, t2_poly)
-    if abs(t2) > 1e-10 * max(1.0, abs(kept)):
-        reals.append(float(np.real(-t1 / t2)))
-    for q in (n1, n2):
-        for cand in _quadratic_in_eliminated(q, kept, eliminate):
-            if abs(cand.imag) <= _IMAG_RTOL * max(1.0, abs(cand.real)):
-                reals.append(float(cand.real))
-            elif cand.imag > 0:
-                cplx.append(cand)
-    return reals, cplx
-
-
-def _quadratic_in_eliminated(
-    q: BivariateQuadratic, kept: complex, eliminate: str
-) -> list[complex]:
-    """Roots of q in the eliminated variable with the kept one fixed."""
-    if eliminate == "y":
-        aa = q.c
-        bb = q.b * kept + q.e
-        cc = q.a * kept * kept + q.d * kept + q.f
-    else:
-        aa = q.a
-        bb = q.b * kept + q.d
-        cc = q.c * kept * kept + q.e * kept + q.f
-    scale = max(abs(aa), abs(bb), abs(cc))
-    if scale == 0.0:
-        return []
-    if abs(aa) <= _COEFF_ZERO_RTOL * scale:
-        if abs(bb) <= _COEFF_ZERO_RTOL * scale:
-            return []
-        return [-cc / bb]
-    disc = np.sqrt(complex(bb * bb - 4.0 * aa * cc))
-    # Stable pairing: the larger-magnitude root first, companion via product.
-    denom = -bb - disc if abs(-bb - disc) >= abs(-bb + disc) else -bb + disc
-    if denom == 0.0:
-        return [complex(0.0)]
-    r1 = denom / (2.0 * aa)
-    r2 = cc / (aa * r1) if r1 != 0.0 else -bb / aa
-    return [r1, r2]
+    (a1, b1, c1, d1, e1, f1), (a2, b2, c2, d2, e2, f2) = q
+    a1_2, c1_2, a2_2, c2_2 = 2.0 * a1, 2.0 * c1, 2.0 * a2, 2.0 * c2
+    for _ in range(steps):
+        g1 = a1 * x * x + b1 * x * y + c1 * y * y + d1 * x + e1 * y + f1
+        g2 = a2 * x * x + b2 * x * y + c2 * y * y + d2 * x + e2 * y + f2
+        j11 = a1_2 * x + b1 * y + d1
+        j12 = b1 * x + c1_2 * y + e1
+        j21 = a2_2 * x + b2 * y + d2
+        j22 = b2 * x + c2_2 * y + e2
+        p, r = j11 * j22, j12 * j21
+        det = p - r
+        if abs(det) <= 1e-14 * max(1.0, abs(p), abs(r)):
+            break
+        x -= (g1 * j22 - g2 * j12) / det
+        y -= (j11 * g2 - j21 * g1) / det
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return math.nan, math.nan, math.inf
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return x, y, math.inf
+    worst = None
+    for a, b, c, d, e, f in q:
+        terms = (a * x * x, b * x * y, c * y * y, d * x, e * y)
+        value = terms[0] + terms[1] + terms[2] + terms[3] + terms[4] + f
+        scale = max(*map(abs, terms), abs(f))
+        res = abs(value) / max(scale, 1e-30)
+        # max(r1, r2): a NaN first residual wins, as in the array pass.
+        worst = res if worst is None or res > worst else worst
+    return x, y, worst
 
 
 # The polish and residual below run on arrays with one column per seed and
-# one row per equation. Each element must be bitwise what a per-seed scalar
-# loop gives (tests/test_polysolve.py keeps that loop as the reference), so
-# every expression keeps the scalar evaluation order. np.fmax stands in for
-# Python's max(), which skips a NaN that is not its first argument; it is used
-# only where that first argument cannot be NaN.
-
-
-def _columns(n1: BivariateQuadratic, n2: BivariateQuadratic):
-    """The six coefficients of both equations, each as a (2, 1) column."""
-    rows = np.array(
-        [(n1.a, n1.b, n1.c, n1.d, n1.e, n1.f), (n2.a, n2.b, n2.c, n2.d, n2.e, n2.f)]
-    )
-    return rows.T[:, :, None]
+# one row per equation; each seed carries its own coefficients. Each element
+# must be bitwise what a per-seed scalar loop gives (tests/test_polysolve.py
+# keeps that loop as the reference), so every expression keeps the scalar
+# evaluation order. np.fmax stands in for Python's max(), which skips a NaN
+# that is not its first argument; it is used only where that first argument
+# cannot be NaN.
 
 
 def _newton_polish(
-    n1: BivariateQuadratic,
-    n2: BivariateQuadratic,
-    x: np.ndarray,
-    y: np.ndarray,
-    steps: int = 2,
+    coef: np.ndarray, x: np.ndarray, y: np.ndarray, steps: int = 2
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton steps on the 2x2 system from each seed (x[i], y[i]).
 
-    A seed stops where its Jacobian is singular and becomes NaN where an
-    iterate is not finite; the others carry on.
+    ``coef`` is (6, 2, S): a..f of both equations for each seed. A seed stops
+    where its Jacobian is singular and becomes NaN where an iterate is not
+    finite; the others carry on.
     """
-    a, b, c, d, e, f = _columns(n1, n2)
+    a, b, c, d, e, f = coef
     a2, c2 = 2.0 * a, 2.0 * c
     active = np.ones(x.shape, dtype=bool)
     with np.errstate(all="ignore"):
@@ -539,14 +787,15 @@ def _newton_polish(
     return x, y
 
 
-def _normalized_residual(n1, n2, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _normalized_residual(coef: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Residual relative to the largest term of each equation at the point.
 
-    Dividing by the point magnitude instead would let far-away points pass on
-    sheer size, since their tiny-coefficient terms never reach the tolerance
-    times x^2. Points that are not finite get inf.
+    ``coef`` is (6, 2, S) as for ``_newton_polish``. Dividing by the point
+    magnitude instead would let far-away points pass on sheer size, since
+    their tiny-coefficient terms never reach the tolerance times x^2. Points
+    that are not finite get inf.
     """
-    a, b, c, d, e, f = _columns(n1, n2)
+    a, b, c, d, e, f = coef
     with np.errstate(all="ignore"):
         value = a * x * x + b * x * y + c * y * y + d * x + e * y + f
         # |a x x| is not NaN for finite x, the only points whose value is used.
@@ -559,15 +808,13 @@ def _normalized_residual(n1, n2, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(x) & np.isfinite(y), res, np.inf)
 
 
-def _same_pair(new: AuxiliaryPair, kept: AuxiliaryPair) -> bool:
+def _same_pair(new: tuple, kept: tuple) -> bool:
     """Both components agree within _DEDUPE_RTOL relative to the new pair."""
-    same_x = abs(new.lam1 - kept.lam1) <= _DEDUPE_RTOL * max(1.0, abs(new.lam1))
-    return same_x and abs(new.lam2 - kept.lam2) <= _DEDUPE_RTOL * max(1.0, abs(new.lam2))
+    same_x = abs(new[0] - kept[0]) <= _DEDUPE_RTOL * max(1.0, abs(new[0]))
+    return same_x and abs(new[1] - kept[1]) <= _DEDUPE_RTOL * max(1.0, abs(new[1]))
 
 
-def _insert_pair(
-    pairs: list[tuple[AuxiliaryPair, float]], pair: AuxiliaryPair, res: float
-) -> None:
+def _insert_pair(pairs: list[tuple[tuple, float]], pair: tuple, res: float) -> None:
     for i, (kept, kept_res) in enumerate(pairs):
         if _same_pair(pair, kept):
             if res < kept_res:

@@ -204,9 +204,10 @@ def test_one_measurement_model(an_count):
 
 def _reduce(runs, crlb_pos_sqrt=2.0):
     """Reduce (squared block errors or None, raw squared errors or None) per
-    run with the campaign's cell reducer, as one closed-form cell."""
+    run with the campaign's cell reducer, as one closed-form cell whose runs
+    all took the stacked elimination."""
     records = [
-        ((crlb_pos_sqrt, 1.0, 1.0, 1.0), ((False, ref, raw, 0.0, None),))
+        ((crlb_pos_sqrt, 1.0, 1.0, 1.0), ((False, ref, raw, 0.0, None, False),))
         for ref, raw in runs
     ]
     cfg = CampaignConfig(runs=len(records))

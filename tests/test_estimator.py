@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cftwlas import (
     AnchorSet,
@@ -325,3 +327,104 @@ class TestOnePassScoring:
         monkeypatch.undo()
         expected_raw, _ = raw_estimate(meas, anchors, noise)
         assert _bits(raw.as_vector()) == _bits(expected_raw.as_vector())
+
+
+# --- stacked kernels: row independence ------------------------------------
+
+
+def _window(layout, seed, rows, noise_free, center):
+    """One anchor geometry and ``rows`` (measurements, noise) inputs on it.
+
+    ``layout`` is a square anchor count (4, 5, 8) or "3d" for 5 to 9 random
+    3-D anchors. ``center`` adds the criterion-10 input (device at the
+    center of the 4-anchor square, at rest, noise-free) to a 4-anchor window.
+    """
+    rng = np.random.default_rng(seed)
+    if layout == "3d":
+        m = int(rng.integers(5, 10))
+        positions = rng.uniform(0.0, 800.0, size=(m, 3))
+        anchors = AnchorSet(positions, 0.01 * np.arange(1, m + 1))
+    else:
+        anchors = build_square_scenario(800.0, layout)
+    unit = NoiseSpec(np.ones(anchors.count), 1.0)
+    window = []
+    for _ in range(rows):
+        ud = sample_ud_state(rng, 500.0, center=anchors.center, ndim=anchors.ndim)
+        if noise_free:
+            window.append((forward_model(ud, anchors), unit))
+        else:
+            noise = noise_for_snr(ud, anchors, float(rng.uniform(6.0, 50.0)))
+            window.append((add_noise(forward_model(ud, anchors), noise, rng), noise))
+    if center and layout == 4:
+        at_rest = UdState([400.0, 400.0], [0.0, 0.0], 100.0, 10.0)
+        at = int(rng.integers(0, rows + 1))
+        window.insert(at, (forward_model(at_rest, anchors), unit))
+    return anchors, window
+
+
+def _batch(anchors, window, refine_steps=1):
+    return estimator.estimate_batch(
+        np.array([meas.request_toa for meas, _ in window]),
+        np.array([meas.response_toa for meas, _ in window]),
+        np.array([noise.weights() for _, noise in window]),
+        anchors,
+        refine_steps=refine_steps,
+    )
+
+
+def _state_bits(state, size):
+    return _bits(np.full(size, np.nan) if state is None else state.as_vector())
+
+
+def _assert_row_is_estimate(batch, k, report):
+    size = batch.raw.shape[1]
+    assert _bits(batch.raw[k]) == _state_bits(report.raw, size)
+    assert _bits(batch.refined[k]) == _state_bits(report.refined, size)
+    flags = report.flags
+    assert bool(batch.degenerate[k]) == flags.degenerate_geometry
+    assert bool(batch.no_real_root[k]) == flags.no_real_root_fallback
+    assert bool(batch.refine_singular[k]) == flags.refinement_singular
+    assert int(batch.candidates[k]) == len(report.candidates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layout=st.sampled_from([4, 5, 8, "3d"]),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 9),
+    noise_free=st.booleans(),
+    center=st.booleans(),
+    steps=st.integers(1, 3),
+    order=st.randoms(use_true_random=False),
+)
+def test_batch_rows_equal_estimate_alone_bitwise(
+    layout, seed, rows, noise_free, center, steps, order
+):
+    # Every row of a batch, and of any permutation or split of it, is what
+    # estimate() reports for that row alone, bit for bit.
+    anchors, window = _window(layout, seed, rows, noise_free, center)
+    reports = [estimate(meas, anchors, noise, refine_steps=steps) for meas, noise in window]
+    batch = _batch(anchors, window, steps)
+    for k, report in enumerate(reports):
+        _assert_row_is_estimate(batch, k, report)
+
+    perm = list(range(len(window)))
+    order.shuffle(perm)
+    shuffled = _batch(anchors, [window[i] for i in perm], steps)
+    for pos, i in enumerate(perm):
+        _assert_row_is_estimate(shuffled, pos, reports[i])
+
+    cut = order.randint(1, len(window)) if len(window) > 1 else 1
+    for lo, hi in ((0, cut), (cut, len(window))):
+        if lo < hi:
+            part = _batch(anchors, window[lo:hi], steps)
+            for k in range(lo, hi):
+                _assert_row_is_estimate(part, k - lo, reports[k])
+
+
+def test_center_degenerate_row_flagged_in_batch():
+    anchors, window = _window(4, 3, 3, noise_free=True, center=True)
+    batch = _batch(anchors, window)
+    assert batch.degenerate.sum() == 1
+    assert np.isnan(batch.raw[batch.degenerate]).all()
+    assert np.isfinite(batch.refined[~batch.degenerate]).all()

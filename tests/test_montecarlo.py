@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -7,10 +8,17 @@ from cftwlas import (
     CampaignConfig,
     ConfigurationError,
     MethodSpec,
+    add_noise,
     benchmark_config,
+    build_square_scenario,
+    estimate,
+    forward_model,
+    noise_for_snr,
     run_campaign,
+    sample_ud_state,
 )
-from cftwlas.montecarlo import config_from_dict, config_to_dict
+from cftwlas.cli import main as cli_main
+from cftwlas.montecarlo import _run_batch, _sq_errors, config_from_dict, config_to_dict
 
 
 def deterministic_fields(cell):
@@ -145,3 +153,74 @@ class TestConfigSerialization:
             CampaignConfig(methods=())
         with pytest.raises(ConfigurationError):
             MethodSpec(kind="unknown")
+
+
+class TestBatchedCampaign:
+    """The closed form runs as one stacked batch per worker window."""
+
+    def test_degenerate_and_noise_free_csv_identical_across_workers(self, tmp_path):
+        # A device at rest at the center of the square: every 4-anchor run is
+        # degenerate (and goes through estimate() alone); noise-free runs
+        # elsewhere solve exactly. Workers split the runs into windows.
+        config = {
+            "an_counts": [4, 5, 8],
+            "noise_free": True,
+            "region_side_m": 0.0,
+            "vmax_mps": 0.0,
+            "runs": 13,
+            "seed": 21,
+            "methods": [{"kind": "cftwlas"}, {"kind": "gauss_newton"}],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        blobs = []
+        for workers in ("1", "2", "3"):
+            csv_path = tmp_path / f"w{workers}.csv"
+            summary_path = tmp_path / f"w{workers}.json"
+            assert cli_main([
+                "simulate", "--config", str(cfg_path), "--workers", workers,
+                "--csv", str(csv_path), "--summary", str(summary_path),
+            ]) == 0
+            blobs.append(csv_path.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+        cells = json.loads(summary_path.read_text())["cells"]
+        cf = {c["an_count"]: c for c in cells if c["method"] == "cftwlas"}
+        assert cf[4]["failure_rate"] == 1.0
+        assert cf[8]["failure_rate"] == 0.0
+        assert all(c["batch_scalar_fallback_rate"] == 0.0 for c in cf.values())
+        assert all(
+            c["batch_scalar_fallback_rate"] is None
+            for c in cells if c["method"] != "cftwlas"
+        )
+
+    def test_records_equal_per_call_estimates(self):
+        cfg = CampaignConfig(
+            an_counts=(8,), snr_db=(12.0,), runs=40, seed=17,
+            methods=(MethodSpec("cftwlas"), MethodSpec("gauss_newton", init_std_m=50.0)),
+        )
+        start, stop, cell = 5, 40, 0
+        records = _run_batch(cfg, 8, 12.0, cell, start, stop)
+        anchors = build_square_scenario(cfg.anchor_side_m, 8, cfg.response_step_s)
+        assert len(records) == stop - start
+        for run, (_, (cf, gn)) in zip(range(start, stop), records):
+            # The inputs the campaign draws for this run, rebuilt from the seed.
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, cell, run, 0]))
+            truth = sample_ud_state(
+                rng, cfg.region_side_m, cfg.vmax_mps, cfg.offset_range_s,
+                cfg.drift_range_ppm, center=anchors.center,
+            )
+            noise = noise_for_snr(truth, anchors, 12.0)
+            meas = add_noise(forward_model(truth, anchors), noise, rng)
+            report = estimate(meas, anchors, noise)
+            final = report.refined if report.refined is not None else report.raw
+
+            def err2(state):
+                if state is None:
+                    return None
+                return _sq_errors(state.as_vector()[None], truth.as_vector()[None], 2)[0]
+
+            fallback, ref_err2, raw_err2, _, iterations, scalar = cf
+            assert fallback == report.flags.no_real_root_fallback
+            assert ref_err2 == err2(final) and raw_err2 == err2(report.raw)
+            assert iterations is None and scalar is False
+            assert gn[1] is not None and gn[2] is None and gn[5] is None

@@ -18,7 +18,15 @@ from cftwlas import (
     solve_pair,
     solve_pair_detailed,
 )
-from cftwlas.polysolve import _newton_polish, _normalized_residual
+from cftwlas.polysolve import (
+    _kept_roots,
+    _kept_roots_each,
+    _newton_polish,
+    _normalized_residual,
+    _polish_seed,
+    _terms,
+    solve_pairs,
+)
 
 
 def term_scale(q, x, y):
@@ -292,18 +300,36 @@ def _polish_case(draw):
     return n1, n2, seeds
 
 
+def _flat_coefficients(cases):
+    """The (6, 2, S) per-seed coefficients of the flat-seed polish for
+    (n1, n2, seeds) cases, seeds of all cases concatenated in order."""
+    columns = [
+        [[getattr(n1, k), getattr(n2, k)] for k in "abcdef"]
+        for n1, n2, seeds in cases
+        for _ in seeds
+    ]
+    return np.array(columns).transpose(1, 2, 0)
+
+
 @settings(max_examples=400, deadline=None)
-@given(_polish_case())
-def test_array_polish_matches_per_seed_loop_bitwise(case):
-    n1, n2, seeds = case
-    xs = np.array([s[0] for s in seeds])
-    ys = np.array([s[1] for s in seeds])
-    x, y = _newton_polish(n1, n2, xs, ys)
-    res = _normalized_residual(n1, n2, x, y)
-    for i, (sx, sy) in enumerate(seeds):
+@given(st.lists(_polish_case(), min_size=1, max_size=4))
+def test_array_polish_matches_per_seed_loop_bitwise(cases):
+    # Seeds of several quadratic pairs share one flat pass, as the seeds of
+    # every row of a batch do.
+    seeds = [(n1, n2, s) for n1, n2, case_seeds in cases for s in case_seeds]
+    coef = _flat_coefficients(cases)
+    xs = np.array([s[0] for _, _, s in seeds])
+    ys = np.array([s[1] for _, _, s in seeds])
+    x, y = _newton_polish(coef, xs, ys)
+    res = _normalized_residual(coef, x, y)
+    for i, (n1, n2, (sx, sy)) in enumerate(seeds):
         rx, ry = ref_newton_polish(n1, n2, sx, sy)
+        rres = ref_normalized_residual(n1, n2, rx, ry)
         assert same_bits(float(x[i]), rx) and same_bits(float(y[i]), ry), (i, sx, sy)
-        assert same_bits(float(res[i]), ref_normalized_residual(n1, n2, rx, ry)), i
+        assert same_bits(float(res[i]), rres), i
+        # The per-seed loop that replaces the array pass for few seeds.
+        px, py, pres = _polish_seed([_terms(n1), _terms(n2)], sx, sy)
+        assert same_bits(px, rx) and same_bits(py, ry) and same_bits(pres, rres), i
 
 
 def test_array_polish_covers_early_stop_and_nan_exit():
@@ -313,9 +339,69 @@ def test_array_polish_covers_early_stop_and_nan_exit():
     n2 = BivariateQuadratic(0, 0, 1, 0, 0, -1)
     xs = np.array([0.0, 1e200, 1.2, math.inf])
     ys = np.array([0.5, 1.0, 0.9, 1.0])
-    x, y = _newton_polish(n1, n2, xs, ys)
+    coef = _flat_coefficients([(n1, n2, xs)])
+    x, y = _newton_polish(coef, xs, ys)
     assert x[0] == 0.0 and y[0] == 0.5  # stopped before the first step
     assert math.isnan(x[1]) and math.isnan(y[1])
     assert (x[2], y[2]) == ref_newton_polish(n1, n2, 1.2, 0.9)
-    res = _normalized_residual(n1, n2, x, y)
+    res = _normalized_residual(coef, x, y)
     assert res[1] == math.inf and res[3] == math.inf
+
+
+_kept_case = st.tuples(
+    st.lists(_coef, min_size=12, max_size=12),
+    st.lists(_coef, min_size=5, max_size=5),
+    st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, -1.0])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_kept_case, min_size=1, max_size=6))
+def test_kept_roots_loop_matches_array_pass_bitwise(cases):
+    # The per-kept-value loop and the array pass agree on every validity
+    # flag and, bit for bit, on every valid candidate.
+    q = np.array([c[0] for c in cases]).reshape(-1, 2, 6)
+    t = np.array([c[1] for c in cases])
+    kept = np.array([c[2] for c in cases])
+    with np.errstate(all="ignore"):
+        array = _kept_roots(q, t[:, :3], t[:, 3:], kept)
+    loop = _kept_roots_each(q, t[:, :3], t[:, 3:], kept)
+    out, ok, re, im, cplx = array
+    l_out, l_ok, l_re, l_im, l_cplx = loop
+    np.testing.assert_array_equal(ok, l_ok)
+    np.testing.assert_array_equal(cplx, l_cplx)
+    assert out[ok].tobytes() == l_out[ok].tobytes()
+    assert re[cplx].tobytes() == l_re[cplx].tobytes()
+    assert im[cplx].tobytes() == l_im[cplx].tobytes()
+
+
+def _fallback_rows():
+    """Coefficient rows of both kinds: pairs the stacked y-elimination solves
+    and pairs it hands to the scalar elimination (the first and third: a
+    linear pair, and one with no y^2 term in either equation)."""
+    rng = np.random.default_rng(14)
+    rows = [
+        [(0, 0, 0, 1, 0, -2), (0, 0, 0, 0, 1, -3)],  # linear
+        [(0, 0, 0, 1, 0, -2), (0, 0, 1, 0, 0, -1)],  # linear and quadratic
+        [(1, 0, 0, 0, 1, -2), (0, 1, 0, 1, 0, -3)],  # no y^2 term at all
+        [(1, 0, 0, 0, 0, -1), (0, 0, 1, 0, 0, -1)],  # separable squares
+        [(1, 0, 1, 0, 0, -1), (0, 0, 0, 1, 0, -2)],  # circle and a missing line
+    ]
+    for _ in range(6):
+        q1, q2, *_ = planted_system(rng, 10.0 ** rng.uniform(-1, 3))
+        rows.append([_terms(q1), _terms(q2)])
+    return np.array(rows, dtype=float)
+
+
+def test_scalar_fallback_rows_same_alone_and_in_a_batch():
+    coef = _fallback_rows()
+    together, scalar = solve_pairs(coef)
+    assert scalar.tolist() == [True, False, True] + [False] * (len(coef) - 3)
+    for k in range(len(coef)):
+        (alone,), scalar_alone = solve_pairs(coef[k : k + 1])
+        assert scalar_alone[0] == scalar[k]
+        assert repr(alone) == repr(together[k])
+    perm = np.random.default_rng(2).permutation(len(coef))
+    shuffled, scalar_shuffled = solve_pairs(coef[perm])
+    assert (scalar_shuffled == scalar[perm]).all()
+    assert [repr(r) for r in shuffled] == [repr(together[k]) for k in perm]
