@@ -84,7 +84,6 @@ def _cell_dicts(stats: CampaignStats, include_timing: bool) -> list[dict]:
                 "large_error_rate": cell.large_error_rate,
                 "fallback_rate": cell.fallback_rate,
                 "failure_rate": cell.failure_rate,
-                "batch_scalar_fallback_rate": cell.batch_scalar_fallback_rate,
                 "flops_per_call": cell.flops_per_call,
                 "mean_iterations": cell.mean_iterations,
                 "wall_s": cell.wall_s if include_timing else 0.0,

@@ -100,7 +100,7 @@ def _candidate_states(g: np.ndarray, U: np.ndarray, solutions):
     its parameter vector ``g + U lam`` (C, 2N+2) and whether a complex
     projection seeded it, the real pairs of a row first."""
     row, lam, from_complex = [], [], []
-    for k, (pairs, complex_pairs, _) in enumerate(solutions):
+    for k, (pairs, complex_pairs) in enumerate(solutions):
         for x, y in pairs:
             row.append(k)
             lam.append((x, y))
@@ -228,7 +228,6 @@ def raw_estimate(
     as_rows = [(
         [(p.lam1, p.lam2) for p in solution.pairs],
         [(s.pair.lam1, s.pair.lam2, s.rel_imag) for s in solution.complex_pairs],
-        solution.ill_conditioned,
     )]
     row, thetas, _ = _candidate_states(system.g[None], system.U[None], as_rows)
     cost, usable, (winner,), _, _ = _score(
@@ -287,8 +286,7 @@ class BatchEstimate:
 
     ``raw`` and ``refined`` are (K, 2N+2) parameter vectors, NaN where
     ``estimate`` would report None. The (K,) flags mean what EstimateFlags
-    says; ``candidates`` counts each row's candidates and ``scalar`` marks
-    the rows whose elimination took the scalar path.
+    says and ``candidates`` counts each row's candidates.
     """
 
     raw: np.ndarray
@@ -297,7 +295,6 @@ class BatchEstimate:
     no_real_root: np.ndarray
     refine_singular: np.ndarray
     candidates: np.ndarray
-    scalar: np.ndarray
 
 
 def estimate_batch(
@@ -315,9 +312,7 @@ def estimate_batch(
     _, _, solution, full_rank = build_systems(request, response, anchors, ref_index)
     solved = np.flatnonzero(full_rank)
     g, U = solution[solved, :, 0], solution[solved, :, 1:]
-    solutions, scalar_solved = solve_pairs(quadratic_coefficients(g, U, anchors.ndim))
-    scalar = np.zeros(rows, dtype=bool)
-    scalar[solved] = scalar_solved
+    solutions = solve_pairs(quadratic_coefficients(g, U, anchors.ndim))
 
     local, thetas, from_complex = _candidate_states(g, U, solutions)
     row = solved[local]
@@ -347,7 +342,6 @@ def estimate_batch(
         no_real_root=~degenerate & (real == 0),
         refine_singular=refine_singular,
         candidates=candidates,
-        scalar=scalar,
     )
 
 

@@ -132,8 +132,6 @@ class CellStats:
     large_error_rate: float
     fallback_rate: float
     failure_rate: float
-    # Share of runs whose elimination took the scalar path (closed form only).
-    batch_scalar_fallback_rate: float | None
     flops_per_call: int
     mean_iterations: float | None
     wall_s: float  # volatile: measured solver time, not reproducible
@@ -200,8 +198,8 @@ def _sq_errors(states: np.ndarray, truths: np.ndarray, ndim: int) -> list:
 
 def _closed_form(spec: MethodSpec, runs, anchors) -> list[tuple]:
     """Method records (fallback, squared block errors, raw squared block
-    errors, seconds, iterations, scalar elimination) of the closed form on
-    every run, solved ``_BATCH_ROWS`` runs per batch.
+    errors, seconds, iterations) of the closed form on every run, solved
+    ``_BATCH_ROWS`` runs per batch.
 
     A run the batch leaves without a finite state goes through ``estimate``,
     which runs the same kernels on that row alone and reports the same
@@ -240,7 +238,6 @@ def _closed_form(spec: MethodSpec, runs, anchors) -> list[tuple]:
                 _sq_errors(raw, truths, ndim),
                 seconds,
                 [None] * len(chunk),
-                batch.scalar.tolist(),
             )
         )
     return records
@@ -261,7 +258,7 @@ def _gauss_newton(cfg, spec, mi, cell_index, start, runs, anchors) -> list[tuple
         seconds = time.perf_counter() - clock
         (err2,) = _sq_errors(state.as_vector()[None], ud.as_vector()[None], anchors.ndim)
         records.append(
-            (not trace.converged, err2, None, seconds, trace.iterations_used, None)
+            (not trace.converged, err2, None, seconds, trace.iterations_used)
         )
     return records
 
@@ -322,13 +319,12 @@ def _aggregate_cell(cfg, an_count, snr_db, records) -> list[CellStats]:
     for mi, spec in enumerate(cfg.methods):
         ref_sums = np.zeros(4)
         raw_sums = np.zeros(4)
-        n_ok = n_raw = n_large = n_fallback = n_fail = n_scalar = 0
+        n_ok = n_raw = n_large = n_fallback = n_fail = 0
         wall = 0.0
         iter_total = 0
         for crlb_sqrt, methods in records:
-            fallback, ref_err2, raw_err2, seconds, iterations, scalar = methods[mi]
+            fallback, ref_err2, raw_err2, seconds, iterations = methods[mi]
             wall += seconds
-            n_scalar += bool(scalar)
             if iterations is not None:
                 iter_total += iterations
             if fallback:
@@ -368,9 +364,6 @@ def _aggregate_cell(cfg, an_count, snr_db, records) -> list[CellStats]:
                 large_error_rate=n_large / runs,
                 fallback_rate=n_fallback / runs,
                 failure_rate=n_fail / runs,
-                batch_scalar_fallback_rate=(
-                    n_scalar / runs if spec.kind == "cftwlas" else None
-                ),
                 flops_per_call=flops,
                 mean_iterations=mean_iter,
                 wall_s=wall,

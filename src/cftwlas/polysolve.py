@@ -5,14 +5,14 @@ quadratics
 
     a x^2 + b x y + c y^2 + d x + e y + f = 0
 
-in x = lam1, y = lam2. One variable is eliminated through the classical
-resultant of the two conics, giving a univariate polynomial of degree at most
-four whose real roots are found via companion-matrix eigenvalues; the other
-variable is back-substituted. Two Newton steps on the 2x2 system and a
-normalized-residual test then polish and check every real candidate pair;
-the singular-Jacobian early stop and the non-finite exit apply to each pair
-on its own. The accepted pairs are merged in seed order, and by Bezout's
-bound at most four real pairs are kept.
+in x = lam1, y = lam2. y is eliminated through the classical resultant of
+the two conics, giving a polynomial in x of degree at most four whose roots
+are found via companion-matrix eigenvalues; y is back-substituted. Two
+Newton steps on the 2x2 system and a normalized-residual test then polish
+and check every real candidate pair; the singular-Jacobian early stop and
+the non-finite exit apply to each pair on its own. The accepted pairs are
+merged in seed order, and by Bezout's bound at most four real pairs are
+kept.
 
 ``solve_pairs`` does this for K pairs at once in stacked arrays, and
 ``solve_pair_detailed`` is its one-pair case. Each pair's result depends on
@@ -122,13 +122,11 @@ class BivariateSolution:
     relative imaginary magnitude; measurement noise routinely pushes the
     physically meaningful intersection slightly off the real axis, so
     callers may treat near-real projections as additional candidates.
-    ``ill_conditioned`` marks eliminations that degenerated (shared
-    components, vanishing resultants).
+    Both are empty when the equations share a factor that contains y.
     """
 
     pairs: tuple[AuxiliaryPair, ...]
     complex_pairs: tuple[ComplexSeed, ...]
-    ill_conditioned: bool
 
 
 def _terms(q: BivariateQuadratic) -> tuple[float, ...]:
@@ -191,45 +189,41 @@ def solve_pair(q1: BivariateQuadratic, q2: BivariateQuadratic) -> list[Auxiliary
 def solve_pair_detailed(
     q1: BivariateQuadratic, q2: BivariateQuadratic
 ) -> BivariateSolution:
-    """Solve the quadratic pair, reporting fallback and conditioning info; the
-    one-row case of ``solve_pairs``."""
+    """Solve the quadratic pair, reporting real pairs and complex projections;
+    the one-row case of ``solve_pairs``."""
     if q1.scale() == 0.0 or q2.scale() == 0.0:
         raise ValueError("an equation is identically zero")
-    ((pairs, complex_pairs, ill),), _ = solve_pairs(np.array([[_terms(q1), _terms(q2)]]))
+    ((pairs, complex_pairs),) = solve_pairs(np.array([[_terms(q1), _terms(q2)]]))
     return BivariateSolution(
         tuple(AuxiliaryPair(x, y) for x, y in pairs),
         tuple(ComplexSeed(AuxiliaryPair(x, y), rel) for x, y, rel in complex_pairs),
-        ill,
     )
 
 
-def solve_pairs(coef: np.ndarray):
+def solve_pairs(coef: np.ndarray) -> list[tuple]:
     """Solve K quadratic pairs at once.
 
     ``coef`` is (K, 2, 6): [a, b, c, d, e, f] per row and equation. Returns a
-    list with one ``(pairs, complex_pairs, ill_conditioned)`` per row, where
-    ``pairs`` holds the real solutions as ascending (lam1, lam2) tuples and
-    ``complex_pairs`` the (lam1, lam2, rel_imag) projections of complex roots,
-    nearest-to-real first (see BivariateSolution), and the (K,) mask of the
-    rows solved by the scalar elimination.
+    list with one ``(pairs, complex_pairs)`` per row, where ``pairs`` holds
+    the real solutions as ascending (lam1, lam2) tuples and ``complex_pairs``
+    the (lam1, lam2, rel_imag) projections of complex roots, nearest-to-real
+    first (see BivariateSolution).
 
-    The common row, a y-elimination, runs in stacked arrays: one companion
+    Every row takes the y-elimination in stacked arrays: one companion
     eigenvalue call per resultant degree, then one Newton polish and one
-    residual pass over the seeds of every row. A linear row, one whose
-    equations both lose their y^2 term, or one whose y-resultant vanishes
-    (which needs the x-elimination) goes through the scalar elimination
-    instead and then shares the back-substitution. Each row's result depends
-    on that row alone. A row with an identically zero or a non-finite
-    equation has no solution and counts as ill conditioned.
+    residual pass over the seeds of every row. Each row's result depends on
+    that row alone. A row has no solution when an equation is identically
+    zero or not finite, or when its y-resultant vanishes identically: then
+    both equations share a factor that contains y, or neither contains y,
+    and the pair has no isolated solution.
     """
     with np.errstate(all="ignore"):
         return _solve_pairs(coef)
 
 
-def _solve_pairs(coef: np.ndarray):
+def _solve_pairs(coef: np.ndarray) -> list[tuple]:
     """The body of ``solve_pairs``, run with floating-point warnings off."""
     rows = coef.shape[0]
-    results: list = [((), (), True)] * rows
     s = np.abs(coef).max(axis=2)
     usable = (np.isfinite(s) & (s > 0.0)).all(axis=1)
     n = coef / s[:, :, None]
@@ -238,55 +232,26 @@ def _solve_pairs(coef: np.ndarray):
     m[:, :, :5] *= np.array([sx * sx, sx * sy, sy * sy, sx, sy]).T[:, None]
     m /= np.abs(m).max(axis=2)[:, :, None]
 
-    # Linearity must be judged at the scale of the solution: quadratic
-    # coefficients that look negligible next to the constant term can
-    # still dominate once the variables reach their natural magnitude.
-    linear = np.abs(m[:, :, :3]).max(axis=2) <= _COEFF_ZERO_RTOL
     t1, t2, resultant = _y_resultants(m)
     magnitude = np.abs(resultant).max(axis=1)
     resultant = resultant / magnitude[:, None]
-    stacked = (
-        usable
-        & ~linear.all(axis=1)
-        & (np.abs(m[:, :, 2]).max(axis=1) > _COEFF_ZERO_RTOL)
-        & (magnitude > 1e-14)
-    )
+    solvable = usable & (magnitude > 1e-14)
     # The degree left once negligible leading coefficients are dropped.
     degree = 4 - np.argmax(np.abs(resultant[:, ::-1]) > 1e-13, axis=1)
     roots = np.full((rows, 4), np.nan, dtype=complex)
-    for d in sorted(set(degree[stacked].tolist()) - {0}):
-        at = np.flatnonzero(stacked & (degree == d))
+    for d in sorted(set(degree[solvable].tolist()) - {0}):
+        at = np.flatnonzero(solvable & (degree == d))
         roots[at, :d] = _companion_roots(resultant[at, : d + 1])
 
-    scalar = usable & ~stacked
-    kept_is_x = np.ones(rows, dtype=bool)
-    eliminated = stacked.copy()
-    for k in np.flatnonzero(scalar).tolist():
-        result, elimination = _scalar_elimination(n[k], m[k])
-        if elimination is None:
-            results[k] = result
-            continue
-        eliminate, t1k, t2k, rk = elimination
-        kept_is_x[k] = eliminate == "y"
-        t1[k] = 0.0
-        t1[k, : t1k.size] = t1k
-        t2[k] = 0.0
-        t2[k, : t2k.size] = t2k
-        roots[k] = np.nan
-        roots[k, : rk.size] = rk
-        eliminated[k] = True
-
-    solved = _back_substitute(m, kept_is_x, t1, t2, roots)
-    sx_l, sy_l = sx.tolist(), sy.tolist()
-    for k in np.flatnonzero(eliminated).tolist():
-        pairs, complex_pairs = solved[k]
-        fx, fy = sx_l[k], sy_l[k]
-        results[k] = (
+    return [
+        (
             tuple((x * fx, y * fy) for x, y in pairs),
             tuple((x * fx, y * fy, rel) for x, y, rel in complex_pairs),
-            False,
         )
-    return results, scalar
+        for (pairs, complex_pairs), fx, fy in zip(
+            _back_substitute(m, t1, t2, roots), sx.tolist(), sy.tolist()
+        )
+    ]
 
 
 def _variable_scales(n: np.ndarray):
@@ -332,7 +297,10 @@ def _y_resultants(m: np.ndarray):
 
     Written as a quadratic in y, equation i reads c_i y^2 + P1_i(x) y +
     P0_i(x) with P1 = e + b x and P0 = f + d x + a x^2; y is -t1/t2 where
-    t2 does not vanish.
+    t2 does not vanish. When neither equation has a y^2 term the resultant
+    is the cross term P1_1 P0_2 - P0_1 P1_2 alone; this covers linear pairs.
+    Whether a y^2 term vanishes is judged on the scaled coefficients ``m``,
+    at the magnitude of the solution.
     """
     # Per equation: [c, e, b, f, d, a] = y^2, P1 and P0 coefficients.
     views = m[:, :, [2, 4, 1, 5, 3, 0]]
@@ -341,7 +309,12 @@ def _y_resultants(m: np.ndarray):
     t1 = c1 * q0 - c2 * p0
     t2 = c1 * q1 - c2 * p1
     cross = _conv(p1, q0) - _conv(p0, q1)
-    return t1, t2, _conv(t1, t1) - _conv(t2, cross)
+    no_square = np.abs(views[:, :, 0]).max(axis=1) <= _COEFF_ZERO_RTOL
+    # Padded by slice assignment: np.pad costs more than the whole y-resultant.
+    padded = np.zeros((m.shape[0], 5))
+    padded[:, :4] = cross
+    resultant = np.where(no_square[:, None], padded, _conv(t1, t1) - _conv(t2, cross))
+    return t1, t2, resultant
 
 
 def _companion_roots(c: np.ndarray) -> np.ndarray:
@@ -356,134 +329,23 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _scalar_elimination(n: np.ndarray, m: np.ndarray):
-    """One row outside the common case, (2, 6) coefficients before and after
-    the variable scaling.
-
-    Returns ``(result, None)`` with the row's final ``(pairs, complex_pairs,
-    ill_conditioned)`` when the pair is linear or both resultants vanish, and
-    otherwise ``(None, (eliminated variable, t1, t2, resultant roots))`` for
-    the back-substitution.
-    """
-    n1, n2 = BivariateQuadratic(*n[0]), BivariateQuadratic(*n[1])
-    m1, m2 = BivariateQuadratic(*m[0]), BivariateQuadratic(*m[1])
-    if _is_linear(m1) and _is_linear(m2):
-        return _solve_linear(n1, n2), None
-    for eliminate in ("y", "x"):
-        out = _eliminate(m1, m2, eliminate)
-        if out is not None:
-            return None, (eliminate, *out)
-    if _is_linear(m1) or _is_linear(m2):
-        pairs, _, _ = _solve_linear(n1, n2)
-        if pairs:
-            return (pairs, (), True), None
-    return ((), (), True), None
-
-
-def _is_linear(q: BivariateQuadratic) -> bool:
-    return max(abs(q.a), abs(q.b), abs(q.c)) <= _COEFF_ZERO_RTOL
-
-
-def _solve_linear(q1: BivariateQuadratic, q2: BivariateQuadratic):
-    det = q1.d * q2.e - q1.e * q2.d
-    scale = max(abs(q1.d * q2.e), abs(q1.e * q2.d), 1e-30)
-    if abs(det) <= 1e-12 * scale:
-        return (), (), True
-    x = (-q1.f * q2.e + q2.f * q1.e) / det
-    y = (-q1.d * q2.f + q2.d * q1.f) / det
-    return ((x, y),), (), False
-
-
-def _poly_views(q: BivariateQuadratic, eliminate: str):
-    """Coefficients of q as a quadratic in the eliminated variable.
-
-    Returns (p2, p1, p0): the number multiplying the square of the eliminated
-    variable, and the polynomials in the kept variable (lowest power first)
-    multiplying its linear and constant powers.
-    """
-    if eliminate == "y":
-        return q.c, np.array([q.e, q.b]), np.array([q.f, q.d, q.a])
-    return q.a, np.array([q.d, q.b]), np.array([q.f, q.e, q.c])
-
-
-def _trim(c: np.ndarray) -> np.ndarray:
-    """Drop trailing zero coefficients, keeping at least one."""
-    if c[-1] != 0:
-        return c
-    nonzero = np.flatnonzero(c)
-    return c[: nonzero[-1] + 1] if nonzero.size else c[:1]
-
-
-def _polysub(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Coefficients of c1 - c2 (lowest power first), trimmed."""
-    c1, c2 = _trim(c1), _trim(c2)
-    if len(c1) > len(c2):
-        out = c1.copy()
-        out[: len(c2)] -= c2
-    else:
-        out = -c2
-        out[: len(c1)] += c1
-    return _trim(out)
-
-
-def _polymul(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Coefficients of c1 * c2 (lowest power first), trimmed."""
-    return _trim(np.convolve(_trim(c1), _trim(c2)))
-
-
-def _eliminate(n1: BivariateQuadratic, n2: BivariateQuadratic, eliminate: str):
-    """Scalar elimination of one variable: (t1, t2, resultant roots), or None
-    when the resultant vanishes identically. A nonzero constant resultant has
-    no roots (no finite intersections along this variable)."""
-    p2, p1, p0 = _poly_views(n1, eliminate)
-    q2, q1, q0 = _poly_views(n2, eliminate)
-    # Polynomials in the kept variable: the eliminated one is -t1/t2 wherever
-    # t2 does not vanish.
-    t1 = _polysub(p2 * q0, q2 * p0)
-    t2 = _polysub(p2 * q1, q2 * p1)
-
-    degenerate_leads = abs(p2) <= _COEFF_ZERO_RTOL and abs(q2) <= _COEFF_ZERO_RTOL
-    cross = _polysub(_polymul(p1, q0), _polymul(p0, q1))
-    if degenerate_leads:
-        resultant = cross
-    else:
-        resultant = _polysub(_polymul(t1, t1), _polymul(t2, cross))
-
-    magnitude = np.abs(resultant).max()
-    if magnitude <= 1e-14:
-        return None
-    resultant = resultant / magnitude
-    keep = np.nonzero(np.abs(resultant) > 1e-13)[0]
-    if keep.size == 0:
-        return None
-    resultant = resultant[: keep[-1] + 1]
-    if resultant.size == 1:
-        return t1, t2, np.empty(0, dtype=complex)
-    return t1, t2, _companion_roots(resultant[None])[0]
-
-
-# Oriented coefficients: x-elimination is y-elimination with x and y swapped.
-_SWAP_XY = [2, 1, 0, 4, 3, 5]
 # Below this many kept values or seeds the per-value loops on Python floats
 # (_kept_roots_each, _polish_seed) are cheaper than the array passes; each
 # loop gives the bits of its array pass.
 _ARRAY_MIN = 24
 
 
-def _back_substitute(m, kept_is_x, t1, t2, roots):
-    """Real pairs and complex projections of J eliminations.
+def _back_substitute(m, t1, t2, roots):
+    """Real pairs and complex projections of J y-eliminations.
 
-    ``m`` is (J, 2, 6), ``kept_is_x`` (J,) tells a y-elimination, ``t1`` and
-    ``t2`` are (J, 3) and (J, 2) and ``roots`` (J, 4) holds the resultant
-    roots in the kept variable, NaN-padded. Every real root yields seeds from
-    -t1/t2 and from both equations as quadratics in the eliminated variable;
-    the seeds of all eliminations are polished together and a seed whose
+    ``m`` is (J, 2, 6), ``t1`` and ``t2`` are (J, 3) and (J, 2) and
+    ``roots`` (J, 4) holds the resultant roots in x, NaN-padded. Every real
+    root yields y seeds from -t1/t2 and from both equations as quadratics in
+    y; the seeds of all eliminations are polished together and a seed whose
     normalized residual passes joins its elimination's pairs. Complex
     candidates become projections. Returns one ``(pairs, complex_pairs)``
     per elimination, in the scaled variables.
     """
-    all_y = bool(kept_is_x.all())
-    oriented = m if all_y else np.where(kept_is_x[:, None, None], m, m[:, :, _SWAP_XY])
     re, im = roots.real, roots.imag
     real = np.abs(im) <= _IMAG_RTOL * np.maximum(1.0, np.abs(re))
     upper = ~real & (im > 0)
@@ -499,15 +361,12 @@ def _back_substitute(m, kept_is_x, t1, t2, roots):
     kv = np.array(kept, dtype=float)
 
     kept_roots = _kept_roots if kv.size >= _ARRAY_MIN else _kept_roots_each
-    others, ok, cplx_re, cplx_im, cplx_ok = kept_roots(oriented[kr], t1[kr], t2[kr], kv)
+    others, ok, cplx_re, cplx_im, cplx_ok = kept_roots(m[kr], t1[kr], t2[kr], kv)
 
     # Real seeds in kept order, polished together.
     seed_k, seed_c = np.nonzero(ok)
     seed_row = kr[seed_k]
     x, y = kv[seed_k], others[seed_k, seed_c]
-    if not all_y:
-        kept_first = kept_is_x[seed_row]
-        x, y = np.where(kept_first, x, y), np.where(kept_first, y, x)
     if x.size < _ARRAY_MIN:
         polished = [
             _polish_seed(q, xi, yi)
@@ -525,7 +384,6 @@ def _back_substitute(m, kept_is_x, t1, t2, roots):
 
     # A real kept value whose companion went complex: keep its projection.
     complex_pairs: list[list] = [[] for _ in range(m.shape[0])]
-    orient = kept_is_x.tolist()
     if cplx_ok.any():
         ck, ce = np.nonzero(cplx_ok)
         for j, kept_value, o_re, o_im in zip(
@@ -535,7 +393,7 @@ def _back_substitute(m, kept_is_x, t1, t2, roots):
             cplx_im[ck, ce].tolist(),
         ):
             rel = abs(o_im) / max(1.0, abs(o_re))
-            _add_projection(complex_pairs[j], orient[j], kept_value, o_re, rel, dedupe=True)
+            _add_projection(complex_pairs[j], kept_value, o_re, rel, dedupe=True)
 
     # One representative per conjugate pair of the resultant itself (roots of
     # real polynomials come in exact conjugate pairs).
@@ -549,12 +407,12 @@ def _back_substitute(m, kept_is_x, t1, t2, roots):
         flat = np.abs(t2z) <= 1e-12 * np.maximum(1.0, np.abs(t1z))
         if flat.any():
             for i in np.flatnonzero(flat).tolist():
-                other[i] = _first_root(oriented[zj[i]], complex(z[i])).real
+                other[i] = _first_root(m[zj[i]], complex(z[i])).real
         for j, z_kept, z_im, o_re in zip(
             zj.tolist(), z.real.tolist(), z.imag.tolist(), other.tolist()
         ):
             rel = abs(z_im) / max(1.0, abs(z_kept))
-            _add_projection(complex_pairs[j], orient[j], z_kept, o_re, rel)
+            _add_projection(complex_pairs[j], z_kept, o_re, rel)
 
     out = []
     for found, projections in zip(pairs, complex_pairs):
@@ -567,22 +425,20 @@ def _back_substitute(m, kept_is_x, t1, t2, roots):
     return out
 
 
-def _add_projection(projections, kept_is_x, kept, other, rel, dedupe=False):
+def _add_projection(projections, x, y, rel, dedupe=False):
     """Append the projection (x, y, rel_imag) of a complex candidate when its
     coordinates are finite (and, with ``dedupe``, new)."""
-    xy = (kept, other) if kept_is_x else (other, kept)
-    if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
+    if not (math.isfinite(x) and math.isfinite(y)):
         return
-    seed = (*xy, rel)
+    seed = (x, y, rel)
     if not (dedupe and any(_same_pair(seed, s) for s in projections)):
         projections.append(seed)
 
 
 def _kept_roots(q: np.ndarray, t1: np.ndarray, t2: np.ndarray, kept: np.ndarray):
-    """Candidates for the eliminated variable at F real kept values.
+    """Candidates for y at F kept values, the real resultant roots in x.
 
-    ``q`` is (F, 2, 6) (both oriented equations), ``t1`` (F, 3) and ``t2``
-    (F, 2). Returns the real candidates as (F, 5) values [-t1/t2, eq1 r1,
+    ``q`` is (F, 2, 6) (both equations), ``t1`` (F, 3) and ``t2`` (F, 2). Returns the real candidates as (F, 5) values [-t1/t2, eq1 r1,
     eq1 r2, eq2 r1, eq2 r2] with their validity mask, and each equation's
     complex root of positive imaginary part as (F, 2) real and imaginary
     parts with a validity mask. A real pair takes the larger-magnitude root
@@ -687,8 +543,8 @@ def _divide(a: float, b: float) -> float:
 
 
 def _first_root(q: np.ndarray, kept: complex) -> complex:
-    """The first root in the eliminated variable of the first of two oriented
-    equations (2, 6) that has one, at a complex kept value; 0 if neither."""
+    """The first root in y of the first of two equations (2, 6) that has
+    one, at a complex resultant root x; 0 if neither."""
     for a, b, c, d, e, f in q.tolist():
         aa, bb, cc = c, b * kept + e, a * kept * kept + d * kept + f
         scale = max(abs(aa), abs(bb), abs(cc))

@@ -10,12 +10,14 @@ run ``bench/test_smoke.py``.
 
 import importlib
 import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 # Call site -> module that defines the function reached through it.
 DEFINED_IN = {
@@ -112,3 +114,31 @@ def test_traced_spans_fire_through_call_sites(monkeypatch):
     assert report.refined is not None
     missing = {name for name in TRACED_SPANS if counts[name] == 0}
     assert not missing, f"spans that never fired: {sorted(missing)}"
+
+
+def test_bench_reads_every_cell_of_the_cli_summary(tmp_path, monkeypatch):
+    # The benchmark's CLI campaigns read their cells back from the summary
+    # JSON; a key it reads that the summary no longer writes fails here.
+    from cftwlas import cli
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    config = {
+        "an_counts": [4, 8],
+        "snr_db": [30.0],
+        "runs": 6,
+        "seed": 3,
+        "methods": [{"kind": "cftwlas"}, {"kind": "gauss_newton"}],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    summary_path = tmp_path / "summary.json"
+    assert cli.main([
+        "simulate", "--config", str(cfg_path), "--csv", str(tmp_path / "out.csv"),
+        "--summary", str(summary_path),
+    ]) == 0
+    summary = json.loads(summary_path.read_text())
+    cells = workloads.cells_from_summary(summary)
+    assert len(cells) == len(summary["cells"]) == 4
+    assert {an_count for _, _, an_count in cells} == {4, 8}
+    assert all(cell["runs"] == 6 for cell in cells.values())

@@ -318,7 +318,7 @@ class TestOnePassScoring:
             compute_residuals(state, meas, anchors, noise)
 
         planted = BivariateSolution(
-            solution.pairs + (on_anchor,), solution.complex_pairs, False
+            solution.pairs + (on_anchor,), solution.complex_pairs
         )
         monkeypatch.setattr(estimator, "solve_pair_detailed", lambda q1, q2: planted)
         raw, candidates = raw_estimate(meas, anchors, noise)

@@ -187,11 +187,6 @@ class TestBatchedCampaign:
         cf = {c["an_count"]: c for c in cells if c["method"] == "cftwlas"}
         assert cf[4]["failure_rate"] == 1.0
         assert cf[8]["failure_rate"] == 0.0
-        assert all(c["batch_scalar_fallback_rate"] == 0.0 for c in cf.values())
-        assert all(
-            c["batch_scalar_fallback_rate"] is None
-            for c in cells if c["method"] != "cftwlas"
-        )
 
     def test_records_equal_per_call_estimates(self):
         cfg = CampaignConfig(
@@ -219,8 +214,8 @@ class TestBatchedCampaign:
                     return None
                 return _sq_errors(state.as_vector()[None], truth.as_vector()[None], 2)[0]
 
-            fallback, ref_err2, raw_err2, _, iterations, scalar = cf
+            fallback, ref_err2, raw_err2, _, iterations = cf
             assert fallback == report.flags.no_real_root_fallback
             assert ref_err2 == err2(final) and raw_err2 == err2(report.raw)
-            assert iterations is None and scalar is False
-            assert gn[1] is not None and gn[2] is None and gn[5] is None
+            assert iterations is None
+            assert gn[1] is not None and gn[2] is None and len(gn) == 5

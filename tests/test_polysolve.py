@@ -375,33 +375,88 @@ def test_kept_roots_loop_matches_array_pass_bitwise(cases):
     assert im[cplx].tobytes() == l_im[cplx].tobytes()
 
 
-def _fallback_rows():
-    """Coefficient rows of both kinds: pairs the stacked y-elimination solves
-    and pairs it hands to the scalar elimination (the first and third: a
-    linear pair, and one with no y^2 term in either equation)."""
+def _edge_rows():
+    """Planted pairs after rows outside the common case: linear pairs, a pair
+    without y^2 terms and pairs whose equations share a factor. Returns the
+    (K, 2, 6) coefficients and, for the rows that have one, the expected
+    (pairs, complex_pairs), recorded from the scalar elimination that used to
+    solve the first three of them."""
     rng = np.random.default_rng(14)
     rows = [
-        [(0, 0, 0, 1, 0, -2), (0, 0, 0, 0, 1, -3)],  # linear
-        [(0, 0, 0, 1, 0, -2), (0, 0, 1, 0, 0, -1)],  # linear and quadratic
-        [(1, 0, 0, 0, 1, -2), (0, 1, 0, 1, 0, -3)],  # no y^2 term at all
-        [(1, 0, 0, 0, 0, -1), (0, 0, 1, 0, 0, -1)],  # separable squares
-        [(1, 0, 1, 0, 0, -1), (0, 0, 0, 1, 0, -2)],  # circle and a missing line
+        # linear
+        ([(0, 0, 0, 1, 0, -2), (0, 0, 0, 0, 1, -3)], (((2.0, 3.0),), ())),
+        # linear and quadratic
+        ([(0, 0, 0, 1, 0, -2), (0, 0, 1, 0, 0, -1)], None),
+        # no y^2 term at all
+        (
+            [(1, 0, 0, 0, 1, -2), (0, 1, 0, 1, 0, -3)],
+            (
+                ((-2.103803402735536, -2.425988757361622),),
+                ((1.0519017013677676, 1.2129943786808122, 0.39968210369068097),),
+            ),
+        ),
+        # separable squares
+        ([(1, 0, 0, 0, 0, -1), (0, 0, 1, 0, 0, -1)], None),
+        # circle and a missing line
+        ([(1, 0, 1, 0, 0, -1), (0, 0, 0, 1, 0, -2)], None),
+        # generic linear
+        (
+            [(0, 0, 0, 2, -1, 3), (0, 0, 0, 1, 4, -5)],
+            (((-0.7777777777777779, 1.4444444444444446),), ()),
+        ),
+        # shared factor y - 1: no isolated solution
+        ([(0, 1, 1, -1, -1, 0), (0, 2, 1, -2, 0, -1)], ((), ())),
+        # shared factor x + y - 1: no isolated solution
+        ([(0, 0, 0, 1, 1, -1), (1, 1, 0, -3, -2, 2)], ((), ())),
     ]
     for _ in range(6):
         q1, q2, *_ = planted_system(rng, 10.0 ** rng.uniform(-1, 3))
-        rows.append([_terms(q1), _terms(q2)])
-    return np.array(rows, dtype=float)
+        rows.append(([_terms(q1), _terms(q2)], None))
+    coef, expected = zip(*rows)
+    return np.array(coef, dtype=float), expected
 
 
-def test_scalar_fallback_rows_same_alone_and_in_a_batch():
-    coef = _fallback_rows()
-    together, scalar = solve_pairs(coef)
-    assert scalar.tolist() == [True, False, True] + [False] * (len(coef) - 3)
+def test_edge_rows_solved_the_same_alone_and_in_a_batch():
+    coef, expected = _edge_rows()
+    together = solve_pairs(coef)
+    for row, want in zip(together, expected):
+        if want is not None:
+            assert [len(part) for part in row] == [len(part) for part in want]
+            for got, value in zip(sum(row, ()), sum(want, ())):
+                assert got == pytest.approx(value, rel=1e-12)
     for k in range(len(coef)):
-        (alone,), scalar_alone = solve_pairs(coef[k : k + 1])
-        assert scalar_alone[0] == scalar[k]
+        (alone,) = solve_pairs(coef[k : k + 1])
         assert repr(alone) == repr(together[k])
     perm = np.random.default_rng(2).permutation(len(coef))
-    shuffled, scalar_shuffled = solve_pairs(coef[perm])
-    assert (scalar_shuffled == scalar[perm]).all()
+    shuffled = solve_pairs(coef[perm])
     assert [repr(r) for r in shuffled] == [repr(together[k]) for k in perm]
+
+
+# The same pair with x and y swapped: [a, b, c, d, e, f] -> [c, b, a, e, d, f].
+_SWAP_XY = [2, 1, 0, 4, 3, 5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(-2.0, 4.0),
+    st.tuples(*[st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0)] * 2),
+)
+def test_planted_root_found_from_both_variable_orders(seed, exponent, factors):
+    # One elimination direction serves every row: the y-elimination must
+    # recover a planted root from the x<->y-swapped pair too, with the same
+    # number of real pairs, whatever scale each equation carries.
+    q1, q2, x, y = planted_system(np.random.default_rng(seed), 10.0**exponent)
+    s1, e1, s2, e2 = factors
+    pair = np.array([
+        _terms(q1.scaled(s1 * 10.0**e1)), _terms(q2.scaled(s2 * 10.0**e2))
+    ])
+    direct, swapped = solve_pairs(np.stack([pair, pair[:, _SWAP_XY]]))
+    swapped_back = [(px, py) for py, px in swapped[0]]
+    assert len(direct[0]) == len(swapped_back)
+    size = max(abs(x), abs(y))
+    for pairs in (direct[0], swapped_back):
+        assert any(
+            abs(px - x) <= 1e-6 * size and abs(py - y) <= 1e-6 * size
+            for px, py in pairs
+        )
