@@ -26,25 +26,20 @@ def _ranges(pos: np.ndarray, vel: np.ndarray, anchors: AnchorSet):
     return diff0, d0, diff1, d1, on_anchor
 
 
-def _rows(d_request, d_response, offset, drift, anchors: AnchorSet) -> np.ndarray:
-    """The (K, 2M) stacked [requests, responses] model rows from the ranges.
-
-    ``offset`` and ``drift`` are (K, 1) columns, or numbers when K is 1.
-    """
-    request = d_request - offset
-    response = d_response + offset + drift * anchors.schedule
-    return np.concatenate([request, response], axis=1)
-
-
 def _evaluate(thetas: np.ndarray, anchors: AnchorSet):
-    """``_ranges`` (the on-anchor mask last) and model rows of K parameter
-    vectors, (K, 2N+2)."""
+    """The package's one measurement model, on K parameter vectors (K, 2N+2).
+
+    Returns ``_ranges`` (the on-anchor mask last) and the (K, 2M) stacked
+    [requests, responses] model rows; a row on an anchor carries no meaning.
+    Synthesis, candidate scoring, residuals, refinement and Gauss-Newton all
+    read it.
+    """
     n = anchors.ndim
     ranges = _ranges(thetas[:, :n], thetas[:, n : 2 * n], anchors)
-    rows = _rows(
-        ranges[1], ranges[3], thetas[:, 2 * n, None], thetas[:, 2 * n + 1, None], anchors
-    )
-    return ranges, rows
+    offset, drift = thetas[:, 2 * n, None], thetas[:, 2 * n + 1, None]
+    request = ranges[1] - offset
+    response = ranges[3] + offset + drift * anchors.schedule
+    return ranges, np.concatenate([request, response], axis=1)
 
 
 def _jacobians(diff0, d0, diff1, d1, anchors: AnchorSet) -> np.ndarray:
@@ -68,41 +63,24 @@ def _jacobians(diff0, d0, diff1, d1, anchors: AnchorSet) -> np.ndarray:
     return jac
 
 
-def _state_ranges(state: UdState, anchors: AnchorSet):
-    """``_ranges`` of one state; raises GeometryError for a state on an anchor."""
-    ranges = _ranges(state.pos[None], state.vel[None], anchors)
+def predict_measurements(state: UdState, anchors: AnchorSet) -> np.ndarray:
+    """Noise-free stacked measurement vector [requests, responses] at a state;
+    the K=1 case of ``_evaluate``. Raises GeometryError for a state on an
+    anchor."""
+    ranges, rows = _evaluate(state.as_vector()[None], anchors)
     if ranges[4][0]:
         raise GeometryError("state coincides with an anchor")
-    return ranges
-
-
-def predict_stacked(thetas: np.ndarray, anchors: AnchorSet):
-    """Noise-free measurement vectors of K parameter vectors at once.
-
-    This is the package's one measurement model: synthesis, candidate
-    scoring, residuals, refinement and Gauss-Newton all read it, the
-    single-state callers through ``predict_measurements``. ``thetas`` is
-    (K, 2N+2). Returns the (K, 2M) stacked [requests, responses] rows and
-    the (K,) mask of states on an anchor, whose rows carry no meaning.
-    """
-    ranges, rows = _evaluate(thetas, anchors)
-    return rows, ranges[4]
-
-
-def predict_measurements(state: UdState, anchors: AnchorSet) -> np.ndarray:
-    """Noise-free stacked measurement vector [requests, responses] at a state.
-
-    The K=1 case of ``predict_stacked``; raises GeometryError for a state on
-    an anchor.
-    """
-    ranges = _state_ranges(state, anchors)
-    return _rows(ranges[1], ranges[3], state.offset, state.drift, anchors)[0]
+    return rows[0]
 
 
 def jacobian(state: UdState, anchors: AnchorSet) -> np.ndarray:
     """Derivative of the stacked measurement vector in the parameter vector;
-    the K=1 case of ``_jacobians``."""
-    return _jacobians(*_state_ranges(state, anchors)[:4], anchors)[0]
+    the K=1 case of ``_jacobians``. Raises GeometryError for a state on an
+    anchor."""
+    ranges = _ranges(state.pos[None], state.vel[None], anchors)
+    if ranges[4][0]:
+        raise GeometryError("state coincides with an anchor")
+    return _jacobians(*ranges[:4], anchors)[0]
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# gauss_newton takes the residual and the Jacobian of a state from one
-# _state_ranges pass; bench/spans.py rebinds jacobian, predict_measurements and
-# compute_residuals here, so those names stay importable.
-from .analysis import (  # noqa: F401
-    _jacobians,
-    _rows,
-    _state_ranges,
-    jacobian,
-    predict_measurements,
-)
-from .estimator import _check_sizes, compute_residuals  # noqa: F401
+# bench/spans.py rebinds jacobian, predict_measurements and compute_residuals
+# here, so those names stay importable.
+from .analysis import _evaluate, _jacobians, jacobian, predict_measurements  # noqa: F401
+from .errors import GeometryError
+from .estimator import _check_sizes, _wls_step, compute_residuals  # noqa: F401
 from .scenario import AnchorSet, MeasurementSet, NoiseSpec, UdState
 
 
@@ -55,51 +49,40 @@ def gauss_newton(
     """Iterate theta <- theta + (J'WJ)^-1 J'W (gamma - h(theta)).
 
     Stops when the update norm drops below ``tol`` (meters; ``tol=0`` disables
-    early stopping) or after ``max_iter`` iterations. A singular normal matrix
-    or a non-finite iterate sets the diverged flag and returns the last valid
-    iterate. No damping or line search is applied, so divergence is recorded,
-    not repaired. Inputs whose sizes disagree raise ConfigurationError; an
-    iterate (the initial guess included) on an anchor raises GeometryError from
-    the cost evaluation.
+    early stopping) or after ``max_iter`` iterations. Each step is the
+    refinement's ``_wls_step`` on a batch of one. A singular normal matrix
+    gives a NaN step; a non-finite iterate sets the diverged flag and returns
+    the last valid iterate. No damping or line search is applied, so
+    divergence is recorded, not repaired. Inputs whose sizes disagree raise
+    ConfigurationError; an iterate (the initial guess included) on an anchor
+    raises GeometryError from the cost evaluation.
     """
     _check_sizes(meas, anchors, noise)
-    gamma = meas.stacked()
-    w = noise.weights()
-
-    def evaluate(state: UdState):
-        """Ranges, residual and weighted cost at a state, from one range pass;
-        the same arithmetic as compute_residuals."""
-        ranges = _state_ranges(state, anchors)
-        model = _rows(ranges[1], ranges[3], state.offset, state.drift, anchors)[0]
-        residual = gamma - model
-        return ranges, residual, float(residual @ (w * residual))
-
-    state = init
-    ranges, residual, cost = evaluate(init)
-    costs = [cost]
+    gamma = meas.stacked()[None]
+    w = noise.weights()[None]
+    ok = np.ones(1, dtype=bool)
+    theta = init.as_vector()[None]
+    costs = []
     converged = False
     diverged = False
     iterations_used = 0
 
-    for _ in range(max_iter):
-        jac = _jacobians(*ranges[:4], anchors)[0]
-        jt_w = jac.T * w
-        try:
-            delta = np.linalg.solve(jt_w @ jac, jt_w @ residual)
-        except np.linalg.LinAlgError:
+    while True:
+        ranges, model = _evaluate(theta, anchors)
+        if ranges[4][0]:
+            raise GeometryError("state coincides with an anchor")
+        residual = gamma - model
+        costs.append(float(residual[0] @ (w[0] * residual[0])))
+        if converged or iterations_used >= max_iter:
+            break
+        delta = _wls_step(_jacobians(*ranges[:4], anchors), residual, w, ok)[0]
+        step = theta + delta
+        if not np.isfinite(step).all():
             diverged = True
             break
-        theta = state.as_vector() + delta
-        if not np.isfinite(theta).all():
-            diverged = True
-            break
+        theta = step
         iterations_used += 1
-        state = UdState.from_vector(theta)
-        ranges, residual, cost = evaluate(state)
-        costs.append(cost)
-        if np.linalg.norm(delta) < tol:
-            converged = True
-            break
+        converged = bool(np.linalg.norm(delta[0]) < tol)
 
     trace = IterationTrace(
         costs=tuple(costs),
@@ -107,4 +90,4 @@ def gauss_newton(
         iterations_used=iterations_used,
         diverged=diverged,
     )
-    return state, trace
+    return UdState.from_vector(theta[0]), trace

@@ -146,14 +146,19 @@ def _score(row, thetas, gamma, weights, anchors: AnchorSet, rows: int):
     return cost, usable, winner, ranges, model
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 1:
+        raise ConfigurationError(f"refinement needs at least 1 step, got {steps}")
+
+
 def _refine(thetas, jac, model, gamma, weights, steps: int, anchors: AnchorSet):
     """WLS refinement of R raw states given their Jacobians and model rows.
 
-    Each step applies one weighted least squares correction linearized at
-    the current state. Returns the refined states, (J' W J)^-1 at the last
-    linearization point and the mask of the rows whose refinement held: a
-    state on an anchor, a singular normal matrix or a non-finite result
-    fails a row, whose outputs are then NaN.
+    Each step applies one ``_wls_step`` linearized at the current state.
+    Returns the refined states, (J' W J)^-1 at the last linearization point
+    and the mask of the rows whose refinement held: a state on an anchor, a
+    singular normal matrix or a non-finite result fails a row, whose outputs
+    are then NaN.
     """
     ok = np.ones(thetas.shape[0], dtype=bool)
     state = thetas
@@ -163,10 +168,8 @@ def _refine(thetas, jac, model, gamma, weights, steps: int, anchors: AnchorSet):
                 ranges, model = _evaluate(state, anchors)
                 ok &= ~ranges[4]
                 jac = _jacobians(*ranges[:4], anchors)
-            jt_w = (jac * weights[:, :, None]).transpose(0, 2, 1)
-            normal = np.matmul(jt_w, jac)
-            rhs = np.matmul(jt_w, (gamma - model)[:, :, None])
-            state = state + _solve_rows(normal, rhs, ok)[:, :, 0]
+            delta, normal = _wls_step(jac, gamma - model, weights, ok)
+            state = state + delta
         cov = _solve_rows(normal, None, ok)
         # A state that went non-finite stays so through later steps.
         ok &= np.isfinite(state).all(axis=1) & np.isfinite(cov).all(axis=(1, 2))
@@ -174,6 +177,20 @@ def _refine(thetas, jac, model, gamma, weights, steps: int, anchors: AnchorSet):
         state[~ok] = np.nan
         cov[~ok] = np.nan
     return state, cov, ok
+
+
+def _wls_step(jac, residual, weights, ok):
+    """One weighted least squares correction (J'WJ)^-1 J'W r of K rows from
+    their (K, 2M, P) Jacobians, (K, 2M) residuals and weights.
+
+    Returns the (K, P) corrections and the (K, P, P) normal matrices; a
+    singular row's correction is NaN and the row leaves ``ok``. Refinement
+    and Gauss-Newton both step through it.
+    """
+    jt_w = (jac * weights[:, :, None]).transpose(0, 2, 1)
+    normal = np.matmul(jt_w, jac)
+    rhs = np.matmul(jt_w, residual[:, :, None])
+    return _solve_rows(normal, rhs, ok)[:, :, 0], normal
 
 
 def _solve_rows(normal, rhs, ok):
@@ -205,7 +222,6 @@ def raw_estimate(
     meas: MeasurementSet,
     anchors: AnchorSet,
     noise: NoiseSpec,
-    ref_index: int = 0,
 ) -> tuple[UdState, list[Candidate]]:
     """Closed-form raw estimate with candidate selection.
 
@@ -219,7 +235,7 @@ def raw_estimate(
     Raises DegenerateGeometryError for rank-deficient geometry and
     GeometryError when no usable candidate exists at all.
     """
-    system = build_system(meas, anchors, ref_index=ref_index)
+    system = build_system(meas, anchors)
     q1, q2 = coefficients_from_system(system)
     solution = solve_pair_detailed(q1, q2)
 
@@ -259,8 +275,10 @@ def wls_refine(
     Each step linearizes the measurement function at the current state and
     applies one WLS correction. Returns the refined state and (J' W J)^-1
     evaluated at the final linearization point; on a singular normal matrix
-    the raw state comes back with covariance None.
+    the raw state comes back with covariance None. Fewer than one step raises
+    ConfigurationError.
     """
+    _check_steps(steps)
     try:
         jac = jacobian(raw, anchors)
         model = predict_measurements(raw, anchors)
@@ -303,13 +321,13 @@ def estimate_batch(
     weights: np.ndarray,
     anchors: AnchorSet,
     refine_steps: int = 1,
-    ref_index: int = 0,
 ) -> BatchEstimate:
     """``estimate`` for K rows of (K, M) request and response TOAs with
     their (K, 2M) weights, through the same kernels; row k of the result
     equals, bit for bit, what ``estimate`` reports for row k alone."""
+    _check_steps(refine_steps)
     rows, p = request.shape[0], 2 * anchors.ndim + 2
-    _, _, solution, full_rank = build_systems(request, response, anchors, ref_index)
+    _, _, solution, full_rank = build_systems(request, response, anchors)
     solved = np.flatnonzero(full_rank)
     g, U = solution[solved, :, 0], solution[solved, :, 1:]
     solutions = solve_pairs(quadratic_coefficients(g, U, anchors.ndim))
@@ -350,16 +368,17 @@ def estimate(
     anchors: AnchorSet,
     noise: NoiseSpec,
     refine_steps: int = 1,
-    ref_index: int = 0,
 ) -> EstimateReport:
     """Run the full pipeline, mapping failures to flags instead of raising.
 
-    Inputs whose sizes disagree raise ConfigurationError.
+    Inputs whose sizes disagree and fewer than one refinement step raise
+    ConfigurationError.
     """
     _check_sizes(meas, anchors, noise)
+    _check_steps(refine_steps)
     flags = EstimateFlags()
     try:
-        raw, candidates = raw_estimate(meas, anchors, noise, ref_index=ref_index)
+        raw, candidates = raw_estimate(meas, anchors, noise)
     except GeometryError:
         flags.degenerate_geometry = True
         return EstimateReport(None, None, (), None, flags)

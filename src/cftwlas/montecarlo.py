@@ -12,6 +12,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .baseline import gauss_newton, make_initializer
 from .errors import ConfigurationError, DegenerateGeometryError
 from .estimator import estimate, estimate_batch
 from .scenario import (
+    _SIGMA_REDUCERS,
     NoiseSpec,
     add_noise,
     build_square_scenario,
@@ -50,6 +52,8 @@ class MethodSpec:
             raise ConfigurationError("refine_steps must be >= 1")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
+        if not self.init_std_m >= 0.0:
+            raise ConfigurationError("init_std_m must be >= 0")
 
     @property
     def label(self) -> str:
@@ -88,6 +92,13 @@ class CampaignConfig:
             raise ConfigurationError("methods must be non-empty")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        for key in ("region_side_m", "vmax_mps"):
+            if not getattr(self, key) >= 0.0:
+                raise ConfigurationError(f"{key} must be >= 0")
+        if self.response_sigma_rule not in _SIGMA_REDUCERS:
+            raise ConfigurationError(
+                f"unknown response_sigma_rule {self.response_sigma_rule!r}"
+            )
 
     @property
     def snr_points(self) -> tuple[float, ...]:
@@ -263,10 +274,12 @@ def _gauss_newton(cfg, spec, mi, cell_index, start, runs, anchors) -> list[tuple
     return records
 
 
-def _run_batch(cfg, an_count, snr_db, cell_index, start, stop):
-    """Records of runs ``start`` to ``stop`` of one cell: the square-rooted
-    bound blocks, then one method record per method (see ``_closed_form``);
-    an error entry is None when the state is missing or non-finite."""
+def _run_window(cfg, window):
+    """Records of one window ``(cell_index, an_count, snr_db, start, stop)``,
+    runs ``start`` to ``stop`` of one cell: the square-rooted bound blocks,
+    then one method record per method (see ``_closed_form``); an error entry
+    is None when the state is missing or non-finite."""
+    cell_index, an_count, snr_db, start, stop = window
     anchors = build_square_scenario(cfg.anchor_side_m, an_count, cfg.response_step_s)
     center = anchors.center
     runs = [
@@ -280,25 +293,6 @@ def _run_batch(cfg, an_count, snr_db, cell_index, start, stop):
         for mi, spec in enumerate(cfg.methods)
     ]
     return [(run[3], methods) for run, methods in zip(runs, zip(*per_method))]
-
-
-def _collect_cell(cfg, an_count, snr_db, cell_index):
-    if cfg.workers == 1 or cfg.runs < 2 * cfg.workers:
-        return _run_batch(cfg, an_count, snr_db, cell_index, 0, cfg.runs)
-    chunk = math.ceil(cfg.runs / cfg.workers)
-    windows = [
-        (lo, min(lo + chunk, cfg.runs)) for lo in range(0, cfg.runs, chunk)
-    ]
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = [
-            pool.submit(_run_batch, cfg, an_count, snr_db, cell_index, lo, hi)
-            for lo, hi in windows
-        ]
-        batches = [f.result() for f in futures]
-    records = []
-    for batch in batches:  # windows are in run order, so this preserves it
-        records.extend(batch)
-    return records
 
 
 def _aggregate_cell(cfg, an_count, snr_db, records) -> list[CellStats]:
@@ -372,9 +366,22 @@ def _aggregate_cell(cfg, an_count, snr_db, records) -> list[CellStats]:
     return cells
 
 
+def _reduce(cfg, windows, batches) -> list[CellStats]:
+    """Aggregate each cell once the records of its windows, which arrive in
+    window order, are in."""
+    cells = []
+    pairs = zip(windows, batches)
+    for (_, an_count, snr_db), group in groupby(pairs, key=lambda p: p[0][:3]):
+        records = [record for _, batch in group for record in batch]
+        cells.extend(_aggregate_cell(cfg, an_count, snr_db, records))
+    return cells
+
+
 def run_campaign(cfg: CampaignConfig) -> CampaignStats:
     """Execute all (anchor-count, SNR) cells and aggregate per method.
 
+    Each cell splits into ``workers`` windows of runs; the windows of all
+    cells go through one process pool (or run in this process at one worker).
     Per-run estimator failures are recorded in the statistics and never abort
     the campaign. Reduction order is fixed by run index, so results do not
     depend on the worker count.
@@ -382,10 +389,17 @@ def run_campaign(cfg: CampaignConfig) -> CampaignStats:
     exec_cells = [
         (an, snr) for an in cfg.an_counts for snr in cfg.snr_points
     ]
-    cells: list[CellStats] = []
-    for cell_index, (an_count, snr_db) in enumerate(exec_cells):
-        records = _collect_cell(cfg, an_count, snr_db, cell_index)
-        cells.extend(_aggregate_cell(cfg, an_count, snr_db, records))
+    chunk = math.ceil(cfg.runs / cfg.workers)
+    windows = [
+        (cell_index, an_count, snr_db, lo, min(lo + chunk, cfg.runs))
+        for cell_index, (an_count, snr_db) in enumerate(exec_cells)
+        for lo in range(0, cfg.runs, chunk)
+    ]
+    if cfg.workers == 1:
+        cells = _reduce(cfg, windows, map(_run_window, repeat(cfg), windows))
+    else:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            cells = _reduce(cfg, windows, pool.map(_run_window, repeat(cfg), windows))
     cells.sort(key=lambda c: (c.method, c.snr_db, c.an_count))
     return CampaignStats(config=cfg, cells=tuple(cells))
 

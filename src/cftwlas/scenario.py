@@ -23,6 +23,9 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # A device closer than this (meters) to an anchor sits on it: the measurement
 # model's direction vectors and the SNR noise sigmas are undefined there.
 MIN_RANGE = 1e-9
+# Summaries of the M link distances that ``noise_for_snr`` can take as the
+# response distance.
+_SIGMA_REDUCERS = {"mean": np.mean, "min": np.min, "max": np.max}
 
 
 @dataclass(frozen=True)
@@ -282,10 +285,10 @@ def noise_for_snr(
     if distances.min() < MIN_RANGE:
         raise GeometryError("state coincides with an anchor")
     sigma_request = np.array([sigma_from_snr(d, snr_db) for d in distances])
-    reducers = {"mean": np.mean, "min": np.min, "max": np.max}
-    if response_rule not in reducers:
+    if response_rule not in _SIGMA_REDUCERS:
         raise ConfigurationError(f"unknown response sigma rule {response_rule!r}")
-    sigma_response = sigma_from_snr(float(reducers[response_rule](distances)), snr_db)
+    distance = float(_SIGMA_REDUCERS[response_rule](distances))
+    sigma_response = sigma_from_snr(distance, snr_db)
     return NoiseSpec(sigma_request, sigma_response)
 
 

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cftwlas import (
+    AnchorSet,
     ConfigurationError,
+    GeometryError,
     NoiseSpec,
     UdState,
     add_noise,
@@ -13,6 +17,8 @@ from cftwlas import (
     noise_for_snr,
     sample_ud_state,
 )
+from cftwlas.analysis import _jacobians, _ranges
+from cftwlas.baseline import IterationTrace
 
 ANCHORS = build_square_scenario(800.0, 8)
 UNIT_NOISE = NoiseSpec(np.ones(8), 1.0)
@@ -117,3 +123,114 @@ class TestGaussNewton:
         short = forward_model(ud, build_square_scenario(800.0, 5))
         with pytest.raises(ConfigurationError, match="counts must match"):
             gauss_newton(short, ANCHORS, UNIT_NOISE, ud)
+
+
+# --- the shared WLS step against the loop it replaced ----------------------
+
+
+def reference_gauss_newton(meas, anchors, noise, init, max_iter=20, tol=1e-4):
+    """Gauss-Newton with its own model evaluation, its own solve and a
+    validated state per iterate, as it stood before it took the refinement's
+    stacked step; kept to pin that step's results bit for bit."""
+    gamma = meas.stacked()
+    w = noise.weights()
+
+    def evaluate(state):
+        ranges = _ranges(state.pos[None], state.vel[None], anchors)
+        if ranges[4][0]:
+            raise GeometryError("state coincides with an anchor")
+        request = ranges[1] - state.offset
+        response = ranges[3] + state.offset + state.drift * anchors.schedule
+        residual = gamma - np.concatenate([request, response], axis=1)[0]
+        return ranges, residual, float(residual @ (w * residual))
+
+    state = init
+    ranges, residual, cost = evaluate(init)
+    costs = [cost]
+    converged = diverged = False
+    iterations_used = 0
+    for _ in range(max_iter):
+        jac = _jacobians(*ranges[:4], anchors)[0]
+        jt_w = jac.T * w
+        try:
+            delta = np.linalg.solve(jt_w @ jac, jt_w @ residual)
+        except np.linalg.LinAlgError:
+            diverged = True
+            break
+        theta = state.as_vector() + delta
+        if not np.isfinite(theta).all():
+            diverged = True
+            break
+        iterations_used += 1
+        state = UdState.from_vector(theta)
+        ranges, residual, cost = evaluate(state)
+        costs.append(cost)
+        if np.linalg.norm(delta) < tol:
+            converged = True
+            break
+    return state, IterationTrace(tuple(costs), converged, iterations_used, diverged)
+
+
+def _outcome(run):
+    """Bits of a Gauss-Newton result, or the type of the error it raised."""
+    try:
+        state, trace = run()
+    except GeometryError as exc:
+        return type(exc)
+    return (
+        state.as_vector().tobytes(),
+        np.array(trace.costs).tobytes(),
+        trace.converged,
+        trace.iterations_used,
+        trace.diverged,
+    )
+
+
+def _assert_matches_reference(meas, anchors, noise, init, **kw):
+    assert _outcome(lambda: gauss_newton(meas, anchors, noise, init, **kw)) == (
+        _outcome(lambda: reference_gauss_newton(meas, anchors, noise, init, **kw))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ndim=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    init_std=st.sampled_from([0.0, 50.0, 200.0]),
+    max_iter=st.integers(1, 20),
+    tol=st.sampled_from([0.0, 1e-4, 1.0]),
+)
+def test_gauss_newton_matches_reference_loop_bitwise(ndim, seed, init_std, max_iter, tol):
+    rng = np.random.default_rng(seed)
+    if ndim == 2:
+        anchors = build_square_scenario(800.0, int(rng.choice([4, 5, 8])))
+    else:
+        m = int(rng.integers(5, 10))
+        anchors = AnchorSet(rng.uniform(0.0, 800.0, (m, 3)), 0.01 * np.arange(1, m + 1))
+    ud = sample_ud_state(rng, 500.0, center=anchors.center, ndim=ndim)
+    noise = noise_for_snr(ud, anchors, float(rng.uniform(0.0, 50.0)))
+    meas = add_noise(forward_model(ud, anchors), noise, rng)
+    init = make_initializer(ud, init_std, rng)
+    _assert_matches_reference(meas, anchors, noise, init, max_iter=max_iter, tol=tol)
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_singular_normal_matrix_is_diverged_like_the_reference(ndim):
+    # Anchors on a line (a plane in 3-D) and a device in it that moves in it:
+    # no measurement depends on the off-line position or velocity, so J'WJ
+    # has zero rows and columns.
+    positions = np.zeros((5, ndim))
+    positions[:, 0] = [0.0, 100.0, 300.0, 700.0, 900.0]
+    if ndim == 3:
+        positions[:, 1] = [0.0, 400.0, -300.0, 200.0, 50.0]
+    anchors = AnchorSet(positions, 0.01 * np.arange(1, 6))
+    off = np.zeros(ndim - 1)
+    truth = UdState([450.0, *off], [5.0, *off], 300.0, 2.0)
+    init = UdState([400.0, *off], np.zeros(ndim), 0.0, 0.0)
+    noise = NoiseSpec(np.ones(5), 1.0)
+    meas = forward_model(truth, anchors)
+    _assert_matches_reference(meas, anchors, noise, init, tol=0.0)
+    state, trace = gauss_newton(meas, anchors, noise, init, tol=0.0)
+    assert trace.diverged and not trace.converged
+    assert trace.iterations_used == 0 and len(trace.costs) == 1
+    assert state.as_vector().tobytes() == init.as_vector().tobytes()

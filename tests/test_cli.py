@@ -123,6 +123,16 @@ class TestSimulateCommand:
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 1 + 21 * 3  # header + snr points x methods
 
+    @pytest.mark.parametrize("key", ["region_side_m", "vmax_mps"])
+    def test_negative_prior_reported(self, tmp_path, capsys, key):
+        cfg_path = write_json(tmp_path / "cfg.json", small_config(**{key: -1.0}))
+        assert main([
+            "simulate", "--config", cfg_path,
+            "--csv", str(tmp_path / "o.csv"), "--summary", str(tmp_path / "o.json"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
     def test_requires_config_or_preset(self, capsys):
         assert main(["simulate"]) == 2
         assert "config" in capsys.readouterr().err.lower()
@@ -184,6 +194,13 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "7 request sigmas" in err
+
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_fewer_than_one_refine_step_reported(self, tmp_path, capsys, steps):
+        case_path, _ = estimate_case(tmp_path)
+        assert main(["estimate", "--input", case_path, "--refine-steps", steps]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at least 1 step" in err
 
 
 class TestCrlbCommand:

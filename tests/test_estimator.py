@@ -28,7 +28,7 @@ from cftwlas import (
     wls_refine,
 )
 from cftwlas import estimator
-from cftwlas.analysis import predict_stacked
+from cftwlas.analysis import _evaluate, _jacobians
 
 
 ANCHORS = build_square_scenario(800.0, 8)
@@ -146,6 +146,17 @@ class TestWlsRefine:
         err_one = np.linalg.norm(one.as_vector() - ud.as_vector())
         err_three = np.linalg.norm(three.as_vector() - ud.as_vector())
         assert err_three < err_one
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_fewer_than_one_step_rejected(self, steps):
+        ud = UdState([300.0, 500.0], [20.0, -30.0], 2000.0, -500.0)
+        meas = forward_model(ud, ANCHORS)
+        with pytest.raises(ConfigurationError, match="at least 1 step"):
+            wls_refine(ud, meas, ANCHORS, UNIT_NOISE, steps=steps)
+        with pytest.raises(ConfigurationError, match="at least 1 step"):
+            estimate(meas, ANCHORS, UNIT_NOISE, refine_steps=steps)
+        with pytest.raises(ConfigurationError, match="at least 1 step"):
+            _batch(ANCHORS, [(meas, UNIT_NOISE)], refine_steps=steps)
 
 
 class TestEstimate:
@@ -300,8 +311,8 @@ class TestOnePassScoring:
         for anchors, meas, noise in _noisy_inputs(an_count, 10 + an_count):
             _, candidates = raw_estimate(meas, anchors, noise)
             thetas = np.array([c.state.as_vector() for c in candidates])
-            rows, on_anchor = predict_stacked(thetas, anchors)
-            assert not on_anchor.any()
+            ranges, rows = _evaluate(thetas, anchors)
+            assert not ranges[4].any()
             for row, c in zip(rows, candidates):
                 assert _bits(row) == _bits(predict_measurements(c.state, anchors))
 
@@ -428,3 +439,32 @@ def test_center_degenerate_row_flagged_in_batch():
     assert batch.degenerate.sum() == 1
     assert np.isnan(batch.raw[batch.degenerate]).all()
     assert np.isfinite(batch.refined[~batch.degenerate]).all()
+
+
+def test_wls_step_singular_row_is_nan_and_leaves_the_others_bitwise():
+    # The step refinement and Gauss-Newton share: a row whose normal matrix
+    # is singular gets a NaN correction and leaves ``ok``; every other row
+    # gets the bits it gets in a batch of one.
+    anchors, window = _window("3d", 11, 5, noise_free=False, center=False)
+    rng = np.random.default_rng(12)
+    thetas = np.array([
+        sample_ud_state(rng, 500.0, center=anchors.center, ndim=3).as_vector()
+        for _ in window
+    ])
+    ranges, model = _evaluate(thetas, anchors)
+    jac = _jacobians(*ranges[:4], anchors)
+    jac[2, :, 1] = 0.0
+    residual = np.array([meas.stacked() for meas, _ in window]) - model
+    weights = np.array([noise.weights() for _, noise in window])
+    ok = np.ones(len(window), dtype=bool)
+    delta, normal = estimator._wls_step(jac, residual, weights, ok)
+    assert np.isnan(delta[2]).all()
+    assert ok.tolist() == [True, True, False, True, True]
+    for k in (0, 1, 3, 4):
+        one = np.ones(1, dtype=bool)
+        alone, alone_normal = estimator._wls_step(
+            jac[k : k + 1], residual[k : k + 1], weights[k : k + 1], one
+        )
+        assert one[0] and np.isfinite(alone).all()
+        assert _bits(delta[k]) == _bits(alone[0])
+        assert _bits(normal[k]) == _bits(alone_normal[0])

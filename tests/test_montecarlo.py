@@ -18,7 +18,7 @@ from cftwlas import (
     sample_ud_state,
 )
 from cftwlas.cli import main as cli_main
-from cftwlas.montecarlo import _run_batch, _sq_errors, config_from_dict, config_to_dict
+from cftwlas.montecarlo import _run_window, _sq_errors, config_from_dict, config_to_dict
 
 
 def deterministic_fields(cell):
@@ -153,6 +153,21 @@ class TestConfigSerialization:
             CampaignConfig(methods=())
         with pytest.raises(ConfigurationError):
             MethodSpec(kind="unknown")
+        for key in ("region_side_m", "vmax_mps"):
+            for bad in (-1.0, float("nan")):
+                with pytest.raises(ConfigurationError, match=key):
+                    CampaignConfig(**{key: bad})
+            CampaignConfig(**{key: 0.0})
+        with pytest.raises(ConfigurationError, match="init_std_m"):
+            MethodSpec(kind="gauss_newton", init_std_m=-50.0)
+        with pytest.raises(ConfigurationError, match="response_sigma_rule"):
+            CampaignConfig(response_sigma_rule="median")
+        with pytest.raises(ConfigurationError, match="response_sigma_rule"):
+            CampaignConfig(noise_free=True, response_sigma_rule="median")
+        with pytest.raises(ConfigurationError, match=r"methods\[1\].*init_std_m"):
+            config_from_dict(
+                {"methods": [{"kind": "cftwlas"}, {"kind": "gauss_newton", "init_std_m": -1}]}
+            )
 
 
 class TestBatchedCampaign:
@@ -194,7 +209,7 @@ class TestBatchedCampaign:
             methods=(MethodSpec("cftwlas"), MethodSpec("gauss_newton", init_std_m=50.0)),
         )
         start, stop, cell = 5, 40, 0
-        records = _run_batch(cfg, 8, 12.0, cell, start, stop)
+        records = _run_window(cfg, (cell, 8, 12.0, start, stop))
         anchors = build_square_scenario(cfg.anchor_side_m, 8, cfg.response_step_s)
         assert len(records) == stop - start
         for run, (_, (cf, gn)) in zip(range(start, stop), records):
