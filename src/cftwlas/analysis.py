@@ -22,7 +22,7 @@ def _ranges(pos: np.ndarray, vel: np.ndarray, anchors: AnchorSet):
     d0 = np.sqrt(np.add.reduce(diff0 * diff0, axis=-1))
     diff1 = diff0 - anchors.schedule[:, None] * vel[:, None, :]
     d1 = np.sqrt(np.add.reduce(diff1 * diff1, axis=-1))
-    on_anchor = (d0.min(axis=1) < MIN_RANGE) | (d1.min(axis=1) < MIN_RANGE)
+    on_anchor = np.minimum(d0, d1).min(axis=1) < MIN_RANGE
     return diff0, d0, diff1, d1, on_anchor
 
 
@@ -51,15 +51,14 @@ def _jacobians(diff0, d0, diff1, d1, anchors: AnchorSet) -> np.ndarray:
     instant.
     """
     m, n = anchors.count, anchors.ndim
-    e = diff0 / d0[:, :, None]
-    l = diff1 / d1[:, :, None]
-    jac = np.zeros((d0.shape[0], 2 * m, 2 * n + 2))
-    jac[:, :m, :n] = -e
-    jac[:, :m, 2 * n] = -1.0
-    jac[:, m:, :n] = -l
-    jac[:, m:, n : 2 * n] = -l * anchors.schedule[:, None]
-    jac[:, m:, 2 * n] = 1.0
-    jac[:, m:, 2 * n + 1] = anchors.schedule
+    template = anchors._jacobian_template
+    jac = np.empty((d0.shape[0], *template.shape))
+    jac[...] = template
+    # -(a / b) and a / -b are the same double, so -e and -l are written in
+    # place from the negated ranges.
+    np.divide(diff0, -d0[:, :, None], out=jac[:, :m, :n])
+    np.divide(diff1, -d1[:, :, None], out=jac[:, m:, :n])
+    np.multiply(jac[:, m:, :n], anchors.schedule[:, None], out=jac[:, m:, n : 2 * n])
     return jac
 
 

@@ -38,6 +38,86 @@ def make_initializer(
     return UdState(pos, np.zeros(truth.ndim), 0.0, 0.0)
 
 
+def _gauss_newton_batch(
+    gamma, weights, thetas, anchors: AnchorSet, max_iter: int, tol: float
+):
+    """Gauss-Newton on K rows of (K, 2M) measurements and weights from their
+    (K, 2N+2) initial parameter vectors, all on one anchor layout.
+
+    Each step is the refinement's ``_wls_step`` on the rows still iterating;
+    all of them have taken the same number of steps, and a row leaves when
+    it stops. A row stops when its last update norm was below ``tol``, after
+    ``max_iter`` steps, when its step is not finite (diverged; a singular
+    normal matrix gives a NaN step) or when its iterate sits on an anchor.
+    Row k's outputs do not depend on the other rows. Returns the final
+    (K, 2N+2) states (the last finite iterate; NaN for an on-anchor row) and
+    per-row lists: the tuple of weighted costs (initial state first, none
+    for an on-anchor iterate), the iterations used and the converged,
+    diverged and on-anchor flags.
+    """
+    rows = thetas.shape[0]
+    states = np.empty(thetas.shape)
+    costs = [[] for _ in range(rows)]
+    iterations = [0] * rows
+    converged = [False] * rows
+    diverged = [False] * rows
+    on_anchor = [False] * rows
+    live = np.arange(rows)
+    order = live.tolist()
+    theta = thetas
+    done = [False] * rows  # the last update norm was below tol
+    ok = np.ones(rows, dtype=bool)
+    step = 0
+    while True:
+        ranges, model = _evaluate(theta, anchors)
+        residual = gamma - model
+        # r @ (w * r) and |delta| per row as stacked dot products: bit for
+        # bit the one-row dot product and np.linalg.norm.
+        cost = np.matmul(residual[:, None, :], (weights * residual)[:, :, None])
+        for k, c in zip(order, cost.ravel().tolist()):
+            costs[k].append(c)
+        anchor = ranges[4].tolist()
+        last = step >= max_iter
+        if last or True in anchor or True in done:
+            stop = [last or a or d for a, d in zip(anchor, done)]
+            for k, a, d, s in zip(order, anchor, done, stop):
+                if s:
+                    iterations[k], converged[k], on_anchor[k] = step, d and not a, a
+                    if a:
+                        costs[k].pop()
+            if False not in stop:
+                states[live] = theta
+                break
+            stop = np.array(stop)
+            states[live[stop]] = theta[stop]
+            keep = ~stop
+            live, theta = live[keep], theta[keep]
+            gamma, weights = gamma[keep], weights[keep]
+            order, ok = live.tolist(), ok[keep]
+            ranges, residual = [r[keep] for r in ranges], residual[keep]
+        delta = _wls_step(_jacobians(*ranges[:4], anchors), residual, weights, ok)[0]
+        nxt = theta + delta
+        if not np.isfinite(nxt).all():
+            finite = np.isfinite(nxt).all(axis=1)
+            out = live[~finite]
+            states[out] = theta[~finite]
+            for k in out.tolist():
+                iterations[k], diverged[k] = step, True
+            if out.size == live.size:
+                break
+            live, gamma, weights = live[finite], gamma[finite], weights[finite]
+            order, ok = live.tolist(), np.ones(live.size, dtype=bool)
+            nxt, delta = nxt[finite], delta[finite]
+        theta = nxt
+        step += 1
+        norm = np.sqrt(np.matmul(delta[:, None, :], delta[:, :, None]))
+        done = (norm.ravel() < tol).tolist()
+    if True in on_anchor:
+        states[on_anchor] = np.nan
+    costs = [tuple(c) for c in costs]
+    return states, costs, iterations, converged, diverged, on_anchor
+
+
 def gauss_newton(
     meas: MeasurementSet,
     anchors: AnchorSet,
@@ -49,45 +129,24 @@ def gauss_newton(
     """Iterate theta <- theta + (J'WJ)^-1 J'W (gamma - h(theta)).
 
     Stops when the update norm drops below ``tol`` (meters; ``tol=0`` disables
-    early stopping) or after ``max_iter`` iterations. Each step is the
-    refinement's ``_wls_step`` on a batch of one. A singular normal matrix
-    gives a NaN step; a non-finite iterate sets the diverged flag and returns
-    the last valid iterate. No damping or line search is applied, so
-    divergence is recorded, not repaired. Inputs whose sizes disagree raise
-    ConfigurationError; an iterate (the initial guess included) on an anchor
-    raises GeometryError from the cost evaluation.
+    early stopping) or after ``max_iter`` iterations. It is the batch of one
+    of ``_gauss_newton_batch``, whose steps are the refinement's
+    ``_wls_step``. A singular normal matrix gives a NaN step; a non-finite
+    iterate sets the diverged flag and returns the last valid iterate. No
+    damping or line search is applied, so divergence is recorded, not
+    repaired. Inputs whose sizes disagree raise ConfigurationError; an
+    iterate (the initial guess included) on an anchor raises GeometryError.
     """
     _check_sizes(meas, anchors, noise)
-    gamma = meas.stacked()[None]
-    w = noise.weights()[None]
-    ok = np.ones(1, dtype=bool)
-    theta = init.as_vector()[None]
-    costs = []
-    converged = False
-    diverged = False
-    iterations_used = 0
-
-    while True:
-        ranges, model = _evaluate(theta, anchors)
-        if ranges[4][0]:
-            raise GeometryError("state coincides with an anchor")
-        residual = gamma - model
-        costs.append(float(residual[0] @ (w[0] * residual[0])))
-        if converged or iterations_used >= max_iter:
-            break
-        delta = _wls_step(_jacobians(*ranges[:4], anchors), residual, w, ok)[0]
-        step = theta + delta
-        if not np.isfinite(step).all():
-            diverged = True
-            break
-        theta = step
-        iterations_used += 1
-        converged = bool(np.linalg.norm(delta[0]) < tol)
-
-    trace = IterationTrace(
-        costs=tuple(costs),
-        converged=converged,
-        iterations_used=iterations_used,
-        diverged=diverged,
+    states, costs, iterations, converged, diverged, on_anchor = _gauss_newton_batch(
+        meas.stacked()[None],
+        noise.weights()[None],
+        init.as_vector()[None],
+        anchors,
+        max_iter,
+        tol,
     )
-    return UdState.from_vector(theta[0]), trace
+    if on_anchor[0]:
+        raise GeometryError("state coincides with an anchor")
+    trace = IterationTrace(costs[0], converged[0], iterations[0], diverged[0])
+    return UdState.from_vector(states[0]), trace

@@ -200,7 +200,7 @@ def _solve_rows(normal, rhs, ok):
         solve, args = np.linalg.inv, (normal,)
     else:
         solve, args = np.linalg.solve, (normal, rhs)
-    if ok.all():
+    if False not in ok.tolist():
         try:
             return solve(*args)
         except np.linalg.LinAlgError:

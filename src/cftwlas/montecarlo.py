@@ -17,7 +17,13 @@ from itertools import groupby, repeat
 import numpy as np
 
 from .analysis import BlockValues, crlb, flops_cftwlas, flops_iterative_per_iter
-from .baseline import gauss_newton, make_initializer
+# bench/spans.py rebinds gauss_newton and make_initializer here, so both
+# names stay importable.
+from .baseline import (  # noqa: F401
+    _gauss_newton_batch,
+    gauss_newton,
+    make_initializer,
+)
 from .errors import ConfigurationError, DegenerateGeometryError
 from .estimator import estimate, estimate_batch
 from .scenario import (
@@ -31,7 +37,7 @@ from .scenario import (
 )
 
 _METHOD_KINDS = ("cftwlas", "gauss_newton")
-# Closed-form runs solved per stacked batch; bounds the memory of one batch.
+# Runs per stacked closed-form or Gauss-Newton batch; bounds its memory.
 _BATCH_ROWS = 256
 
 
@@ -52,8 +58,9 @@ class MethodSpec:
             raise ConfigurationError("refine_steps must be >= 1")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
-        if not self.init_std_m >= 0.0:
-            raise ConfigurationError("init_std_m must be >= 0")
+        for key in ("init_std_m", "tol_m"):
+            if not getattr(self, key) >= 0.0:
+                raise ConfigurationError(f"{key} must be >= 0")
 
     @property
     def label(self) -> str:
@@ -95,6 +102,9 @@ class CampaignConfig:
         for key in ("region_side_m", "vmax_mps"):
             if not getattr(self, key) >= 0.0:
                 raise ConfigurationError(f"{key} must be >= 0")
+        for key in ("offset_range_s", "drift_range_ppm"):
+            if not all(math.isfinite(bound) for bound in getattr(self, key)):
+                raise ConfigurationError(f"{key} bounds must be finite")
         if self.response_sigma_rule not in _SIGMA_REDUCERS:
             raise ConfigurationError(
                 f"unknown response_sigma_rule {self.response_sigma_rule!r}"
@@ -145,7 +155,9 @@ class CellStats:
     failure_rate: float
     flops_per_call: int
     mean_iterations: float | None
-    wall_s: float  # volatile: measured solver time, not reproducible
+    # Volatile: measured solver time, not reproducible. A batch's time is
+    # shared evenly over its runs, so a run's share is not its own cost.
+    wall_s: float
 
 
 @dataclass(frozen=True)
@@ -255,21 +267,40 @@ def _closed_form(spec: MethodSpec, runs, anchors) -> list[tuple]:
 
 
 def _gauss_newton(cfg, spec, mi, cell_index, start, runs, anchors) -> list[tuple]:
-    """Method records of one Gauss-Newton method, run by run."""
+    """Method records of one Gauss-Newton method (see ``_closed_form``),
+    iterated ``_BATCH_ROWS`` runs per batch.
+
+    Run ``r`` starts from ``make_initializer`` on its own stream
+    ``SeedSequence([seed, cell, r, mi + 1])``; a batch's rows equal, bit for
+    bit, what ``gauss_newton`` reports for each run alone. A run whose
+    iterate sits on an anchor has no state and counts as failed.
+    """
+    ndim = anchors.ndim
     records = []
-    for run, (ud, meas, noise, _) in enumerate(runs, start):
+    for lo in range(0, len(runs), _BATCH_ROWS):
+        chunk = runs[lo : lo + _BATCH_ROWS]
         clock = time.perf_counter()
-        method_rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, cell_index, run, mi + 1])
+        inits = []
+        for run, (ud, _, _, _) in enumerate(chunk, start + lo):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([cfg.seed, cell_index, run, mi + 1])
+            )
+            inits.append(make_initializer(ud, spec.init_std_m, rng).as_vector())
+        states, _, iterations, converged, _, _ = _gauss_newton_batch(
+            np.array([meas.stacked() for _, meas, _, _ in chunk]),
+            np.array([noise.weights() for _, _, noise, _ in chunk]),
+            np.array(inits),
+            anchors,
+            spec.max_iter,
+            spec.tol_m,
         )
-        init = make_initializer(ud, spec.init_std_m, method_rng)
-        state, trace = gauss_newton(
-            meas, anchors, noise, init, max_iter=spec.max_iter, tol=spec.tol_m
-        )
-        seconds = time.perf_counter() - clock
-        (err2,) = _sq_errors(state.as_vector()[None], ud.as_vector()[None], anchors.ndim)
-        records.append(
-            (not trace.converged, err2, None, seconds, trace.iterations_used)
+        seconds = (time.perf_counter() - clock) / len(chunk)
+        truths = np.array([ud.as_vector() for ud, _, _, _ in chunk])
+        records.extend(
+            (not c, err2, None, seconds, it)
+            for c, err2, it in zip(
+                converged, _sq_errors(states, truths, ndim), iterations
+            )
         )
     return records
 

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,20 @@ class AnchorSet:
     def center(self) -> np.ndarray:
         """Midpoint of the anchor bounding box."""
         return 0.5 * (self.positions.min(axis=0) + self.positions.max(axis=0))
+
+    @cached_property
+    def _jacobian_template(self) -> np.ndarray:
+        """The (2M, 2N+2) measurement Jacobian's state-independent entries,
+        which ``analysis._jacobians`` copies before writing the direction
+        vectors: -1 (request rows) and 1 (response rows) in the offset
+        column, the schedule in the response rows' drift column, zeros
+        elsewhere."""
+        m, n = self.count, self.ndim
+        template = np.zeros((2 * m, 2 * n + 2))
+        template[:m, 2 * n] = -1.0
+        template[m:, 2 * n] = 1.0
+        template[m:, 2 * n + 1] = self.schedule
+        return template
 
 
 @dataclass(frozen=True)

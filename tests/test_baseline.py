@@ -18,7 +18,7 @@ from cftwlas import (
     sample_ud_state,
 )
 from cftwlas.analysis import _jacobians, _ranges
-from cftwlas.baseline import IterationTrace
+from cftwlas.baseline import IterationTrace, _gauss_newton_batch
 
 ANCHORS = build_square_scenario(800.0, 8)
 UNIT_NOISE = NoiseSpec(np.ones(8), 1.0)
@@ -234,3 +234,119 @@ def test_singular_normal_matrix_is_diverged_like_the_reference(ndim):
     assert trace.diverged and not trace.converged
     assert trace.iterations_used == 0 and len(trace.costs) == 1
     assert state.as_vector().tobytes() == init.as_vector().tobytes()
+
+
+# --- the batched kernel against gauss_newton alone -------------------------
+
+
+def _draw_window(ndim, seed, init_std, rows):
+    """``rows`` noisy runs on one random layout with their initial guesses."""
+    rng = np.random.default_rng(seed)
+    if ndim == 2:
+        anchors = build_square_scenario(800.0, int(rng.choice([4, 5, 8])))
+    else:
+        m = int(rng.integers(5, 10))
+        anchors = AnchorSet(rng.uniform(0.0, 800.0, (m, 3)), 0.01 * np.arange(1, m + 1))
+    runs = []
+    for _ in range(rows):
+        ud = sample_ud_state(rng, 500.0, center=anchors.center, ndim=ndim)
+        noise = noise_for_snr(ud, anchors, float(rng.uniform(0.0, 50.0)))
+        meas = add_noise(forward_model(ud, anchors), noise, rng)
+        runs.append((meas, noise, make_initializer(ud, init_std, rng)))
+    return anchors, runs
+
+
+def _kernel(anchors, runs, max_iter=20, tol=1e-4):
+    return _gauss_newton_batch(
+        np.array([meas.stacked() for meas, _, _ in runs]),
+        np.array([noise.weights() for _, noise, _ in runs]),
+        np.array([init.as_vector() for _, _, init in runs]),
+        anchors,
+        max_iter,
+        tol,
+    )
+
+
+def _batch(anchors, runs, **kw):
+    """Per-row outcomes of one ``_gauss_newton_batch`` call, in the form of
+    ``_outcome``: an on-anchor row gives GeometryError."""
+    if not runs:
+        return []
+    states, costs, iterations, converged, diverged, on_anchor = _kernel(
+        anchors, runs, **kw
+    )
+    return [
+        GeometryError if on_anchor[k] else (
+            states[k].tobytes(),
+            np.array(costs[k]).tobytes(),
+            converged[k],
+            iterations[k],
+            diverged[k],
+        )
+        for k in range(len(runs))
+    ]
+
+
+def _alone(anchors, runs, **kw):
+    return [
+        _outcome(lambda: gauss_newton(meas, anchors, noise, init, **kw))
+        for meas, noise, init in runs
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ndim=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    init_std=st.sampled_from([0.0, 50.0, 200.0]),
+    max_iter=st.integers(1, 20),
+    tol=st.sampled_from([0.0, 1e-4, 1.0]),
+    rows=st.integers(1, 12),
+    data=st.data(),
+)
+def test_batched_rows_equal_gauss_newton_alone(
+    ndim, seed, init_std, max_iter, tol, rows, data
+):
+    anchors, runs = _draw_window(ndim, seed, init_std, rows)
+    kw = {"max_iter": max_iter, "tol": tol}
+    alone = _alone(anchors, runs, **kw)
+    assert _batch(anchors, runs, **kw) == alone
+    perm = data.draw(st.permutations(range(rows)))
+    assert _batch(anchors, [runs[k] for k in perm], **kw) == [alone[k] for k in perm]
+    cut = data.draw(st.integers(0, rows))
+    split = _batch(anchors, runs[:cut], **kw) + _batch(anchors, runs[cut:], **kw)
+    assert split == alone
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_singular_and_on_anchor_rows_leave_the_others_unchanged(ndim):
+    # Row 1 has a singular normal matrix (anchors on a line or plane, device
+    # in it); row 2 starts on an anchor. Rows 0 and 3 are ordinary runs.
+    positions = np.zeros((5, ndim))
+    positions[:, 0] = [0.0, 100.0, 300.0, 700.0, 900.0]
+    if ndim == 3:
+        positions[:, 1] = [0.0, 400.0, -300.0, 200.0, 50.0]
+    anchors = AnchorSet(positions, 0.01 * np.arange(1, 6))
+    off = np.zeros(ndim - 1)
+    noise = NoiseSpec(np.ones(5), 1.0)
+    truth = UdState([450.0, *off], [5.0, *off], 300.0, 2.0)
+    singular = (forward_model(truth, anchors), noise,
+                UdState([400.0, *off], np.zeros(ndim), 0.0, 0.0))
+    on_anchor = (forward_model(truth, anchors), noise,
+                 UdState(positions[2], np.zeros(ndim), 0.0, 0.0))
+    rng = np.random.default_rng(11)
+    ordinary = []
+    for _ in range(2):
+        ud = UdState(positions[1] + rng.uniform(50.0, 80.0, ndim),
+                     rng.uniform(-5.0, 5.0, ndim), 100.0, 1.0)
+        ordinary.append((add_noise(forward_model(ud, anchors), noise, rng), noise,
+                         make_initializer(ud, 5.0, rng)))
+    runs = [ordinary[0], singular, on_anchor, ordinary[1]]
+    for kw in ({"tol": 0.0}, {}):
+        batch = _batch(anchors, runs, **kw)
+        assert batch == _alone(anchors, runs, **kw)
+        assert batch[1][4] and not batch[1][2]  # singular row: diverged
+        assert batch[2] is GeometryError
+        assert all(isinstance(row, tuple) for row in (batch[0], batch[3]))
+    states = _kernel(anchors, runs)[0]
+    assert np.isnan(states[2]).all() and np.isfinite(states[[0, 1, 3]]).all()

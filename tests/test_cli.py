@@ -133,6 +133,28 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_bad_method_tolerance_reported(self, tmp_path, capsys, tol):
+        methods = [{"kind": "cftwlas"}, {"kind": "gauss_newton", "tol_m": tol}]
+        cfg_path = write_json(tmp_path / "cfg.json", small_config(methods=methods))
+        assert main([
+            "simulate", "--config", cfg_path,
+            "--csv", str(tmp_path / "o.csv"), "--summary", str(tmp_path / "o.json"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "methods[1]" in err and "tol_m" in err
+
+    @pytest.mark.parametrize("key", ["offset_range_s", "drift_range_ppm"])
+    def test_non_finite_prior_bound_reported(self, tmp_path, capsys, key):
+        bounds = [float("-inf"), float("inf")]
+        cfg_path = write_json(tmp_path / "cfg.json", small_config(**{key: bounds}))
+        assert main([
+            "simulate", "--config", cfg_path,
+            "--csv", str(tmp_path / "o.csv"), "--summary", str(tmp_path / "o.json"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
     def test_requires_config_or_preset(self, capsys):
         assert main(["simulate"]) == 2
         assert "config" in capsys.readouterr().err.lower()

@@ -7,18 +7,30 @@ import pytest
 from cftwlas import (
     CampaignConfig,
     ConfigurationError,
+    GeometryError,
     MethodSpec,
+    NoiseSpec,
+    UdState,
     add_noise,
     benchmark_config,
     build_square_scenario,
     estimate,
     forward_model,
+    gauss_newton,
+    make_initializer,
     noise_for_snr,
     run_campaign,
     sample_ud_state,
 )
+from cftwlas import montecarlo
 from cftwlas.cli import main as cli_main
-from cftwlas.montecarlo import _run_window, _sq_errors, config_from_dict, config_to_dict
+from cftwlas.montecarlo import (
+    _gauss_newton,
+    _run_window,
+    _sq_errors,
+    config_from_dict,
+    config_to_dict,
+)
 
 
 def deterministic_fields(cell):
@@ -160,6 +172,14 @@ class TestConfigSerialization:
             CampaignConfig(**{key: 0.0})
         with pytest.raises(ConfigurationError, match="init_std_m"):
             MethodSpec(kind="gauss_newton", init_std_m=-50.0)
+        for bad in (-1e-4, float("nan")):
+            with pytest.raises(ConfigurationError, match="tol_m"):
+                MethodSpec(kind="gauss_newton", tol_m=bad)
+        MethodSpec(kind="gauss_newton", tol_m=0.0)
+        for key in ("offset_range_s", "drift_range_ppm"):
+            for bounds in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)):
+                with pytest.raises(ConfigurationError, match=key):
+                    CampaignConfig(**{key: bounds})
         with pytest.raises(ConfigurationError, match="response_sigma_rule"):
             CampaignConfig(response_sigma_rule="median")
         with pytest.raises(ConfigurationError, match="response_sigma_rule"):
@@ -203,34 +223,81 @@ class TestBatchedCampaign:
         assert cf[4]["failure_rate"] == 1.0
         assert cf[8]["failure_rate"] == 0.0
 
-    def test_records_equal_per_call_estimates(self):
+    def test_records_equal_per_call_estimates(self, monkeypatch):
         cfg = CampaignConfig(
             an_counts=(8,), snr_db=(12.0,), runs=40, seed=17,
-            methods=(MethodSpec("cftwlas"), MethodSpec("gauss_newton", init_std_m=50.0)),
+            methods=(
+                MethodSpec("cftwlas"),
+                MethodSpec("gauss_newton", init_std_m=50.0),
+                MethodSpec("gauss_newton", init_std_m=200.0, max_iter=6),
+            ),
         )
         start, stop, cell = 5, 40, 0
-        records = _run_window(cfg, (cell, 8, 12.0, start, stop))
         anchors = build_square_scenario(cfg.anchor_side_m, 8, cfg.response_step_s)
-        assert len(records) == stop - start
-        for run, (_, (cf, gn)) in zip(range(start, stop), records):
-            # The inputs the campaign draws for this run, rebuilt from the seed.
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, cell, run, 0]))
-            truth = sample_ud_state(
-                rng, cfg.region_side_m, cfg.vmax_mps, cfg.offset_range_s,
-                cfg.drift_range_ppm, center=anchors.center,
+        # A window of 35 runs, in one batch and in batches of 8.
+        for batch_rows in (256, 8):
+            monkeypatch.setattr(montecarlo, "_BATCH_ROWS", batch_rows)
+            records = _run_window(cfg, (cell, 8, 12.0, start, stop))
+            assert len(records) == stop - start
+            for run, (_, (cf, *gns)) in zip(range(start, stop), records):
+                self._check_run(cfg, anchors, cell, run, cf, gns)
+
+    @staticmethod
+    def _check_run(cfg, anchors, cell, run, cf, gns):
+        """One run's method records against the per-call results."""
+        # The inputs the campaign draws for this run, rebuilt from the seed.
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, cell, run, 0]))
+        truth = sample_ud_state(
+            rng, cfg.region_side_m, cfg.vmax_mps, cfg.offset_range_s,
+            cfg.drift_range_ppm, center=anchors.center,
+        )
+        noise = noise_for_snr(truth, anchors, 12.0)
+        meas = add_noise(forward_model(truth, anchors), noise, rng)
+        report = estimate(meas, anchors, noise)
+        final = report.refined if report.refined is not None else report.raw
+
+        def err2(state):
+            if state is None:
+                return None
+            return _sq_errors(state.as_vector()[None], truth.as_vector()[None], 2)[0]
+
+        fallback, ref_err2, raw_err2, _, iterations = cf
+        assert fallback == report.flags.no_real_root_fallback
+        assert ref_err2 == err2(final) and raw_err2 == err2(report.raw)
+        assert iterations is None
+        for mi, gn in enumerate(gns, 1):
+            spec = cfg.methods[mi]
+            method_rng = np.random.default_rng(
+                np.random.SeedSequence([cfg.seed, cell, run, mi + 1])
             )
-            noise = noise_for_snr(truth, anchors, 12.0)
-            meas = add_noise(forward_model(truth, anchors), noise, rng)
-            report = estimate(meas, anchors, noise)
-            final = report.refined if report.refined is not None else report.raw
+            init = make_initializer(truth, spec.init_std_m, method_rng)
+            state, trace = gauss_newton(
+                meas, anchors, noise, init, max_iter=spec.max_iter, tol=spec.tol_m
+            )
+            nonconverged, gn_err2, gn_raw_err2, _, gn_iterations = gn
+            assert nonconverged == (not trace.converged)
+            assert gn_err2 == err2(state) and gn_raw_err2 is None
+            assert gn_iterations == trace.iterations_used
 
-            def err2(state):
-                if state is None:
-                    return None
-                return _sq_errors(state.as_vector()[None], truth.as_vector()[None], 2)[0]
-
-            fallback, ref_err2, raw_err2, _, iterations = cf
-            assert fallback == report.flags.no_real_root_fallback
-            assert ref_err2 == err2(final) and raw_err2 == err2(report.raw)
-            assert iterations is None
-            assert gn[1] is not None and gn[2] is None and len(gn) == 5
+    def test_gauss_newton_run_on_an_anchor_is_a_failed_run(self):
+        # Run 1 starts exactly on an anchor (zero initialization noise from a
+        # truth there): that row is a failed, non-converged run, and the
+        # other rows of its window keep the records they have alone.
+        anchors = build_square_scenario(800.0, 8)
+        cfg = CampaignConfig(runs=3, seed=2)
+        spec = MethodSpec("gauss_newton", init_std_m=0.0)
+        noise = NoiseSpec(np.ones(8), 1.0)
+        runs = []
+        for pos in ([300.0, 350.0], anchors.positions[4], [520.0, 610.0]):
+            truth = UdState(pos, [3.0, -2.0], 100.0, 0.5)
+            seen = UdState([410.0, 380.0], [3.0, -2.0], 100.0, 0.5)
+            runs.append((truth, forward_model(seen, anchors), noise, None))
+        window = _gauss_newton(cfg, spec, 0, 0, 0, runs, anchors)
+        assert window[1][:3] == (True, None, None) and window[1][4] == 0
+        init = make_initializer(runs[1][0], 0.0, np.random.default_rng(0))
+        with pytest.raises(GeometryError):
+            gauss_newton(runs[1][1], anchors, noise, init)
+        for k in (0, 2):
+            alone = _gauss_newton(cfg, spec, 0, 0, k, runs[k : k + 1], anchors)[0]
+            assert window[k][:3] == alone[:3] and window[k][4] == alone[4]
+            assert window[k][1] is not None
