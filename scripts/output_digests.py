@@ -25,6 +25,13 @@ CRLB on the first 40 of them), 600 3-D runs with 5 to 9 random anchors, and
 and refined states, covariance, every candidate (pair, state, cost, source)
 and which candidate won; a Gauss-Newton digest covers the state and the
 trace.
+
+Campaign digests (the ``campaign_*`` keys, digests in both modes) cover the
+per-cell summary records of ``cftwlas simulate`` with wall time zeroed, for
+the benchmark preset at 10 and 30 dB (60 runs), a noise-free 4/5/8-anchor
+campaign of devices at rest in the center (the 4-anchor closed form fails
+every run) at one and three workers, and one Gauss-Newton method stopped
+after 6 iterations.
 """
 
 import hashlib
@@ -35,9 +42,12 @@ import numpy as np
 
 from cftwlas import (
     AnchorSet,
+    CampaignConfig,
     GeometryError,
+    MethodSpec,
     NoiseSpec,
     add_noise,
+    benchmark_config,
     build_square_scenario,
     crlb,
     estimate,
@@ -45,8 +55,10 @@ from cftwlas import (
     gauss_newton,
     make_initializer,
     noise_for_snr,
+    run_campaign,
     sample_ud_state,
 )
+from cftwlas.cli import _cell_dicts
 
 
 def digest(parts) -> str:
@@ -98,6 +110,25 @@ def gn_digest(meas, anchors, noise, init) -> str:
                    trace.iterations_used, trace.diverged])
 
 
+def campaign_digests(seed: int) -> dict:
+    both = (MethodSpec("cftwlas"), MethodSpec("gauss_newton"))
+    at_rest = dict(an_counts=(4, 5, 8), noise_free=True, region_side_m=0.0,
+                   vmax_mps=0.0, runs=13, seed=seed, methods=both)
+    configs = {
+        "benchmark": benchmark_config(runs=60, snr_db=(10.0, 30.0), seed=seed),
+        "noise_free_w1": CampaignConfig(**at_rest),
+        "noise_free_w3": CampaignConfig(**at_rest, workers=3),
+        "gn_max_iter6": CampaignConfig(
+            snr_db=(12.0,), runs=60, seed=seed,
+            methods=(MethodSpec("gauss_newton", init_std_m=200.0, max_iter=6),),
+        ),
+    }
+    return {
+        f"campaign_{name}": digest([_cell_dicts(run_campaign(cfg), False)])
+        for name, cfg in configs.items()
+    }
+
+
 def main(seed: int, values: bool = False) -> dict:
     out = {}
 
@@ -138,6 +169,7 @@ def main(seed: int, values: bool = False) -> dict:
         out[f"est_3d_{run}"] = estimate_entry(meas, anchors, noise, ud)
         out[f"gn_3d_{run}"] = gn_digest(meas, anchors, noise,
                                         make_initializer(ud, 50.0, rng))
+    out.update(campaign_digests(seed))
     return out
 
 

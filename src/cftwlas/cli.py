@@ -131,11 +131,21 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
+def _numbers(data: dict, key: str, context: str, scalar: bool = False):
+    """``data[key]`` as a float array, or a float when ``scalar``, naming
+    the file and key when it holds something else."""
+    value = _require(data, key, context)
+    try:
+        return float(value) if scalar else np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{context}: key '{key}': {exc}") from exc
+
+
 def _state_from_dict(data: dict, context: str) -> UdState:
-    pos = np.asarray(_require(data, "pos_m", context), dtype=float)
-    vel = np.asarray(_require(data, "vel_mps", context), dtype=float)
-    offset = float(_require(data, "offset_s", context)) * SPEED_OF_LIGHT
-    drift = float(_require(data, "drift_ppm", context)) * 1e-6 * SPEED_OF_LIGHT
+    pos = _numbers(data, "pos_m", context)
+    vel = _numbers(data, "vel_mps", context)
+    offset = _numbers(data, "offset_s", context, scalar=True) * SPEED_OF_LIGHT
+    drift = _numbers(data, "drift_ppm", context, scalar=True) * 1e-6 * SPEED_OF_LIGHT
     return UdState(pos, vel, offset, drift)
 
 
@@ -149,17 +159,17 @@ def _state_to_dict(state: UdState) -> dict:
 
 
 def _anchors_from_dict(data: dict, context: str) -> AnchorSet:
-    positions = np.asarray(_require(data, "anchors", context), dtype=float)
-    schedule = np.asarray(_require(data, "schedule_s", context), dtype=float)
+    positions = _numbers(data, "anchors", context)
+    schedule = _numbers(data, "schedule_s", context)
     return AnchorSet(positions, schedule)
 
 
 def _noise_from_dict(data: dict, count: int, context: str) -> NoiseSpec:
-    sigma_req = _require(data, "sigma_request_m", context)
-    if np.isscalar(sigma_req):
+    sigma_req = _numbers(data, "sigma_request_m", context)
+    if sigma_req.ndim == 0:
         sigma_req = np.full(count, float(sigma_req))
-    return NoiseSpec(np.asarray(sigma_req, dtype=float),
-                     float(_require(data, "sigma_response_m", context)))
+    sigma_resp = _numbers(data, "sigma_response_m", context, scalar=True)
+    return NoiseSpec(sigma_req, sigma_resp)
 
 
 def _emit(payload: dict, output: str | None) -> None:
@@ -204,8 +214,8 @@ def _cmd_estimate(args) -> int:
     context = args.input
     anchors = _anchors_from_dict(data, context)
     meas = MeasurementSet(
-        np.asarray(_require(data, "request_toa_m", context), dtype=float),
-        np.asarray(_require(data, "response_toa_m", context), dtype=float),
+        _numbers(data, "request_toa_m", context),
+        _numbers(data, "response_toa_m", context),
     )
     noise = _noise_from_dict(data, anchors.count, context)
     report = estimate(meas, anchors, noise, refine_steps=args.refine_steps)
@@ -232,7 +242,8 @@ def _cmd_crlb(args) -> int:
     if "snr_db" in data:
         from .scenario import noise_for_snr
 
-        noise = noise_for_snr(state, anchors, float(data["snr_db"]))
+        snr_db = _numbers(data, "snr_db", context, scalar=True)
+        noise = noise_for_snr(state, anchors, snr_db)
     else:
         noise = _noise_from_dict(data, anchors.count, context)
     result = crlb(state, anchors, noise)

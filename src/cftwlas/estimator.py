@@ -316,25 +316,23 @@ class BatchEstimate:
 
 
 def estimate_batch(
-    request: np.ndarray,
-    response: np.ndarray,
+    gamma: np.ndarray,
     weights: np.ndarray,
     anchors: AnchorSet,
     refine_steps: int = 1,
 ) -> BatchEstimate:
-    """``estimate`` for K rows of (K, M) request and response TOAs with
-    their (K, 2M) weights, through the same kernels; row k of the result
+    """``estimate`` for K rows of (K, 2M) stacked [requests, responses] TOAs
+    with their (K, 2M) weights, through the same kernels; row k of the result
     equals, bit for bit, what ``estimate`` reports for row k alone."""
     _check_steps(refine_steps)
-    rows, p = request.shape[0], 2 * anchors.ndim + 2
-    _, _, solution, full_rank = build_systems(request, response, anchors)
+    rows, m, p = gamma.shape[0], anchors.count, 2 * anchors.ndim + 2
+    _, _, solution, full_rank = build_systems(gamma[:, :m], gamma[:, m:], anchors)
     solved = np.flatnonzero(full_rank)
     g, U = solution[solved, :, 0], solution[solved, :, 1:]
     solutions = solve_pairs(quadratic_coefficients(g, U, anchors.ndim))
 
     local, thetas, from_complex = _candidate_states(g, U, solutions)
     row = solved[local]
-    gamma = np.concatenate([request, response], axis=1)
     _, usable, winner, ranges, model = _score(row, thetas, gamma, weights, anchors, rows)
     candidates = np.bincount(row[usable], minlength=rows)
     real = np.bincount(row[usable & ~from_complex], minlength=rows)

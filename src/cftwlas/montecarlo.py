@@ -13,19 +13,16 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import groupby, repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import BlockValues, crlb, flops_cftwlas, flops_iterative_per_iter
-# bench/spans.py rebinds gauss_newton and make_initializer here, so both
-# names stay importable.
-from .baseline import (  # noqa: F401
-    _gauss_newton_batch,
-    gauss_newton,
-    make_initializer,
-)
+# bench/spans.py rebinds estimate, gauss_newton and make_initializer here,
+# so those names stay importable.
+from .baseline import _gauss_newton_batch, gauss_newton, make_initializer  # noqa: F401
 from .errors import ConfigurationError, DegenerateGeometryError
-from .estimator import estimate, estimate_batch
+from .estimator import estimate, estimate_batch  # noqa: F401
 from .scenario import (
     _SIGMA_REDUCERS,
     NoiseSpec,
@@ -97,6 +94,10 @@ class CampaignConfig:
             raise ConfigurationError("an_counts must be non-empty")
         if not self.methods:
             raise ConfigurationError("methods must be non-empty")
+        labels = [method.label for method in self.methods]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigurationError(f"two methods share the label {label!r}")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
         for key in ("region_side_m", "vmax_mps"):
@@ -155,8 +156,8 @@ class CellStats:
     failure_rate: float
     flops_per_call: int
     mean_iterations: float | None
-    # Volatile: measured solver time, not reproducible. A batch's time is
-    # shared evenly over its runs, so a run's share is not its own cost.
+    # Volatile: measured solver time, not reproducible. The method's time on
+    # each window of the cell, summed; no run has a time of its own.
     wall_s: float
 
 
@@ -175,7 +176,8 @@ class CampaignStats:
 
 
 def _synthesize(cfg: CampaignConfig, anchors, center, snr_db, cell_index, run):
-    """One run's truth, measurements, noise and square-rooted bound blocks."""
+    """One run's truth, its parameter vector, stacked measurements, weights
+    and square-rooted bound blocks."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, cell_index, run, 0]))
     ud = sample_ud_state(
         rng,
@@ -203,113 +205,97 @@ def _synthesize(cfg: CampaignConfig, anchors, center, snr_db, cell_index, run):
         )
     except DegenerateGeometryError:
         crlb_sqrt = (math.nan,) * 4
-    return ud, meas, noise, crlb_sqrt
+    return ud, ud.as_vector(), meas.stacked(), noise.weights(), crlb_sqrt
 
 
-def _sq_errors(states: np.ndarray, truths: np.ndarray, ndim: int) -> list:
-    """Per-block squared errors of K (K, 2N+2) states, None for a row that
-    is not finite."""
+class _MethodRecord(NamedTuple):
+    """One method's results on R runs, in run order: the (R,) no-real-root
+    fallback (closed form) or non-converged (Gauss-Newton) flags, the (R, 4)
+    squared block errors of the final states (a NaN row is a run without a
+    finite state) and of the closed form's raw states, the (R,) Gauss-Newton
+    iterations and the method's seconds on these runs."""
+
+    flagged: np.ndarray
+    err2: np.ndarray
+    raw_err2: np.ndarray | None
+    iterations: np.ndarray | None
+    seconds: float
+
+
+def _join(records) -> _MethodRecord:
+    """One record of consecutive records of a method, in run order."""
+    *stacks, seconds = zip(*records)
+    return _MethodRecord(
+        *(None if s[0] is None else np.concatenate(s) for s in stacks), sum(seconds)
+    )
+
+
+def _sq_errors(states: np.ndarray, truths: np.ndarray, ndim: int) -> np.ndarray:
+    """(K, 4) per-block squared errors of K (K, 2N+2) states, NaN in a row
+    whose state is not finite."""
     sq = (states - truths) ** 2
     pos, vel = sq[:, 0], sq[:, ndim]
     for i in range(1, ndim):
         pos = pos + sq[:, i]
         vel = vel + sq[:, ndim + i]
     blocks = np.stack([pos, vel, sq[:, 2 * ndim], sq[:, 2 * ndim + 1]], axis=1)
-    finite = np.isfinite(states).all(axis=1)
-    return [tuple(b) if ok else None for b, ok in zip(blocks.tolist(), finite.tolist())]
+    blocks[~np.isfinite(states).all(axis=1)] = np.nan
+    return blocks
 
 
-def _closed_form(spec: MethodSpec, runs, anchors) -> list[tuple]:
-    """Method records (fallback, squared block errors, raw squared block
-    errors, seconds, iterations) of the closed form on every run, solved
-    ``_BATCH_ROWS`` runs per batch.
-
-    A run the batch leaves without a finite state goes through ``estimate``,
-    which runs the same kernels on that row alone and reports the same
-    result.
-    """
-    ndim = anchors.ndim
-    records = []
-    for lo in range(0, len(runs), _BATCH_ROWS):
-        chunk = runs[lo : lo + _BATCH_ROWS]
+def _closed_form(spec: MethodSpec, truths, gamma, weights, anchors) -> _MethodRecord:
+    """The closed form's record on a window's stacked runs, solved
+    ``_BATCH_ROWS`` runs per batch; a run's final state is the refined one,
+    or the raw one where the refinement failed."""
+    ndim, batches = anchors.ndim, []
+    for lo in range(0, len(gamma), _BATCH_ROWS):
+        rows = slice(lo, lo + _BATCH_ROWS)
         start = time.perf_counter()
-        batch = estimate_batch(
-            np.array([meas.request_toa for _, meas, _, _ in chunk]),
-            np.array([meas.response_toa for _, meas, _, _ in chunk]),
-            np.array([noise.weights() for _, _, noise, _ in chunk]),
-            anchors,
-            refine_steps=spec.refine_steps,
-        )
-        raw = batch.raw
-        final = np.where(np.isnan(batch.refined), raw, batch.refined)
-        seconds = [(time.perf_counter() - start) / len(chunk)] * len(chunk)
-        fallback = batch.no_real_root.tolist()
-        for i in np.flatnonzero(~np.isfinite(final).all(axis=1)).tolist():
-            _, meas, noise, _ = chunk[i]
-            start = time.perf_counter()
-            report = estimate(meas, anchors, noise, refine_steps=spec.refine_steps)
-            seconds[i] += time.perf_counter() - start
-            state = report.refined if report.refined is not None else report.raw
-            final[i] = np.nan if state is None else state.as_vector()
-            raw[i] = np.nan if report.raw is None else report.raw.as_vector()
-            fallback[i] = report.flags.no_real_root_fallback
-        truths = np.array([ud.as_vector() for ud, _, _, _ in chunk])
-        records.extend(
-            zip(
-                fallback,
-                _sq_errors(final, truths, ndim),
-                _sq_errors(raw, truths, ndim),
-                seconds,
-                [None] * len(chunk),
-            )
-        )
-    return records
+        batch = estimate_batch(gamma[rows], weights[rows], anchors, spec.refine_steps)
+        final = np.where(np.isnan(batch.refined), batch.raw, batch.refined)
+        seconds = time.perf_counter() - start
+        err2 = _sq_errors(final, truths[rows], ndim)
+        raw_err2 = _sq_errors(batch.raw, truths[rows], ndim)
+        batches.append(_MethodRecord(batch.no_real_root, err2, raw_err2, None, seconds))
+    return _join(batches)
 
 
-def _gauss_newton(cfg, spec, mi, cell_index, start, runs, anchors) -> list[tuple]:
-    """Method records of one Gauss-Newton method (see ``_closed_form``),
-    iterated ``_BATCH_ROWS`` runs per batch.
+def _gauss_newton(
+    cfg, spec, mi, cell_index, start, uds, truths, gamma, weights, anchors
+) -> _MethodRecord:
+    """The record of one Gauss-Newton method on a window's stacked runs,
+    from run ``start`` on, iterated ``_BATCH_ROWS`` runs per batch.
 
     Run ``r`` starts from ``make_initializer`` on its own stream
     ``SeedSequence([seed, cell, r, mi + 1])``; a batch's rows equal, bit for
     bit, what ``gauss_newton`` reports for each run alone. A run whose
     iterate sits on an anchor has no state and counts as failed.
     """
-    ndim = anchors.ndim
-    records = []
-    for lo in range(0, len(runs), _BATCH_ROWS):
-        chunk = runs[lo : lo + _BATCH_ROWS]
+    batches = []
+    for lo in range(0, len(uds), _BATCH_ROWS):
+        rows = slice(lo, lo + _BATCH_ROWS)
         clock = time.perf_counter()
         inits = []
-        for run, (ud, _, _, _) in enumerate(chunk, start + lo):
+        for run, ud in enumerate(uds[rows], start + lo):
             rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed, cell_index, run, mi + 1])
             )
             inits.append(make_initializer(ud, spec.init_std_m, rng).as_vector())
         states, _, iterations, converged, _, _ = _gauss_newton_batch(
-            np.array([meas.stacked() for _, meas, _, _ in chunk]),
-            np.array([noise.weights() for _, _, noise, _ in chunk]),
-            np.array(inits),
-            anchors,
-            spec.max_iter,
-            spec.tol_m,
+            gamma[rows], weights[rows], np.array(inits), anchors,
+            spec.max_iter, spec.tol_m,
         )
-        seconds = (time.perf_counter() - clock) / len(chunk)
-        truths = np.array([ud.as_vector() for ud, _, _, _ in chunk])
-        records.extend(
-            (not c, err2, None, seconds, it)
-            for c, err2, it in zip(
-                converged, _sq_errors(states, truths, ndim), iterations
-            )
-        )
-    return records
+        seconds = time.perf_counter() - clock
+        err2 = _sq_errors(states, truths[rows], anchors.ndim)
+        flagged, iterations = ~np.array(converged), np.array(iterations)
+        batches.append(_MethodRecord(flagged, err2, None, iterations, seconds))
+    return _join(batches)
 
 
 def _run_window(cfg, window):
-    """Records of one window ``(cell_index, an_count, snr_db, start, stop)``,
-    runs ``start`` to ``stop`` of one cell: the square-rooted bound blocks,
-    then one method record per method (see ``_closed_form``); an error entry
-    is None when the state is missing or non-finite."""
+    """Results of one window ``(cell_index, an_count, snr_db, start, stop)``,
+    runs ``start`` to ``stop`` of one cell, stacked once: the (K, 4)
+    square-rooted bound blocks and one ``_MethodRecord`` per method."""
     cell_index, an_count, snr_db, start, stop = window
     anchors = build_square_scenario(cfg.anchor_side_m, an_count, cfg.response_step_s)
     center = anchors.center
@@ -317,66 +303,53 @@ def _run_window(cfg, window):
         _synthesize(cfg, anchors, center, snr_db, cell_index, run)
         for run in range(start, stop)
     ]
-    per_method = [
-        _closed_form(spec, runs, anchors)
+    uds, *stacks = zip(*runs)
+    truths, gamma, weights, crlb_sqrt = map(np.array, stacks)
+    records = [
+        _closed_form(spec, truths, gamma, weights, anchors)
         if spec.kind == "cftwlas"
-        else _gauss_newton(cfg, spec, mi, cell_index, start, runs, anchors)
+        else _gauss_newton(
+            cfg, spec, mi, cell_index, start, uds, truths, gamma, weights, anchors
+        )
         for mi, spec in enumerate(cfg.methods)
     ]
-    return [(run[3], methods) for run, methods in zip(runs, zip(*per_method))]
+    return crlb_sqrt, records
 
 
-def _aggregate_cell(cfg, an_count, snr_db, records) -> list[CellStats]:
-    """Reduce per-run records, in run order, to one CellStats per method.
+def _mean(stack: np.ndarray) -> np.ndarray:
+    """Mean of the rows of an (R, 4) stack, NaN when R is 0. ``np.add.reduce``
+    along axis 0 of a C-contiguous stack adds the rows in run order, as a
+    running sum does; along a contiguous axis numpy would sum pairwise."""
+    with np.errstate(invalid="ignore"):
+        return np.add.reduce(stack, axis=0) / len(stack)
+
+
+def _aggregate_cell(cfg, an_count, snr_db, crlb_sqrt, records) -> list[CellStats]:
+    """Reduce a cell's (R, 4) square-rooted bound blocks and one
+    ``_MethodRecord`` per method to one CellStats per method.
 
     A run is a large-error run when its position error strictly exceeds three
     times the square root of that run's position-bound trace. Runs without a
     usable estimate count as failures and as large errors, and are excluded
     from the RMSE averages.
     """
-    runs = len(records)
-    crlb_sums = np.zeros(4)
-    for crlb_sqrt, _ in records:
-        crlb_sums += crlb_sqrt
-    crlb_mean = BlockValues(*(crlb_sums / runs).tolist())
-
+    runs = len(crlb_sqrt)
+    crlb_mean = BlockValues(*_mean(crlb_sqrt).tolist())
     cells = []
-    for mi, spec in enumerate(cfg.methods):
-        ref_sums = np.zeros(4)
-        raw_sums = np.zeros(4)
-        n_ok = n_raw = n_large = n_fallback = n_fail = 0
-        wall = 0.0
-        iter_total = 0
-        for crlb_sqrt, methods in records:
-            fallback, ref_err2, raw_err2, seconds, iterations = methods[mi]
-            wall += seconds
-            if iterations is not None:
-                iter_total += iterations
-            if fallback:
-                n_fallback += 1
-            if ref_err2 is None:
-                n_fail += 1
-                n_large += 1
-            else:
-                ref_sums += ref_err2
-                n_ok += 1
-                if math.sqrt(ref_err2[0]) > 3.0 * crlb_sqrt[0]:
-                    n_large += 1
-            if raw_err2 is not None:
-                raw_sums += raw_err2
-                n_raw += 1
-        rmse = (
-            BlockValues(*np.sqrt(ref_sums / n_ok).tolist())
-            if n_ok
-            else BlockValues(math.nan, math.nan, math.nan, math.nan)
-        )
-        raw_rmse = BlockValues(*np.sqrt(raw_sums / n_raw).tolist()) if n_raw else None
+    for spec, record in zip(cfg.methods, records):
+        failed = np.isnan(record.err2[:, 0])
+        large = failed | (np.sqrt(record.err2[:, 0]) > 3.0 * crlb_sqrt[:, 0])
+        rmse = BlockValues(*np.sqrt(_mean(record.err2[~failed])).tolist())
+        raw_rmse = None
+        if record.raw_err2 is not None:
+            raw = record.raw_err2[~np.isnan(record.raw_err2[:, 0])]
+            raw_rmse = BlockValues(*np.sqrt(_mean(raw)).tolist()) if len(raw) else None
         if spec.kind == "cftwlas":
             flops = flops_cftwlas(2, an_count)
             mean_iter = None
         else:
             flops = flops_iterative_per_iter(2, an_count)
-            mean_iter = iter_total / runs
+            mean_iter = int(record.iterations.sum()) / runs
         cells.append(
             CellStats(
                 method=spec.label,
@@ -386,25 +359,27 @@ def _aggregate_cell(cfg, an_count, snr_db, records) -> list[CellStats]:
                 rmse=rmse,
                 raw_rmse=raw_rmse,
                 crlb_mean=crlb_mean,
-                large_error_rate=n_large / runs,
-                fallback_rate=n_fallback / runs,
-                failure_rate=n_fail / runs,
+                large_error_rate=int(np.count_nonzero(large)) / runs,
+                fallback_rate=int(np.count_nonzero(record.flagged)) / runs,
+                failure_rate=int(np.count_nonzero(failed)) / runs,
                 flops_per_call=flops,
                 mean_iterations=mean_iter,
-                wall_s=wall,
+                wall_s=record.seconds,
             )
         )
     return cells
 
 
-def _reduce(cfg, windows, batches) -> list[CellStats]:
-    """Aggregate each cell once the records of its windows, which arrive in
+def _reduce(cfg, windows, results) -> list[CellStats]:
+    """Aggregate each cell once the results of its windows, which arrive in
     window order, are in."""
     cells = []
-    pairs = zip(windows, batches)
+    pairs = zip(windows, results)
     for (_, an_count, snr_db), group in groupby(pairs, key=lambda p: p[0][:3]):
-        records = [record for _, batch in group for record in batch]
-        cells.extend(_aggregate_cell(cfg, an_count, snr_db, records))
+        crlb_parts, method_parts = zip(*(result for _, result in group))
+        records = [_join(parts) for parts in zip(*method_parts)]
+        crlb_sqrt = np.concatenate(crlb_parts)
+        cells.extend(_aggregate_cell(cfg, an_count, snr_db, crlb_sqrt, records))
     return cells
 
 

@@ -20,7 +20,7 @@ from cftwlas import (
     run_campaign,
     sample_ud_state,
 )
-from cftwlas.montecarlo import _aggregate_cell
+from cftwlas.montecarlo import _aggregate_cell, _MethodRecord
 
 ANCHORS = build_square_scenario(800.0, 8)
 
@@ -204,13 +204,17 @@ def test_one_measurement_model(an_count):
 
 def _reduce(runs, crlb_pos_sqrt=2.0):
     """Reduce (squared block errors or None, raw squared errors or None) per
-    run with the campaign's cell reducer, as one closed-form cell."""
-    records = [
-        ((crlb_pos_sqrt, 1.0, 1.0, 1.0), ((False, ref, raw, 0.0, None),))
-        for ref, raw in runs
-    ]
-    cfg = CampaignConfig(runs=len(records))
-    (cell,) = _aggregate_cell(cfg, 8, 30.0, records)
+    run with the campaign's cell reducer, as one closed-form cell; None is a
+    run without a state, a NaN row of the method record."""
+
+    def stack(errors):
+        return np.array([[np.nan] * 4 if e is None else e for e in errors])
+
+    ref, raw = zip(*runs)
+    record = _MethodRecord(np.zeros(len(runs), bool), stack(ref), stack(raw), None, 0.0)
+    crlb_sqrt = np.tile([crlb_pos_sqrt, 1.0, 1.0, 1.0], (len(runs), 1))
+    cfg = CampaignConfig(runs=len(runs))
+    (cell,) = _aggregate_cell(cfg, 8, 30.0, crlb_sqrt, [record])
     return cell
 
 
@@ -239,6 +243,18 @@ class TestErrorStats:
         assert cell.large_error_rate == 0.5
         assert (cell.rmse.pos, cell.rmse.vel) == (1.0, 2.0)
         assert (cell.rmse.offset, cell.rmse.drift) == (3.0, 4.0)
+
+    def test_rows_summed_in_run_order(self):
+        # The reducer's sums are a running sum over the runs, bit for bit;
+        # numpy's pairwise sum along a contiguous axis gives other bits.
+        errors = np.random.default_rng(4).lognormal(0.0, 3.0, size=(1000, 4))
+        cell = _reduce([(tuple(e), None) for e in errors])
+        sums = np.zeros(4)
+        for e in errors:
+            sums += e
+        rmse = [cell.rmse.pos, cell.rmse.vel, cell.rmse.offset, cell.rmse.drift]
+        assert rmse == np.sqrt(sums / 1000).tolist()
+        assert not np.array_equal(np.ascontiguousarray(errors.T).sum(axis=1), sums)
 
     def test_reports_raw_and_refined_separately(self):
         cell = run_campaign(CampaignConfig(runs=20, seed=6)).cells[0]

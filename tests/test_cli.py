@@ -225,21 +225,49 @@ class TestEstimateCommand:
         assert err.startswith("error: ") and "at least 1 step" in err
 
 
+def crlb_scene():
+    anchors = build_square_scenario(800.0, 8)
+    return {
+        "anchors": anchors.positions.tolist(),
+        "schedule_s": anchors.schedule.tolist(),
+        "ud": {
+            "pos_m": [400.0, 300.0],
+            "vel_mps": [10.0, 0.0],
+            "offset_s": 5e-6,
+            "drift_ppm": 3.0,
+        },
+        "snr_db": 30.0,
+    }
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("estimate", "request_toa_m", ["a"] * 8),
+        ("estimate", "sigma_response_m", "x"),
+        ("estimate", "anchors", [[0.0, 0.0], [1.0]]),
+        ("crlb", "snr_db", "high"),
+        ("crlb", "drift_ppm", [1.0, 2.0]),
+    ],
+)
+def test_non_numeric_input_value_reported(tmp_path, capsys, command, key, value):
+    # A value that is not a number (or not an array of them) ends in exit 2
+    # with an error naming the file and the key, as a bad config key does.
+    if command == "estimate":
+        case_path, _ = estimate_case(tmp_path)
+        payload = json.loads(open(case_path).read())
+    else:
+        payload = crlb_scene()
+    (payload["ud"] if key == "drift_ppm" else payload)[key] = value
+    path = write_json(tmp_path / "bad_value.json", payload)
+    assert main([command, "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and f"'{key}'" in err
+
+
 class TestCrlbCommand:
     def test_bound_for_scenario_file(self, tmp_path):
-        anchors = build_square_scenario(800.0, 8)
-        payload = {
-            "anchors": anchors.positions.tolist(),
-            "schedule_s": anchors.schedule.tolist(),
-            "ud": {
-                "pos_m": [400.0, 300.0],
-                "vel_mps": [10.0, 0.0],
-                "offset_s": 5e-6,
-                "drift_ppm": 3.0,
-            },
-            "snr_db": 30.0,
-        }
-        path = write_json(tmp_path / "scene.json", payload)
+        path = write_json(tmp_path / "scene.json", crlb_scene())
         out_path = tmp_path / "bound.json"
         assert main(["crlb", "--input", path, "--output", str(out_path)]) == 0
         result = json.loads(out_path.read_text())

@@ -375,8 +375,7 @@ def _window(layout, seed, rows, noise_free, center):
 
 def _batch(anchors, window, refine_steps=1):
     return estimator.estimate_batch(
-        np.array([meas.request_toa for meas, _ in window]),
-        np.array([meas.response_toa for meas, _ in window]),
+        np.array([meas.stacked() for meas, _ in window]),
         np.array([noise.weights() for _, noise in window]),
         anchors,
         refine_steps=refine_steps,

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -101,12 +102,13 @@ class TestRunCampaign:
 
     def test_zero_tol_runs_every_iteration(self):
         # With convergence disabled every run spends exactly max_iter
-        # iterations; the closed form reports none.
+        # iterations; the closed form reports none. The two GN methods
+        # differ in init_std_m too, since a label names one method.
         cfg = CampaignConfig(
             snr_db=(30.0,), runs=40, seed=3,
             methods=(
                 MethodSpec("gauss_newton", init_std_m=50.0, max_iter=3, tol_m=0.0),
-                MethodSpec("gauss_newton", init_std_m=50.0, max_iter=5, tol_m=0.0),
+                MethodSpec("gauss_newton", init_std_m=40.0, max_iter=5, tol_m=0.0),
                 MethodSpec("cftwlas"),
             ),
         )
@@ -189,6 +191,27 @@ class TestConfigSerialization:
                 {"methods": [{"kind": "cftwlas"}, {"kind": "gauss_newton", "init_std_m": -1}]}
             )
 
+    def test_methods_sharing_a_label_rejected(self, tmp_path, capsys):
+        # Two GN methods that differ only in max_iter would write two CSV
+        # rows under one key, and cell() would find only the first.
+        methods = [
+            {"kind": "gauss_newton", "max_iter": 5},
+            {"kind": "gauss_newton", "max_iter": 20},
+        ]
+        with pytest.raises(ConfigurationError, match="'gauss_newton_init50'"):
+            CampaignConfig(methods=tuple(MethodSpec(**m) for m in methods))
+        CampaignConfig(methods=(MethodSpec("gauss_newton", init_std_m=25.0),
+                                MethodSpec("gauss_newton")))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"runs": 2, "methods": methods}))
+        assert cli_main([
+            "simulate", "--config", str(cfg_path),
+            "--csv", str(tmp_path / "out.csv"), "--summary", str(tmp_path / "out.json"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "gauss_newton_init50" in err
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestBatchedCampaign:
     """The closed form runs as one stacked batch per worker window."""
@@ -224,47 +247,63 @@ class TestBatchedCampaign:
         assert cf[8]["failure_rate"] == 0.0
 
     def test_records_equal_per_call_estimates(self, monkeypatch):
-        cfg = CampaignConfig(
-            an_counts=(8,), snr_db=(12.0,), runs=40, seed=17,
-            methods=(
-                MethodSpec("cftwlas"),
-                MethodSpec("gauss_newton", init_std_m=50.0),
-                MethodSpec("gauss_newton", init_std_m=200.0, max_iter=6),
-            ),
+        methods = (
+            MethodSpec("cftwlas"),
+            MethodSpec("gauss_newton", init_std_m=50.0),
+            MethodSpec("gauss_newton", init_std_m=200.0, max_iter=6),
+        )
+        noisy = CampaignConfig(
+            an_counts=(8,), snr_db=(12.0,), runs=40, seed=17, methods=methods
+        )
+        # At rest in the center of the 4-anchor square every closed-form run
+        # fails, and a failed row keeps the record estimate() gives alone.
+        degenerate = CampaignConfig(
+            an_counts=(4,), noise_free=True, region_side_m=0.0, vmax_mps=0.0,
+            runs=40, seed=17, methods=methods,
         )
         start, stop, cell = 5, 40, 0
-        anchors = build_square_scenario(cfg.anchor_side_m, 8, cfg.response_step_s)
-        # A window of 35 runs, in one batch and in batches of 8.
-        for batch_rows in (256, 8):
-            monkeypatch.setattr(montecarlo, "_BATCH_ROWS", batch_rows)
-            records = _run_window(cfg, (cell, 8, 12.0, start, stop))
-            assert len(records) == stop - start
-            for run, (_, (cf, *gns)) in zip(range(start, stop), records):
-                self._check_run(cfg, anchors, cell, run, cf, gns)
+        for cfg, an_count, snr_db in ((noisy, 8, 12.0), (degenerate, 4, math.inf)):
+            anchors = build_square_scenario(
+                cfg.anchor_side_m, an_count, cfg.response_step_s
+            )
+            # A window of 35 runs, in one batch and in batches of 8.
+            for batch_rows in (256, 8):
+                monkeypatch.setattr(montecarlo, "_BATCH_ROWS", batch_rows)
+                window = (cell, an_count, snr_db, start, stop)
+                crlb_sqrt, (cf, *gns) = _run_window(cfg, window)
+                assert crlb_sqrt.shape == (stop - start, 4)
+                for k, run in enumerate(range(start, stop)):
+                    self._check_run(cfg, anchors, snr_db, cell, run, k, cf, gns)
+            assert np.isnan(cf.err2).all() == cfg.noise_free
 
     @staticmethod
-    def _check_run(cfg, anchors, cell, run, cf, gns):
-        """One run's method records against the per-call results."""
+    def _check_run(cfg, anchors, snr_db, cell, run, k, cf, gns):
+        """Row k of the method records, run ``run``, against the per-call
+        results."""
         # The inputs the campaign draws for this run, rebuilt from the seed.
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, cell, run, 0]))
         truth = sample_ud_state(
             rng, cfg.region_side_m, cfg.vmax_mps, cfg.offset_range_s,
             cfg.drift_range_ppm, center=anchors.center,
         )
-        noise = noise_for_snr(truth, anchors, 12.0)
-        meas = add_noise(forward_model(truth, anchors), noise, rng)
+        meas = forward_model(truth, anchors)
+        if cfg.noise_free:
+            noise = NoiseSpec(np.ones(anchors.count), 1.0)
+        else:
+            noise = noise_for_snr(truth, anchors, snr_db)
+            meas = add_noise(meas, noise, rng)
         report = estimate(meas, anchors, noise)
         final = report.refined if report.refined is not None else report.raw
 
         def err2(state):
-            if state is None:
-                return None
-            return _sq_errors(state.as_vector()[None], truth.as_vector()[None], 2)[0]
+            """The squared block errors' bits; NaN for a missing state."""
+            vector = np.full(6, np.nan) if state is None else state.as_vector()
+            return _sq_errors(vector[None], truth.as_vector()[None], 2)[0].tobytes()
 
-        fallback, ref_err2, raw_err2, _, iterations = cf
-        assert fallback == report.flags.no_real_root_fallback
-        assert ref_err2 == err2(final) and raw_err2 == err2(report.raw)
-        assert iterations is None
+        assert cf.flagged[k] == report.flags.no_real_root_fallback
+        assert cf.err2[k].tobytes() == err2(final)
+        assert cf.raw_err2[k].tobytes() == err2(report.raw)
+        assert cf.iterations is None
         for mi, gn in enumerate(gns, 1):
             spec = cfg.methods[mi]
             method_rng = np.random.default_rng(
@@ -274,10 +313,9 @@ class TestBatchedCampaign:
             state, trace = gauss_newton(
                 meas, anchors, noise, init, max_iter=spec.max_iter, tol=spec.tol_m
             )
-            nonconverged, gn_err2, gn_raw_err2, _, gn_iterations = gn
-            assert nonconverged == (not trace.converged)
-            assert gn_err2 == err2(state) and gn_raw_err2 is None
-            assert gn_iterations == trace.iterations_used
+            assert gn.flagged[k] == (not trace.converged)
+            assert gn.err2[k].tobytes() == err2(state) and gn.raw_err2 is None
+            assert gn.iterations[k] == trace.iterations_used
 
     def test_gauss_newton_run_on_an_anchor_is_a_failed_run(self):
         # Run 1 starts exactly on an anchor (zero initialization noise from a
@@ -287,17 +325,32 @@ class TestBatchedCampaign:
         cfg = CampaignConfig(runs=3, seed=2)
         spec = MethodSpec("gauss_newton", init_std_m=0.0)
         noise = NoiseSpec(np.ones(8), 1.0)
-        runs = []
-        for pos in ([300.0, 350.0], anchors.positions[4], [520.0, 610.0]):
-            truth = UdState(pos, [3.0, -2.0], 100.0, 0.5)
-            seen = UdState([410.0, 380.0], [3.0, -2.0], 100.0, 0.5)
-            runs.append((truth, forward_model(seen, anchors), noise, None))
-        window = _gauss_newton(cfg, spec, 0, 0, 0, runs, anchors)
-        assert window[1][:3] == (True, None, None) and window[1][4] == 0
-        init = make_initializer(runs[1][0], 0.0, np.random.default_rng(0))
+        seen = UdState([410.0, 380.0], [3.0, -2.0], 100.0, 0.5)
+        meas = forward_model(seen, anchors)
+        uds = [
+            UdState(pos, [3.0, -2.0], 100.0, 0.5)
+            for pos in ([300.0, 350.0], anchors.positions[4], [520.0, 610.0])
+        ]
+        truths = np.array([ud.as_vector() for ud in uds])
+        gamma = np.array([meas.stacked()] * 3)
+        weights = np.array([noise.weights()] * 3)
+
+        def runs(lo, hi):
+            rows = slice(lo, hi)
+            return _gauss_newton(
+                cfg, spec, 0, 0, lo, uds[rows], truths[rows], gamma[rows],
+                weights[rows], anchors,
+            )
+
+        window = runs(0, 3)
+        assert window.flagged[1] and np.isnan(window.err2[1]).all()
+        assert window.raw_err2 is None and window.iterations[1] == 0
+        init = make_initializer(uds[1], 0.0, np.random.default_rng(0))
         with pytest.raises(GeometryError):
-            gauss_newton(runs[1][1], anchors, noise, init)
+            gauss_newton(meas, anchors, noise, init)
         for k in (0, 2):
-            alone = _gauss_newton(cfg, spec, 0, 0, k, runs[k : k + 1], anchors)[0]
-            assert window[k][:3] == alone[:3] and window[k][4] == alone[4]
-            assert window[k][1] is not None
+            alone = runs(k, k + 1)
+            assert window.flagged[k] == alone.flagged[0]
+            assert window.err2[k].tobytes() == alone.err2[0].tobytes()
+            assert window.iterations[k] == alone.iterations[0]
+            assert np.isfinite(window.err2[k]).all()
