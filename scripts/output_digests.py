@@ -30,8 +30,10 @@ Campaign digests (the ``campaign_*`` keys, digests in both modes) cover the
 per-cell summary records of ``cftwlas simulate`` with wall time zeroed, for
 the benchmark preset at 10 and 30 dB (60 runs), a noise-free 4/5/8-anchor
 campaign of devices at rest in the center (the 4-anchor closed form fails
-every run) at one and three workers, and one Gauss-Newton method stopped
-after 6 iterations.
+every run) at one and three workers, one Gauss-Newton method stopped after 6
+iterations, and 4 and 5 anchors at 10 dB with the response sigma taken from
+the shortest and from the longest link (``response_sigma_rule`` "min" and
+"max").
 """
 
 import hashlib
@@ -122,6 +124,13 @@ def campaign_digests(seed: int) -> dict:
             snr_db=(12.0,), runs=60, seed=seed,
             methods=(MethodSpec("gauss_newton", init_std_m=200.0, max_iter=6),),
         ),
+        **{
+            f"sigma_rules_{rule}": CampaignConfig(
+                an_counts=(4, 5), snr_db=(10.0,), runs=60, seed=seed,
+                methods=both, response_sigma_rule=rule,
+            )
+            for rule in ("min", "max")
+        },
     }
     return {
         f"campaign_{name}": digest([_cell_dicts(run_campaign(cfg), False)])
