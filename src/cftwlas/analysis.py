@@ -121,13 +121,13 @@ def crlb(state: UdState, anchors: AnchorSet, noise: NoiseSpec) -> CrlbResult:
         raise DegenerateGeometryError("singular information matrix") from exc
     if not np.isfinite(bound).all():
         raise DegenerateGeometryError("singular information matrix")
-    n = anchors.ndim
-    blocks = BlockValues(
-        pos=float(np.trace(bound[:n, :n])),
-        vel=float(np.trace(bound[n : 2 * n, n : 2 * n])),
-        offset=float(bound[2 * n, 2 * n]),
-        drift=float(bound[2 * n + 1, 2 * n + 1]),
-    )
+    n, diag = anchors.ndim, bound.diagonal().tolist()
+    # Running sums: the order in which np.trace adds up to 8 entries.
+    pos, vel = diag[0], diag[n]
+    for i in range(1, n):
+        pos += diag[i]
+        vel += diag[n + i]
+    blocks = BlockValues(pos, vel, diag[2 * n], diag[2 * n + 1])
     return CrlbResult(fisher=fisher, crlb=bound, blocks=blocks)
 
 

@@ -133,12 +133,16 @@ def _require(data: dict, key: str, context: str):
 
 def _numbers(data: dict, key: str, context: str, scalar: bool = False):
     """``data[key]`` as a float array, or a float when ``scalar``, naming
-    the file and key when it holds something else."""
+    the file and key when it holds something else or a value that is not
+    finite (JSON ``null`` reads as NaN, ``1e999`` as infinity)."""
     value = _require(data, key, context)
     try:
-        return float(value) if scalar else np.asarray(value, dtype=float)
+        numbers = float(value) if scalar else np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{context}: key '{key}': {exc}") from exc
+    if not np.isfinite(numbers).all():
+        raise ConfigurationError(f"{context}: key '{key}': values must be finite")
+    return numbers
 
 
 def _state_from_dict(data: dict, context: str) -> UdState:

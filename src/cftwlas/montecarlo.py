@@ -17,15 +17,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import BlockValues, crlb, flops_cftwlas, flops_iterative_per_iter
-# bench/spans.py rebinds estimate, gauss_newton and make_initializer here,
-# so those names stay importable.
+from .analysis import (
+    BlockValues,
+    _evaluate,
+    crlb,
+    flops_cftwlas,
+    flops_iterative_per_iter,
+)
+# bench/spans.py rebinds estimate, gauss_newton, make_initializer,
+# forward_model, noise_for_snr and add_noise here, so those names stay
+# importable.
 from .baseline import _gauss_newton_batch, gauss_newton, make_initializer  # noqa: F401
-from .errors import ConfigurationError, DegenerateGeometryError
+from .errors import ConfigurationError, DegenerateGeometryError, GeometryError
 from .estimator import estimate, estimate_batch  # noqa: F401
-from .scenario import (
+from .scenario import (  # noqa: F401
     _SIGMA_REDUCERS,
     NoiseSpec,
+    _sigmas,
     add_noise,
     build_square_scenario,
     forward_model,
@@ -55,9 +63,10 @@ class MethodSpec:
             raise ConfigurationError("refine_steps must be >= 1")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
-        for key in ("init_std_m", "tol_m"):
-            if not getattr(self, key) >= 0.0:
-                raise ConfigurationError(f"{key} must be >= 0")
+        if not 0.0 <= self.init_std_m < math.inf:
+            raise ConfigurationError("init_std_m must be finite and >= 0")
+        if not self.tol_m >= 0.0:
+            raise ConfigurationError("tol_m must be >= 0")
 
     @property
     def label(self) -> str:
@@ -175,39 +184,6 @@ class CampaignStats:
         raise KeyError((method, snr_db, an_count))
 
 
-def _synthesize(cfg: CampaignConfig, anchors, center, snr_db, cell_index, run):
-    """One run's truth, its parameter vector, stacked measurements, weights
-    and square-rooted bound blocks."""
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, cell_index, run, 0]))
-    ud = sample_ud_state(
-        rng,
-        cfg.region_side_m,
-        cfg.vmax_mps,
-        cfg.offset_range_s,
-        cfg.drift_range_ppm,
-        center=center,
-        ndim=anchors.ndim,
-    )
-    clean = forward_model(ud, anchors)
-    if cfg.noise_free:
-        noise = NoiseSpec(np.ones(anchors.count), 1.0)
-        meas = clean
-    else:
-        noise = noise_for_snr(ud, anchors, snr_db, cfg.response_sigma_rule)
-        meas = add_noise(clean, noise, rng)
-    try:
-        blocks = crlb(ud, anchors, noise).blocks
-        crlb_sqrt = (
-            math.sqrt(blocks.pos),
-            math.sqrt(blocks.vel),
-            math.sqrt(blocks.offset),
-            math.sqrt(blocks.drift),
-        )
-    except DegenerateGeometryError:
-        crlb_sqrt = (math.nan,) * 4
-    return ud, ud.as_vector(), meas.stacked(), noise.weights(), crlb_sqrt
-
-
 class _MethodRecord(NamedTuple):
     """One method's results on R runs, in run order: the (R,) no-real-root
     fallback (closed form) or non-converged (Gauss-Newton) flags, the (R, 4)
@@ -261,35 +237,91 @@ def _closed_form(spec: MethodSpec, truths, gamma, weights, anchors) -> _MethodRe
 
 
 def _gauss_newton(
-    cfg, spec, mi, cell_index, start, uds, truths, gamma, weights, anchors
+    cfg, spec, mi, cell_index, start, truths, gamma, weights, anchors
 ) -> _MethodRecord:
     """The record of one Gauss-Newton method on a window's stacked runs,
     from run ``start`` on, iterated ``_BATCH_ROWS`` runs per batch.
 
-    Run ``r`` starts from ``make_initializer`` on its own stream
-    ``SeedSequence([seed, cell, r, mi + 1])``; a batch's rows equal, bit for
+    Run ``r`` starts where ``make_initializer`` puts it from its own stream
+    ``SeedSequence([seed, cell, r, mi + 1])``: N standard normals, scaled and
+    added to the true position on the stack as ``Generator.normal`` computes
+    ``loc + scale * z``, with zero dynamics. A batch's rows equal, bit for
     bit, what ``gauss_newton`` reports for each run alone. A run whose
     iterate sits on an anchor has no state and counts as failed.
     """
-    batches = []
-    for lo in range(0, len(uds), _BATCH_ROWS):
-        rows = slice(lo, lo + _BATCH_ROWS)
+    n, batches = anchors.ndim, []
+    for lo in range(0, len(truths), _BATCH_ROWS):
+        hi = min(lo + _BATCH_ROWS, len(truths))
+        rows = slice(lo, hi)
         clock = time.perf_counter()
-        inits = []
-        for run, ud in enumerate(uds[rows], start + lo):
-            rng = np.random.default_rng(
+        draws = np.array([
+            np.random.default_rng(
                 np.random.SeedSequence([cfg.seed, cell_index, run, mi + 1])
-            )
-            inits.append(make_initializer(ud, spec.init_std_m, rng).as_vector())
+            ).standard_normal(n)
+            for run in range(start + lo, start + hi)
+        ])
+        inits = np.zeros_like(truths[rows])
+        inits[:, :n] = truths[rows, :n] + (0.0 + spec.init_std_m * draws)
         states, _, iterations, converged, _, _ = _gauss_newton_batch(
-            gamma[rows], weights[rows], np.array(inits), anchors,
-            spec.max_iter, spec.tol_m,
+            gamma[rows], weights[rows], inits, anchors, spec.max_iter, spec.tol_m
         )
         seconds = time.perf_counter() - clock
-        err2 = _sq_errors(states, truths[rows], anchors.ndim)
+        err2 = _sq_errors(states, truths[rows], n)
         flagged, iterations = ~np.array(converged), np.array(iterations)
         batches.append(_MethodRecord(flagged, err2, None, iterations, seconds))
     return _join(batches)
+
+
+def _window_inputs(cfg, anchors, cell_index, snr_db, start, stop):
+    """The stacked inputs of runs ``start`` to ``stop`` of one cell: the
+    (K, 2N+2) true parameter vectors, the (K, 2M) measurements and weights
+    and the (K, 4) square-rooted bound blocks.
+
+    Run ``r`` draws its device state and then 2M standard normals from its
+    own stream ``SeedSequence([seed, cell, r, 0])``: the variates of
+    ``add_noise``'s two ``normal`` calls, which compute ``loc + scale * z``.
+    The model, sigmas, noise and weights are computed on the stacks, bit for
+    bit ``forward_model``, ``noise_for_snr``, ``add_noise`` and
+    ``NoiseSpec.weights`` on each run alone; the bound stays per run.
+    """
+    m = anchors.count
+    center, uds, draws = anchors.center, [], []
+    for run in range(start, stop):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, cell_index, run, 0])
+        )
+        uds.append(sample_ud_state(
+            rng, cfg.region_side_m, cfg.vmax_mps, cfg.offset_range_s,
+            cfg.drift_range_ppm, center=center, ndim=anchors.ndim,
+        ))
+        if not cfg.noise_free:
+            draws.append(rng.standard_normal(2 * m))
+    truths = np.array([ud.as_vector() for ud in uds])
+    (_, d0, _, _, on_anchor), gamma = _evaluate(truths, anchors)
+    if on_anchor.any():
+        raise GeometryError("state coincides with an anchor")
+    if cfg.noise_free:
+        noises = [NoiseSpec(np.ones(m), 1.0)] * len(uds)
+        weights = np.ones_like(gamma)
+    else:
+        sigma_request, sigma_response = _sigmas(d0, snr_db, cfg.response_sigma_rule)
+        noises = list(map(NoiseSpec, sigma_request, sigma_response.tolist()))
+        sigmas = np.concatenate(
+            [sigma_request, np.repeat(sigma_response[:, None], m, axis=1)], axis=1
+        )
+        gamma += 0.0 + sigmas * np.array(draws)
+        # The response weight squares a Python float, which is C pow(), not
+        # the x * x of an array's ** 2; float_power calls pow() as well.
+        response = np.repeat(np.float_power(sigma_response, 2.0)[:, None], m, axis=1)
+        weights = 1.0 / np.concatenate([sigma_request**2, response], axis=1)
+    bounds = []
+    for ud, noise in zip(uds, noises):
+        try:
+            blocks = crlb(ud, anchors, noise).blocks
+            bounds.append((blocks.pos, blocks.vel, blocks.offset, blocks.drift))
+        except DegenerateGeometryError:
+            bounds.append((math.nan,) * 4)
+    return truths, gamma, weights, np.sqrt(bounds)
 
 
 def _run_window(cfg, window):
@@ -298,18 +330,14 @@ def _run_window(cfg, window):
     square-rooted bound blocks and one ``_MethodRecord`` per method."""
     cell_index, an_count, snr_db, start, stop = window
     anchors = build_square_scenario(cfg.anchor_side_m, an_count, cfg.response_step_s)
-    center = anchors.center
-    runs = [
-        _synthesize(cfg, anchors, center, snr_db, cell_index, run)
-        for run in range(start, stop)
-    ]
-    uds, *stacks = zip(*runs)
-    truths, gamma, weights, crlb_sqrt = map(np.array, stacks)
+    truths, gamma, weights, crlb_sqrt = _window_inputs(
+        cfg, anchors, cell_index, snr_db, start, stop
+    )
     records = [
         _closed_form(spec, truths, gamma, weights, anchors)
         if spec.kind == "cftwlas"
         else _gauss_newton(
-            cfg, spec, mi, cell_index, start, uds, truths, gamma, weights, anchors
+            cfg, spec, mi, cell_index, start, truths, gamma, weights, anchors
         )
         for mi, spec in enumerate(cfg.methods)
     ]

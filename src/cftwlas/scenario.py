@@ -243,18 +243,29 @@ def sample_ud_state(
         center = np.zeros(ndim)
     center = np.asarray(center, dtype=float).ravel()
     half = region_side / 2.0
-    pos = rng.uniform(center - half, center + half)
-    speed = rng.uniform(0.0, vmax)
+    (offset_lo, offset_hi), (drift_lo, drift_hi) = offset_range_s, drift_range_ppm
     if ndim == 2:
-        heading = rng.uniform(0.0, 2.0 * np.pi)
+        # Position, speed, heading, offset and drift in one call: uniform
+        # draws element by element, lo + (hi - lo) * u, in the order of
+        # separate calls.
+        lows = np.concatenate([center - half, [0.0, 0.0, offset_lo, drift_lo]])
+        highs = np.concatenate(
+            [center + half, [vmax, 2.0 * np.pi, offset_hi, drift_hi]]
+        )
+        draw = rng.uniform(lows, highs)
+        pos, (speed, heading, offset, drift) = draw[:2], draw[2:]
         direction = np.array([np.cos(heading), np.sin(heading)])
     else:
+        pos = rng.uniform(center - half, center + half)
+        speed = rng.uniform(0.0, vmax)
         direction = rng.normal(size=ndim)
         norm = np.linalg.norm(direction)
         direction = direction / norm if norm > 0.0 else np.eye(ndim)[0]
-    offset = rng.uniform(*offset_range_s) * SPEED_OF_LIGHT
-    drift = rng.uniform(*drift_range_ppm) * 1e-6 * SPEED_OF_LIGHT
-    return UdState(pos, speed * direction, offset, drift)
+        offset = rng.uniform(offset_lo, offset_hi)
+        drift = rng.uniform(drift_lo, drift_hi)
+    return UdState(
+        pos, speed * direction, offset * SPEED_OF_LIGHT, drift * 1e-6 * SPEED_OF_LIGHT
+    )
 
 
 def forward_model(ud: UdState, anchors: AnchorSet) -> MeasurementSet:
@@ -299,12 +310,17 @@ def noise_for_snr(
     distances = np.linalg.norm(anchors.positions - ud.pos, axis=1)
     if distances.min() < MIN_RANGE:
         raise GeometryError("state coincides with an anchor")
-    sigma_request = np.array([sigma_from_snr(d, snr_db) for d in distances])
-    if response_rule not in _SIGMA_REDUCERS:
-        raise ConfigurationError(f"unknown response sigma rule {response_rule!r}")
-    distance = float(_SIGMA_REDUCERS[response_rule](distances))
-    sigma_response = sigma_from_snr(distance, snr_db)
-    return NoiseSpec(sigma_request, sigma_response)
+    return NoiseSpec(*_sigmas(distances, snr_db, response_rule))
+
+
+def _sigmas(distances: np.ndarray, snr_db: float, rule: str):
+    """The request sigmas and the response sigma of ``noise_for_snr`` from
+    link distances: (..., M) distances give (..., M) request sigmas and (...)
+    response sigmas, each ``sigma_from_snr`` of its distance, bit for bit."""
+    if rule not in _SIGMA_REDUCERS:
+        raise ConfigurationError(f"unknown response sigma rule {rule!r}")
+    scale = 10.0 ** (-snr_db / 20.0)
+    return distances * scale, _SIGMA_REDUCERS[rule](distances, axis=-1) * scale
 
 
 def add_noise(

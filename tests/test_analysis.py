@@ -148,6 +148,26 @@ class TestCrlb:
         assert result.blocks.offset == pytest.approx(result.crlb[4, 4])
         assert result.blocks.drift == pytest.approx(result.crlb[5, 5])
 
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_block_traces_equal_np_trace_bitwise(self, ndim):
+        # The blocks are running sums of the bound's diagonal; np.trace adds
+        # the diagonal of a 2- or 3-D block in the same order.
+        rng = np.random.default_rng(40 + ndim)
+        n = ndim
+        for _ in range(300):
+            m = int(rng.integers(ndim + 3, 10))
+            anchors = AnchorSet(
+                rng.uniform(0.0, 800.0, size=(m, ndim)), 0.01 * np.arange(1, m + 1)
+            )
+            ud = sample_ud_state(rng, 500.0, center=anchors.center, ndim=ndim)
+            noise = NoiseSpec(rng.uniform(0.1, 10.0, m), float(rng.uniform(0.1, 10.0)))
+            result = crlb(ud, anchors, noise)
+            bound = result.crlb
+            assert result.blocks.pos == float(np.trace(bound[:n, :n]))
+            assert result.blocks.vel == float(np.trace(bound[n : 2 * n, n : 2 * n]))
+            assert result.blocks.offset == bound[2 * n, 2 * n]
+            assert result.blocks.drift == bound[2 * n + 1, 2 * n + 1]
+
     def test_center_of_square_fisher_is_usable_or_degenerate(self):
         # At the 4-anchor center the linearized builder degenerates, but the
         # information matrix itself can stay invertible; this only checks the

@@ -45,11 +45,15 @@ DEFINED_IN = {
 }
 
 
-def _call_sites():
+def _spans_module():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.CALL_SITES
+    return spans
+
+
+def _call_sites():
+    return _spans_module().CALL_SITES
 
 
 def test_call_sites_resolve_to_their_defining_modules():
@@ -114,6 +118,26 @@ def test_traced_spans_fire_through_call_sites(monkeypatch):
     assert report.refined is not None
     missing = {name for name in TRACED_SPANS if counts[name] == 0}
     assert not missing, f"spans that never fired: {sorted(missing)}"
+
+
+def test_campaign_fires_the_spans_the_traced_run_reduces():
+    # The traced benchmark run passes the campaign's synthesis spans
+    # (``scenario.*`` under negative run ids) and its ``analysis.crlb`` spans
+    # to np.percentile, which raises on an empty list.
+    from cftwlas import CampaignConfig, run_campaign
+
+    tracer = _spans_module().Tracer()
+    tracer.install()
+    try:
+        run_campaign(CampaignConfig(an_counts=(4, 8), runs=3, seed=5))
+    finally:
+        tracer.uninstall()
+    synth_runs = {
+        run for _, name, _, _, _, run, _ in tracer.spans
+        if name.startswith("scenario.") and run < 0
+    }
+    assert len(synth_runs) == 6
+    assert any(name == "analysis.crlb" for _, name, *_ in tracer.spans)
 
 
 def test_bench_reads_every_cell_of_the_cli_summary(tmp_path, monkeypatch):

@@ -265,6 +265,31 @@ def test_non_numeric_input_value_reported(tmp_path, capsys, command, key, value)
     assert err.startswith(f"error: {path}") and f"'{key}'" in err
 
 
+@pytest.mark.parametrize(
+    "key, values",
+    [
+        ("request_toa_m", ["null"] * 8),
+        ("request_toa_m", ["1e999"] + ["300.0"] * 7),
+        ("response_toa_m", ["300.0"] * 7 + ["-1e999"]),
+        ("response_toa_m", ["NaN"] + ["300.0"] * 7),
+    ],
+)
+def test_non_finite_toa_reported(tmp_path, capsys, key, values):
+    # JSON null reads as NaN and 1e999 as infinity. A TOA that is not finite
+    # ends in exit 2 with an error naming the file and the key, not in an
+    # estimate flagged as degenerate geometry.
+    case_path, _ = estimate_case(tmp_path)
+    payload = json.loads(open(case_path).read())
+    payload[key] = "TOAS"
+    path = tmp_path / "bad_toa.json"
+    path.write_text(
+        json.dumps(payload).replace('"TOAS"', "[" + ", ".join(values) + "]")
+    )
+    assert main(["estimate", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and f"'{key}'" in err
+
+
 class TestCrlbCommand:
     def test_bound_for_scenario_file(self, tmp_path):
         path = write_json(tmp_path / "scene.json", crlb_scene())

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cftwlas import (
     CampaignConfig,
     ConfigurationError,
+    DegenerateGeometryError,
     GeometryError,
     MethodSpec,
     NoiseSpec,
@@ -15,6 +18,7 @@ from cftwlas import (
     add_noise,
     benchmark_config,
     build_square_scenario,
+    crlb,
     estimate,
     forward_model,
     gauss_newton,
@@ -29,6 +33,7 @@ from cftwlas.montecarlo import (
     _gauss_newton,
     _run_window,
     _sq_errors,
+    _window_inputs,
     config_from_dict,
     config_to_dict,
 )
@@ -172,8 +177,9 @@ class TestConfigSerialization:
                 with pytest.raises(ConfigurationError, match=key):
                     CampaignConfig(**{key: bad})
             CampaignConfig(**{key: 0.0})
-        with pytest.raises(ConfigurationError, match="init_std_m"):
-            MethodSpec(kind="gauss_newton", init_std_m=-50.0)
+        for bad in (-50.0, float("inf")):
+            with pytest.raises(ConfigurationError, match="init_std_m"):
+                MethodSpec(kind="gauss_newton", init_std_m=bad)
         for bad in (-1e-4, float("nan")):
             with pytest.raises(ConfigurationError, match="tol_m"):
                 MethodSpec(kind="gauss_newton", tol_m=bad)
@@ -338,7 +344,7 @@ class TestBatchedCampaign:
         def runs(lo, hi):
             rows = slice(lo, hi)
             return _gauss_newton(
-                cfg, spec, 0, 0, lo, uds[rows], truths[rows], gamma[rows],
+                cfg, spec, 0, 0, lo, truths[rows], gamma[rows],
                 weights[rows], anchors,
             )
 
@@ -354,3 +360,79 @@ class TestBatchedCampaign:
             assert window.err2[k].tobytes() == alone.err2[0].tobytes()
             assert window.iterations[k] == alone.iterations[0]
             assert np.isfinite(window.err2[k]).all()
+
+
+def _crlb_failing_on_some_states(state, anchors, noise):
+    """``crlb``, raising as on a singular information matrix for about a
+    third of the device states."""
+    if int(state.pos[0] * 1e3) % 3 == 0:
+        raise DegenerateGeometryError("singular information matrix")
+    return crlb(state, anchors, noise)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cell=st.integers(0, 40),
+    start=st.integers(0, 30),
+    length=st.integers(1, 12),
+    an_count=st.sampled_from((4, 5, 8)),
+    snr_db=st.one_of(st.just(math.inf), st.floats(-10.0, 60.0)),
+    rule=st.sampled_from(("mean", "min", "max")),
+    prior=st.sampled_from(((500.0, 50.0), (0.0, 0.0))),
+)
+def test_window_inputs_equal_per_run_calls(
+    seed, cell, start, length, an_count, snr_db, rule, prior
+):
+    # The window's stacks equal, byte for byte, the chain of public calls on
+    # each run alone: sample_ud_state, forward_model, noise_for_snr,
+    # add_noise (unit sigmas and no noise when noise-free) and crlb. A run
+    # whose bound raises is NaN on both sides.
+    noise_free = snr_db == math.inf
+    cfg = CampaignConfig(
+        an_counts=(an_count,), snr_db=(30.0,) if noise_free else (snr_db,),
+        noise_free=noise_free, region_side_m=prior[0], vmax_mps=prior[1],
+        runs=start + length, seed=seed, response_sigma_rule=rule,
+    )
+    anchors = build_square_scenario(cfg.anchor_side_m, an_count, cfg.response_step_s)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "crlb", _crlb_failing_on_some_states)
+        stacks = _window_inputs(cfg, anchors, cell, snr_db, start, start + length)
+        rows = []
+        for run in range(start, start + length):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, cell, run, 0]))
+            truth = sample_ud_state(
+                rng, cfg.region_side_m, cfg.vmax_mps, cfg.offset_range_s,
+                cfg.drift_range_ppm, center=anchors.center,
+            )
+            meas = forward_model(truth, anchors)
+            if noise_free:
+                noise = NoiseSpec(np.ones(an_count), 1.0)
+            else:
+                noise = noise_for_snr(truth, anchors, snr_db, rule)
+                meas = add_noise(meas, noise, rng)
+            try:
+                blocks = dataclasses.astuple(montecarlo.crlb(truth, anchors, noise).blocks)
+                bound = [math.sqrt(b) for b in blocks]
+            except DegenerateGeometryError:
+                bound = [math.nan] * 4
+            rows.append((truth.as_vector(), meas.stacked(), noise.weights(), bound))
+    for stack, column in zip(stacks, zip(*rows)):
+        assert stack.tobytes() == np.array(column).tobytes()
+
+
+def test_window_weights_equal_noise_spec_weights_over_many_runs():
+    # NoiseSpec squares its response sigma as a Python float, with C pow();
+    # an array's x * x differs from that in about one value in a thousand.
+    cfg = CampaignConfig(snr_db=(20.0,), runs=4000, seed=3)
+    anchors = build_square_scenario(cfg.anchor_side_m, 8, cfg.response_step_s)
+    _, _, weights, _ = _window_inputs(cfg, anchors, 0, 20.0, 0, cfg.runs)
+    expected = []
+    for run in range(cfg.runs):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, run, 0]))
+        truth = sample_ud_state(
+            rng, cfg.region_side_m, cfg.vmax_mps, cfg.offset_range_s,
+            cfg.drift_range_ppm, center=anchors.center,
+        )
+        expected.append(noise_for_snr(truth, anchors, 20.0).weights())
+    assert weights.tobytes() == np.array(expected).tobytes()
