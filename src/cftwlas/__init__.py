@@ -9,50 +9,18 @@ reproducible Monte-Carlo campaign harness.
 __version__ = "0.1.0"
 
 from .analysis import (
-    BlockValues,
-    CrlbResult,
     crlb,
     flops_cftwlas,
     flops_iterative_per_iter,
     jacobian,
     predict_measurements,
 )
-from .baseline import IterationTrace, gauss_newton, make_initializer
+from .baseline import gauss_newton, make_initializer
 from .errors import ConfigurationError, DegenerateGeometryError, GeometryError
-from .estimator import (
-    Candidate,
-    EstimateFlags,
-    EstimateReport,
-    Residuals,
-    compute_residuals,
-    estimate,
-    raw_estimate,
-    wls_refine,
-)
-from .linear_system import (
-    ConstraintMatrices,
-    LinearSystem,
-    build_system,
-    constraint_matrices,
-)
-from .montecarlo import (
-    CampaignConfig,
-    CampaignStats,
-    CellStats,
-    MethodSpec,
-    benchmark_config,
-    run_campaign,
-)
-from .polysolve import (
-    AuxiliaryPair,
-    BivariateQuadratic,
-    BivariateSolution,
-    coefficients_from_system,
-    solve_pair,
-    solve_pair_detailed,
-)
+from .estimator import estimate
+from .linear_system import build_system
+from .montecarlo import CampaignConfig, MethodSpec, benchmark_config, run_campaign
 from .scenario import (
-    SPEED_OF_LIGHT,
     AnchorSet,
     MeasurementSet,
     NoiseSpec,
@@ -62,5 +30,4 @@ from .scenario import (
     forward_model,
     noise_for_snr,
     sample_ud_state,
-    sigma_from_snr,
 )

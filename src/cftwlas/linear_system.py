@@ -51,38 +51,29 @@ class LinearSystem:
         return (self.A.shape[1] - 2) // 2
 
 
-@dataclass(frozen=True)
-class ConstraintMatrices:
-    """Quadratic forms tying the parameter vector to the auxiliary pair.
+@lru_cache(maxsize=8)
+def constraint_matrices(ndim: int) -> np.ndarray:
+    """The two (2N+2)-square constraint matrices for dimension N as one
+    (2, 2N+2, 2N+2) stack [h1, h2].
 
     For theta = [pos, vel, offset, drift]:
         theta' h1 theta = drift^2 - |vel|^2          (= lam1)
         theta' h2 theta = 2 (offset*drift - pos.vel) (= 2 lam2)
-    """
 
-    h1: np.ndarray
-    h2: np.ndarray
-
-
-@lru_cache(maxsize=8)
-def constraint_matrices(ndim: int) -> ConstraintMatrices:
-    """The two (2N+2)-square constraint matrices for dimension N.
-
-    Built once per dimension; the arrays are read-only because every caller
-    shares them.
+    Built once per dimension; the stack is read-only because every caller
+    shares it.
     """
     if ndim < 1:
         raise ConfigurationError("dimension must be at least 1")
     n = ndim
-    h1 = np.diag(np.concatenate([np.zeros(n), -np.ones(n), [0.0, 1.0]]))
-    h2 = np.zeros((2 * n + 2, 2 * n + 2))
-    h2[:n, n : 2 * n] = -np.eye(n)
-    h2[n : 2 * n, :n] = -np.eye(n)
-    h2[2 * n, 2 * n + 1] = 1.0
-    h2[2 * n + 1, 2 * n] = 1.0
-    h1.setflags(write=False)
-    h2.setflags(write=False)
-    return ConstraintMatrices(h1, h2)
+    forms = np.zeros((2, 2 * n + 2, 2 * n + 2))
+    forms[0] = np.diag(np.concatenate([np.zeros(n), -np.ones(n), [0.0, 1.0]]))
+    forms[1, :n, n : 2 * n] = -np.eye(n)
+    forms[1, n : 2 * n, :n] = -np.eye(n)
+    forms[1, 2 * n, 2 * n + 1] = 1.0
+    forms[1, 2 * n + 1, 2 * n] = 1.0
+    forms.setflags(write=False)
+    return forms
 
 
 def build_systems(

@@ -42,7 +42,8 @@ from .scenario import (  # noqa: F401
 )
 
 _METHOD_KINDS = ("cftwlas", "gauss_newton")
-# Runs per stacked closed-form or Gauss-Newton batch; bounds its memory.
+# Most runs in one window, which each method solves as one stacked batch;
+# bounds its memory.
 _BATCH_ROWS = 256
 
 
@@ -110,8 +111,8 @@ class CampaignConfig:
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
         for key in ("region_side_m", "vmax_mps"):
-            if not getattr(self, key) >= 0.0:
-                raise ConfigurationError(f"{key} must be >= 0")
+            if not 0.0 <= getattr(self, key) < math.inf:
+                raise ConfigurationError(f"{key} must be finite and >= 0")
         for key in ("offset_range_s", "drift_range_ppm"):
             if not all(math.isfinite(bound) for bound in getattr(self, key)):
                 raise ConfigurationError(f"{key} bounds must be finite")
@@ -220,27 +221,23 @@ def _sq_errors(states: np.ndarray, truths: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def _closed_form(spec: MethodSpec, truths, gamma, weights, anchors) -> _MethodRecord:
-    """The closed form's record on a window's stacked runs, solved
-    ``_BATCH_ROWS`` runs per batch; a run's final state is the refined one,
-    or the raw one where the refinement failed."""
-    ndim, batches = anchors.ndim, []
-    for lo in range(0, len(gamma), _BATCH_ROWS):
-        rows = slice(lo, lo + _BATCH_ROWS)
-        start = time.perf_counter()
-        batch = estimate_batch(gamma[rows], weights[rows], anchors, spec.refine_steps)
-        final = np.where(np.isnan(batch.refined), batch.raw, batch.refined)
-        seconds = time.perf_counter() - start
-        err2 = _sq_errors(final, truths[rows], ndim)
-        raw_err2 = _sq_errors(batch.raw, truths[rows], ndim)
-        batches.append(_MethodRecord(batch.no_real_root, err2, raw_err2, None, seconds))
-    return _join(batches)
+    """The closed form's record on a window's stacked runs, solved as one
+    batch; a run's final state is the refined one, or the raw one where the
+    refinement failed."""
+    start = time.perf_counter()
+    batch = estimate_batch(gamma, weights, anchors, spec.refine_steps)
+    final = np.where(np.isnan(batch.refined), batch.raw, batch.refined)
+    seconds = time.perf_counter() - start
+    err2 = _sq_errors(final, truths, anchors.ndim)
+    raw_err2 = _sq_errors(batch.raw, truths, anchors.ndim)
+    return _MethodRecord(batch.no_real_root, err2, raw_err2, None, seconds)
 
 
 def _gauss_newton(
     cfg, spec, mi, cell_index, start, truths, gamma, weights, anchors
 ) -> _MethodRecord:
     """The record of one Gauss-Newton method on a window's stacked runs,
-    from run ``start`` on, iterated ``_BATCH_ROWS`` runs per batch.
+    from run ``start`` on, iterated as one batch.
 
     Run ``r`` starts where ``make_initializer`` puts it from its own stream
     ``SeedSequence([seed, cell, r, mi + 1])``: N standard normals, scaled and
@@ -249,27 +246,23 @@ def _gauss_newton(
     bit, what ``gauss_newton`` reports for each run alone. A run whose
     iterate sits on an anchor has no state and counts as failed.
     """
-    n, batches = anchors.ndim, []
-    for lo in range(0, len(truths), _BATCH_ROWS):
-        hi = min(lo + _BATCH_ROWS, len(truths))
-        rows = slice(lo, hi)
-        clock = time.perf_counter()
-        draws = np.array([
-            np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, cell_index, run, mi + 1])
-            ).standard_normal(n)
-            for run in range(start + lo, start + hi)
-        ])
-        inits = np.zeros_like(truths[rows])
-        inits[:, :n] = truths[rows, :n] + (0.0 + spec.init_std_m * draws)
-        states, _, iterations, converged, _, _ = _gauss_newton_batch(
-            gamma[rows], weights[rows], inits, anchors, spec.max_iter, spec.tol_m
-        )
-        seconds = time.perf_counter() - clock
-        err2 = _sq_errors(states, truths[rows], n)
-        flagged, iterations = ~np.array(converged), np.array(iterations)
-        batches.append(_MethodRecord(flagged, err2, None, iterations, seconds))
-    return _join(batches)
+    n = anchors.ndim
+    clock = time.perf_counter()
+    draws = np.array([
+        np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, cell_index, run, mi + 1])
+        ).standard_normal(n)
+        for run in range(start, start + len(truths))
+    ])
+    inits = np.zeros_like(truths)
+    inits[:, :n] = truths[:, :n] + (0.0 + spec.init_std_m * draws)
+    states, _, iterations, converged, _, _ = _gauss_newton_batch(
+        gamma, weights, inits, anchors, spec.max_iter, spec.tol_m
+    )
+    seconds = time.perf_counter() - clock
+    err2 = _sq_errors(states, truths, n)
+    flagged, iterations = ~np.array(converged), np.array(iterations)
+    return _MethodRecord(flagged, err2, None, iterations, seconds)
 
 
 def _window_inputs(cfg, anchors, cell_index, snr_db, start, stop):
@@ -414,8 +407,9 @@ def _reduce(cfg, windows, results) -> list[CellStats]:
 def run_campaign(cfg: CampaignConfig) -> CampaignStats:
     """Execute all (anchor-count, SNR) cells and aggregate per method.
 
-    Each cell splits into ``workers`` windows of runs; the windows of all
-    cells go through one process pool (or run in this process at one worker).
+    Each cell splits into windows of ``ceil(runs / workers)`` runs, at most
+    ``_BATCH_ROWS``; the windows of all cells go through one process pool (or
+    run in this process at one worker).
     Per-run estimator failures are recorded in the statistics and never abort
     the campaign. Reduction order is fixed by run index, so results do not
     depend on the worker count.
@@ -423,7 +417,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignStats:
     exec_cells = [
         (an, snr) for an in cfg.an_counts for snr in cfg.snr_points
     ]
-    chunk = math.ceil(cfg.runs / cfg.workers)
+    chunk = min(math.ceil(cfg.runs / cfg.workers), _BATCH_ROWS)
     windows = [
         (cell_index, an_count, snr_db, lo, min(lo + chunk, cfg.runs))
         for cell_index, (an_count, snr_db) in enumerate(exec_cells)

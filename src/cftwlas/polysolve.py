@@ -37,6 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .linear_system import constraint_matrices
+
 # Coefficients this small relative to the equation scale are treated as zero.
 _COEFF_ZERO_RTOL = 1e-12
 # A univariate root counts as real when |imag| <= this times max(1, |real|).
@@ -152,19 +154,9 @@ def quadratic_coefficients(g: np.ndarray, U: np.ndarray, ndim: int) -> np.ndarra
     """
     basis = np.concatenate([U, g[:, :, None]], axis=2)[:, None]  # u1, u2, g
     # gram[:, i, j, l] is column j' h_i column l.
-    gram = np.matmul(np.matmul(basis.transpose(0, 1, 3, 2), _forms(ndim)), basis)
-    return gram[:, :, _GRAM_ROW, _GRAM_COL] * _GRAM_SCALE + _SHIFT
-
-
-@lru_cache(maxsize=8)
-def _forms(ndim: int) -> np.ndarray:
-    """The two constraint matrices of dimension N as one (2, 2N+2, 2N+2) stack."""
-    from .linear_system import constraint_matrices
-
     forms = constraint_matrices(ndim)
-    stacked = np.stack([forms.h1, forms.h2])
-    stacked.setflags(write=False)
-    return stacked
+    gram = np.matmul(np.matmul(basis.transpose(0, 1, 3, 2), forms), basis)
+    return gram[:, :, _GRAM_ROW, _GRAM_COL] * _GRAM_SCALE + _SHIFT
 
 
 def coefficients_from_system(sys):

@@ -283,17 +283,6 @@ def forward_model(ud: UdState, anchors: AnchorSet) -> MeasurementSet:
     return MeasurementSet(stacked[: anchors.count], stacked[anchors.count :])
 
 
-def sigma_from_snr(distance: float, snr_db: float) -> float:
-    """TOA noise standard deviation for a link distance at a given SNR.
-
-    SNR is defined as 10*log10(distance^2 / sigma^2), so
-    sigma = distance * 10**(-snr_db / 20).
-    """
-    if distance <= 0.0:
-        raise ValueError("distance must be positive")
-    return float(distance) * 10.0 ** (-snr_db / 20.0)
-
-
 def noise_for_snr(
     ud: UdState,
     anchors: AnchorSet,
@@ -316,7 +305,9 @@ def noise_for_snr(
 def _sigmas(distances: np.ndarray, snr_db: float, rule: str):
     """The request sigmas and the response sigma of ``noise_for_snr`` from
     link distances: (..., M) distances give (..., M) request sigmas and (...)
-    response sigmas, each ``sigma_from_snr`` of its distance, bit for bit."""
+    response sigmas. SNR is 10*log10(distance^2 / sigma^2), so each sigma is
+    ``distance * 10**(-snr_db/20)`` of its own distance, or of the summary
+    distance that ``rule`` picks."""
     if rule not in _SIGMA_REDUCERS:
         raise ConfigurationError(f"unknown response sigma rule {rule!r}")
     scale = 10.0 ** (-snr_db / 20.0)
@@ -324,15 +315,10 @@ def _sigmas(distances: np.ndarray, snr_db: float, rule: str):
 
 
 def add_noise(
-    meas: MeasurementSet, noise: NoiseSpec | None, rng: np.random.Generator
+    meas: MeasurementSet, noise: NoiseSpec, rng: np.random.Generator
 ) -> MeasurementSet:
-    """Add independent zero-mean Gaussian noise to both TOA families.
-
-    ``noise=None`` is the zero-noise limit and returns an exact copy; the input
-    set is never modified.
-    """
-    if noise is None:
-        return MeasurementSet(meas.request_toa.copy(), meas.response_toa.copy())
+    """Add independent zero-mean Gaussian noise to both TOA families; the
+    input set is never modified."""
     if noise.count != meas.count:
         raise ConfigurationError("noise and measurement sizes differ")
     request = meas.request_toa + rng.normal(0.0, noise.sigma_request)

@@ -10,7 +10,6 @@ from cftwlas import (
     NoiseSpec,
     UdState,
     build_square_scenario,
-    compute_residuals,
     crlb,
     flops_cftwlas,
     flops_iterative_per_iter,
@@ -20,6 +19,7 @@ from cftwlas import (
     run_campaign,
     sample_ud_state,
 )
+from cftwlas.estimator import compute_residuals
 from cftwlas.montecarlo import _aggregate_cell, _MethodRecord
 
 ANCHORS = build_square_scenario(800.0, 8)

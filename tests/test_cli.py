@@ -133,6 +133,17 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
+    @pytest.mark.parametrize("key", ["region_side_m", "vmax_mps"])
+    def test_infinite_prior_reported(self, tmp_path, capsys, key):
+        cfg_path = write_json(tmp_path / "cfg.json", small_config(**{key: float("inf")}))
+        assert main([
+            "simulate", "--config", cfg_path,
+            "--csv", str(tmp_path / "o.csv"), "--summary", str(tmp_path / "o.json"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("tol", [-1.0, float("nan")])
     def test_bad_method_tolerance_reported(self, tmp_path, capsys, tol):
         methods = [{"kind": "cftwlas"}, {"kind": "gauss_newton", "tol_m": tol}]

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from cftwlas import (
     AnchorSet,
-    AuxiliaryPair,
-    BivariateSolution,
     ConfigurationError,
     GeometryError,
     MeasurementSet,
@@ -15,20 +13,22 @@ from cftwlas import (
     add_noise,
     build_square_scenario,
     build_system,
-    coefficients_from_system,
-    compute_residuals,
     estimate,
     forward_model,
     jacobian,
     noise_for_snr,
     predict_measurements,
-    raw_estimate,
     sample_ud_state,
-    solve_pair_detailed,
-    wls_refine,
 )
 from cftwlas import estimator
 from cftwlas.analysis import _evaluate, _jacobians
+from cftwlas.estimator import compute_residuals, raw_estimate, wls_refine
+from cftwlas.polysolve import (
+    AuxiliaryPair,
+    BivariateSolution,
+    coefficients_from_system,
+    solve_pair_detailed,
+)
 
 
 ANCHORS = build_square_scenario(800.0, 8)

@@ -8,9 +8,9 @@ from cftwlas import (
     UdState,
     build_square_scenario,
     build_system,
-    constraint_matrices,
     forward_model,
 )
+from cftwlas.linear_system import constraint_matrices
 
 
 def random_state(rng, ndim=2):
@@ -34,24 +34,24 @@ class TestConstraintMatrices:
         # 2 (offset*drift - p.v), checked on a large random sample.
         rng = np.random.default_rng(0)
         for ndim in (2, 3):
-            forms = constraint_matrices(ndim)
+            h1, h2 = constraint_matrices(ndim)
             for _ in range(500):
                 ud = random_state(rng, ndim)
                 theta = ud.as_vector()
                 lam1, lam2 = true_aux(ud)
-                assert theta @ forms.h1 @ theta == pytest.approx(lam1, rel=1e-12, abs=1e-9)
-                assert theta @ forms.h2 @ theta == pytest.approx(2 * lam2, rel=1e-12, abs=1e-9)
+                assert theta @ h1 @ theta == pytest.approx(lam1, rel=1e-12, abs=1e-9)
+                assert theta @ h2 @ theta == pytest.approx(2 * lam2, rel=1e-12, abs=1e-9)
 
     def test_shapes_and_symmetry(self):
-        forms = constraint_matrices(3)
-        assert forms.h1.shape == (8, 8)
-        assert forms.h2.shape == (8, 8)
-        np.testing.assert_array_equal(forms.h2, forms.h2.T)
+        h1, h2 = constraint_matrices(3)
+        assert h1.shape == (8, 8)
+        assert h2.shape == (8, 8)
+        np.testing.assert_array_equal(h2, h2.T)
 
     def test_h1_diagonal_layout(self):
-        forms = constraint_matrices(2)
+        h1, _ = constraint_matrices(2)
         np.testing.assert_array_equal(
-            np.diag(forms.h1), [0, 0, -1, -1, 0, 1]
+            np.diag(h1), [0, 0, -1, -1, 0, 1]
         )
 
 

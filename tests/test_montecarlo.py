@@ -31,6 +31,7 @@ from cftwlas import montecarlo
 from cftwlas.cli import main as cli_main
 from cftwlas.montecarlo import (
     _gauss_newton,
+    _join,
     _run_window,
     _sq_errors,
     _window_inputs,
@@ -173,7 +174,7 @@ class TestConfigSerialization:
         with pytest.raises(ConfigurationError):
             MethodSpec(kind="unknown")
         for key in ("region_side_m", "vmax_mps"):
-            for bad in (-1.0, float("nan")):
+            for bad in (-1.0, float("nan"), float("inf")):
                 with pytest.raises(ConfigurationError, match=key):
                     CampaignConfig(**{key: bad})
             CampaignConfig(**{key: 0.0})
@@ -252,7 +253,34 @@ class TestBatchedCampaign:
         assert cf[4]["failure_rate"] == 1.0
         assert cf[8]["failure_rate"] == 0.0
 
-    def test_records_equal_per_call_estimates(self, monkeypatch):
+    def test_window_cap_does_not_change_csv_or_summary(self, tmp_path, monkeypatch):
+        # _BATCH_ROWS caps the window: 8 splits each 40-run cell into five
+        # windows, 256 leaves one. The outputs are the same bytes.
+        config = {
+            "an_counts": [5, 8],
+            "snr_db": [10.0, 30.0],
+            "runs": 40,
+            "seed": 5,
+            "methods": [
+                {"kind": "cftwlas"},
+                {"kind": "gauss_newton", "init_std_m": 200.0, "max_iter": 6},
+            ],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        outputs = []
+        for batch_rows in (256, 8):
+            monkeypatch.setattr(montecarlo, "_BATCH_ROWS", batch_rows)
+            csv_path = tmp_path / f"b{batch_rows}.csv"
+            summary_path = tmp_path / f"b{batch_rows}.json"
+            assert cli_main([
+                "simulate", "--config", str(cfg_path),
+                "--csv", str(csv_path), "--summary", str(summary_path),
+            ]) == 0
+            outputs.append((csv_path.read_bytes(), summary_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_records_equal_per_call_estimates(self):
         methods = (
             MethodSpec("cftwlas"),
             MethodSpec("gauss_newton", init_std_m=50.0),
@@ -272,11 +300,15 @@ class TestBatchedCampaign:
             anchors = build_square_scenario(
                 cfg.anchor_side_m, an_count, cfg.response_step_s
             )
-            # A window of 35 runs, in one batch and in batches of 8.
-            for batch_rows in (256, 8):
-                monkeypatch.setattr(montecarlo, "_BATCH_ROWS", batch_rows)
-                window = (cell, an_count, snr_db, start, stop)
-                crlb_sqrt, (cf, *gns) = _run_window(cfg, window)
+            # A window of 35 runs, and the same runs as windows of up to 8
+            # runs joined in run order.
+            for width in (stop - start, 8):
+                crlb_parts, method_parts = zip(*(
+                    _run_window(cfg, (cell, an_count, snr_db, lo, min(lo + width, stop)))
+                    for lo in range(start, stop, width)
+                ))
+                crlb_sqrt = np.concatenate(crlb_parts)
+                cf, *gns = map(_join, zip(*method_parts))
                 assert crlb_sqrt.shape == (stop - start, 4)
                 for k, run in enumerate(range(start, stop)):
                     self._check_run(cfg, anchors, snr_db, cell, run, k, cf, gns)

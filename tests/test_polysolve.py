@@ -7,24 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cftwlas import (
-    AuxiliaryPair,
-    BivariateQuadratic,
-    LinearSystem,
     build_square_scenario,
     build_system,
-    coefficients_from_system,
     forward_model,
     sample_ud_state,
-    solve_pair,
-    solve_pair_detailed,
 )
+from cftwlas.linear_system import LinearSystem, constraint_matrices
 from cftwlas.polysolve import (
+    AuxiliaryPair,
+    BivariateQuadratic,
     _kept_roots,
     _kept_roots_each,
     _newton_polish,
     _normalized_residual,
     _polish_seed,
     _terms,
+    coefficients_from_system,
+    solve_pair,
+    solve_pair_detailed,
     solve_pairs,
 )
 
@@ -96,11 +96,9 @@ class TestCoefficients:
             ),
             build_square_scenario(800.0, 8),
         )
-        from cftwlas.linear_system import constraint_matrices
-
-        forms = constraint_matrices(2)
+        h1, h2 = constraint_matrices(2)
         u1, u2 = sys_.U[:, 0], sys_.U[:, 1]
-        for q, h in ((q1, forms.h1), (q2, forms.h2)):
+        for q, h in ((q1, h1), (q2, h2)):
             both_ways = u1 @ h @ u2 + u2 @ h @ u1
             assert q.b == pytest.approx(both_ways, rel=1e-12, abs=1e-15)
 

@@ -13,7 +13,6 @@ from cftwlas import (
     forward_model,
     noise_for_snr,
     sample_ud_state,
-    sigma_from_snr,
 )
 from cftwlas.scenario import SPEED_OF_LIGHT
 
@@ -97,22 +96,31 @@ class TestForwardModel:
 
 
 class TestSigmaFromSnr:
+    """A link's noise sigma from its distance and the SNR, as
+    ``noise_for_snr`` gives it."""
+
+    @staticmethod
+    def sigma(distance, snr_db):
+        anchors = AnchorSet([[0.0, 0.0], [0.0, 1.0]], [0.01, 0.02])
+        ud = UdState([distance, 0.0], [0.0, 0.0], 0.0, 0.0)
+        return noise_for_snr(ud, anchors, snr_db).sigma_request[0]
+
     def test_forty_db(self):
-        assert sigma_from_snr(100.0, 40.0) == pytest.approx(1.0)
+        assert self.sigma(100.0, 40.0) == pytest.approx(1.0)
 
     def test_twenty_db(self):
-        assert sigma_from_snr(100.0, 20.0) == pytest.approx(10.0)
+        assert self.sigma(100.0, 20.0) == pytest.approx(10.0)
 
     def test_center_to_corner_thirty_db(self):
         # Center-to-corner distance of the 800 m square at 30 dB.
-        assert sigma_from_snr(565.7, 30.0) == pytest.approx(
+        assert self.sigma(565.7, 30.0) == pytest.approx(
             565.7 * 10.0**-1.5, rel=1e-12
         )
-        assert sigma_from_snr(565.7, 30.0) == pytest.approx(17.889, abs=5e-4)
+        assert self.sigma(565.7, 30.0) == pytest.approx(17.889, abs=5e-4)
 
     def test_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            sigma_from_snr(0.0, 30.0)
+        with pytest.raises(GeometryError):
+            self.sigma(0.0, 30.0)
 
 
 class TestSampleUdState:
@@ -158,12 +166,6 @@ class TestAddNoise:
         anchors = build_square_scenario(800.0, 4)
         ud = UdState([250.0, 350.0], [5.0, -3.0], 100.0, 20.0)
         return forward_model(ud, anchors)
-
-    def test_zero_noise_limit_copies_exactly(self):
-        meas = self._clean()
-        out = add_noise(meas, None, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.request_toa, meas.request_toa)
-        np.testing.assert_array_equal(out.response_toa, meas.response_toa)
 
     def test_fixed_seed_reproduces_noise(self):
         meas = self._clean()
