@@ -45,7 +45,7 @@ def _blas_core() -> str | None:
     for path in sorted(libs.glob("libscipy_openblas*.so")):
         corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
         if corename is not None:
-            corename.restype = ctypes.c_char_p
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
             return corename().decode()
     return None
 

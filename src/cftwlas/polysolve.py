@@ -526,12 +526,12 @@ def _kept_roots_each(q: np.ndarray, t1: np.ndarray, t2: np.ndarray, kept: np.nda
 
 
 def _divide(a: float, b: float) -> float:
-    """a / b with IEEE results for a zero divisor, as numpy divides."""
+    """a / b with IEEE results for a zero divisor, bit for bit as numpy
+    divides (0/0 is the CPU's default NaN, whose sign bit is set on x86)."""
     if b:
         return a / b
-    if a == 0.0 or math.isnan(a):
-        return math.nan
-    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(a) / b)
 
 
 def _first_root(q: np.ndarray, kept: complex) -> complex:

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cftwlas import (
@@ -355,6 +355,9 @@ _kept_case = st.tuples(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_kept_case, min_size=1, max_size=6))
+# y^2 + 5e-324 y = 0 at x = 0: the discriminant underflows to 0, the first
+# root is -0.0 and its companion 0 / -0.0 is numpy's 0/0 NaN, sign bit set.
+@example([([0.0, 0.0, 1.0, 0.0, 5e-324, 0.0] + [0.0] * 6, [0.0] * 5, 0.0)])
 def test_kept_roots_loop_matches_array_pass_bitwise(cases):
     # The per-kept-value loop and the array pass agree on every validity
     # flag and, bit for bit, on every valid candidate.

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-REFERENCE = ROOT / "tests" / "reference"
-sys.path.insert(0, str(ROOT / "scripts"))
+TESTS = Path(__file__).resolve().parent
+REFERENCE = TESTS / "reference"
+sys.path.insert(0, str(TESTS.parent / "scripts"))
 
 import reference_outputs  # noqa: E402
 
