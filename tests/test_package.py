@@ -12,7 +12,7 @@ import cftwlas
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# What the CLI, README, acceptance suite and scripts import from the package.
+# What the README, the acceptance suite and the scripts import from the package.
 EXPORTS = {
     "AnchorSet", "MeasurementSet", "NoiseSpec", "UdState", "build_square_scenario",
     "sample_ud_state", "forward_model", "noise_for_snr", "add_noise",
