@@ -9,13 +9,14 @@ initialization-sensitivity studies).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
 # bench/spans.py rebinds jacobian, predict_measurements and compute_residuals
 # here, so those names stay importable.
 from .analysis import _evaluate, _jacobians, jacobian, predict_measurements  # noqa: F401
-from .errors import GeometryError
+from .errors import ConfigurationError, GeometryError
 from .estimator import _check_sizes, _wls_step, compute_residuals  # noqa: F401
 from .scenario import AnchorSet, MeasurementSet, NoiseSpec, UdState
 
@@ -45,10 +46,10 @@ def _gauss_newton_batch(
     (K, 2N+2) initial parameter vectors, all on one anchor layout.
 
     Each step is the refinement's ``_wls_step`` on the rows still iterating;
-    all of them have taken the same number of steps, and a row leaves when
-    it stops. A row stops when its last update norm was below ``tol``, after
-    ``max_iter`` steps, when its step is not finite (diverged; a singular
-    normal matrix gives a NaN step) or when its iterate sits on an anchor.
+    all of them have taken the same number of steps. A row stops when its
+    iterate sits on an anchor, when its last update norm was below ``tol``
+    or after ``max_iter`` steps, and diverges when its step is not finite (a
+    singular normal matrix gives a NaN step); either way it leaves the stack.
     Row k's outputs do not depend on the other rows. Returns the final
     (K, 2N+2) states (the last finite iterate; NaN for an on-anchor row) and
     per-row lists: the tuple of weighted costs (initial state first, none
@@ -63,57 +64,45 @@ def _gauss_newton_batch(
     diverged = [False] * rows
     on_anchor = [False] * rows
     live = np.arange(rows)
-    order = live.tolist()
     theta = thetas
     done = [False] * rows  # the last update norm was below tol
-    ok = np.ones(rows, dtype=bool)
-    step = 0
-    while True:
+    for step in count():
         ranges, model = _evaluate(theta, anchors)
         residual = gamma - model
         # r @ (w * r) and |delta| per row as stacked dot products: bit for
         # bit the one-row dot product and np.linalg.norm.
         cost = np.matmul(residual[:, None, :], (weights * residual)[:, :, None])
-        for k, c in zip(order, cost.ravel().tolist()):
-            costs[k].append(c)
         anchor = ranges[4].tolist()
-        last = step >= max_iter
-        if last or True in anchor or True in done:
-            stop = [last or a or d for a, d in zip(anchor, done)]
-            for k, a, d, s in zip(order, anchor, done, stop):
+        for k, c, a in zip(live.tolist(), cost.ravel().tolist(), anchor):
+            if not a:
+                costs[k].append(c)
+        if not live.size or step >= max_iter or True in anchor or True in done:
+            stop = [step >= max_iter or a or d for a, d in zip(anchor, done)]
+            for j, (k, a, d, s) in enumerate(zip(live.tolist(), anchor, done, stop)):
                 if s:
+                    states[k] = np.nan if a else theta[j]
                     iterations[k], converged[k], on_anchor[k] = step, d and not a, a
-                    if a:
-                        costs[k].pop()
             if False not in stop:
-                states[live] = theta
                 break
-            stop = np.array(stop)
-            states[live[stop]] = theta[stop]
-            keep = ~stop
-            live, theta = live[keep], theta[keep]
-            gamma, weights = gamma[keep], weights[keep]
-            order, ok = live.tolist(), ok[keep]
-            ranges, residual = [r[keep] for r in ranges], residual[keep]
-        delta = _wls_step(_jacobians(*ranges[:4], anchors), residual, weights, ok)[0]
+            keep = ~np.array(stop)
+            live, theta, gamma, weights, residual, *ranges = (
+                x[keep] for x in (live, theta, gamma, weights, residual, *ranges)
+            )
+        # No row left is on an anchor: every row is ok for the step.
+        jac = _jacobians(*ranges[:4], anchors)
+        delta = _wls_step(jac, residual, weights, ~ranges[4])[0]
         nxt = theta + delta
-        if not np.isfinite(nxt).all():
-            finite = np.isfinite(nxt).all(axis=1)
-            out = live[~finite]
-            states[out] = theta[~finite]
-            for k in out.tolist():
+        finite = np.isfinite(nxt).all(axis=1)
+        if False in finite.tolist():
+            for k in live[~finite].tolist():
                 iterations[k], diverged[k] = step, True
-            if out.size == live.size:
-                break
-            live, gamma, weights = live[finite], gamma[finite], weights[finite]
-            order, ok = live.tolist(), np.ones(live.size, dtype=bool)
-            nxt, delta = nxt[finite], delta[finite]
+            states[live[~finite]] = theta[~finite]
+            live, nxt, gamma, weights, delta = (
+                x[finite] for x in (live, nxt, gamma, weights, delta)
+            )
         theta = nxt
-        step += 1
         norm = np.sqrt(np.matmul(delta[:, None, :], delta[:, :, None]))
         done = (norm.ravel() < tol).tolist()
-    if True in on_anchor:
-        states[on_anchor] = np.nan
     costs = [tuple(c) for c in costs]
     return states, costs, iterations, converged, diverged, on_anchor
 
@@ -134,10 +123,13 @@ def gauss_newton(
     ``_wls_step``. A singular normal matrix gives a NaN step; a non-finite
     iterate sets the diverged flag and returns the last valid iterate. No
     damping or line search is applied, so divergence is recorded, not
-    repaired. Inputs whose sizes disagree raise ConfigurationError; an
-    iterate (the initial guess included) on an anchor raises GeometryError.
+    repaired. Inputs whose sizes disagree, a negative ``max_iter`` and a
+    negative or NaN ``tol`` raise ConfigurationError; an iterate (the
+    initial guess included) on an anchor raises GeometryError.
     """
     _check_sizes(meas, anchors, noise)
+    if max_iter < 0 or not tol >= 0.0:
+        raise ConfigurationError(f"max_iter {max_iter} and tol {tol} must be >= 0")
     states, costs, iterations, converged, diverged, on_anchor = _gauss_newton_batch(
         meas.stacked()[None],
         noise.weights()[None],

@@ -195,7 +195,8 @@ def _wls_step(jac, residual, weights, ok):
 
 def _solve_rows(normal, rhs, ok):
     """``solve(normal, rhs)``, or ``inv(normal)`` when ``rhs`` is None, on
-    the rows in ``ok``; a singular row gives NaN and leaves ``ok``."""
+    the rows in ``ok``: the whole stack when every row is ok and none is
+    singular, else row by row. A singular row gives NaN and leaves ``ok``."""
     if rhs is None:
         solve, args = np.linalg.inv, (normal,)
     else:
@@ -206,15 +207,11 @@ def _solve_rows(normal, rhs, ok):
         except np.linalg.LinAlgError:
             pass
     out = np.full(args[-1].shape, np.nan)
-    idx = np.flatnonzero(ok)
-    try:
-        out[idx] = solve(*(a[idx] for a in args))
-    except np.linalg.LinAlgError:
-        for i in idx.tolist():
-            try:
-                out[i] = solve(*(a[i] for a in args))
-            except np.linalg.LinAlgError:
-                ok[i] = False
+    for i in np.flatnonzero(ok).tolist():
+        try:
+            out[i] = solve(*(a[i] for a in args))
+        except np.linalg.LinAlgError:
+            ok[i] = False
     return out
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, is_dataclass
 from itertools import groupby, repeat
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .errors import ConfigurationError, DegenerateGeometryError, GeometryError
 from .estimator import estimate, estimate_batch  # noqa: F401
 from .scenario import (  # noqa: F401
     _SIGMA_REDUCERS,
+    _SQUARE_AN_COUNTS,
     NoiseSpec,
     _sigmas,
     add_noise,
@@ -60,10 +61,9 @@ class MethodSpec:
     def __post_init__(self) -> None:
         if self.kind not in _METHOD_KINDS:
             raise ConfigurationError(f"unknown method kind {self.kind!r}")
-        if self.refine_steps < 1:
-            raise ConfigurationError("refine_steps must be >= 1")
-        if self.max_iter < 1:
-            raise ConfigurationError("max_iter must be >= 1")
+        for key in ("refine_steps", "max_iter"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1")
         if not 0.0 <= self.init_std_m < math.inf:
             raise ConfigurationError("init_std_m must be finite and >= 0")
         if not self.tol_m >= 0.0:
@@ -96,26 +96,32 @@ class CampaignConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise ConfigurationError("runs must be >= 1")
+        for key in ("runs", "workers"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if not self.noise_free and not self.snr_db:
             raise ConfigurationError("snr_db list must be non-empty")
         if not self.an_counts:
             raise ConfigurationError("an_counts must be non-empty")
+        if not set(self.an_counts) <= set(_SQUARE_AN_COUNTS):
+            raise ConfigurationError(f"an_counts must be among {_SQUARE_AN_COUNTS}")
         if not self.methods:
             raise ConfigurationError("methods must be non-empty")
         labels = [method.label for method in self.methods]
         for label in labels:
             if labels.count(label) > 1:
                 raise ConfigurationError(f"two methods share the label {label!r}")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
+        for key in ("anchor_side_m", "response_step_s"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ConfigurationError(f"{key} must be finite and > 0")
         for key in ("region_side_m", "vmax_mps"):
             if not 0.0 <= getattr(self, key) < math.inf:
                 raise ConfigurationError(f"{key} must be finite and >= 0")
-        for key in ("offset_range_s", "drift_range_ppm"):
-            if not all(math.isfinite(bound) for bound in getattr(self, key)):
-                raise ConfigurationError(f"{key} bounds must be finite")
+        for key in ("offset_range_s", "drift_range_ppm", "snr_db"):
+            if not all(math.isfinite(value) for value in getattr(self, key)):
+                raise ConfigurationError(f"{key} values must be finite")
         if self.response_sigma_rule not in _SIGMA_REDUCERS:
             raise ConfigurationError(
                 f"unknown response_sigma_rule {self.response_sigma_rule!r}"
@@ -434,63 +440,50 @@ def run_campaign(cfg: CampaignConfig) -> CampaignStats:
 
 # --- configuration (de)serialization -------------------------------------
 
-_CONFIG_KEYS = frozenset(f.name for f in fields(CampaignConfig))
-_METHOD_KEYS = frozenset(f.name for f in fields(MethodSpec))
-
-
-def _method_from_dict(data: dict, index: int) -> MethodSpec:
+def _from_dict(cls, data, key: str):
+    """The config dataclass ``cls`` from the parsed JSON object ``data``
+    found at ``key`` (empty at the root), every value checked against its
+    field's type and bad values reported under the key that holds them."""
+    where = f"config key '{key}'" if key else "config"
     if not isinstance(data, dict):
-        raise ConfigurationError(f"config key 'methods[{index}]': expected an object")
-    unknown = set(data) - _METHOD_KEYS
-    if unknown:
-        raise ConfigurationError(
-            f"config key 'methods[{index}].{sorted(unknown)[0]}': unknown key"
-        )
+        raise ConfigurationError(f"{where}: expected an object")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for name, value in data.items():
+        path = f"{key}.{name}" if key else name
+        if name not in hints:
+            raise ConfigurationError(f"config key '{path}': unknown key")
+        kwargs[name] = _from_json(value, hints[name], path)
     try:
-        return MethodSpec(**data)
-    except (TypeError, ConfigurationError) as exc:
-        raise ConfigurationError(f"config key 'methods[{index}]': {exc}") from exc
+        return cls(**kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
+
+
+# The JSON value types each scalar field takes (a bool is no int here).
+_JSON_TYPES = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
+
+
+def _from_json(value, kind, key: str):
+    """A parsed JSON value as the field type ``kind``: a list for a tuple
+    (of two items for a (lo, hi) pair) and an object for a method."""
+    if get_origin(kind) is tuple:
+        items = get_args(kind)
+        if not isinstance(value, list):
+            raise ConfigurationError(f"config key '{key}': expected a list")
+        if Ellipsis not in items and len(value) != len(items):
+            raise ConfigurationError(f"config key '{key}': expected {len(items)} values")
+        return tuple(_from_json(v, items[0], f"{key}[{i}]") for i, v in enumerate(value))
+    if is_dataclass(kind):
+        return _from_dict(kind, value, key)
+    if type(value) not in _JSON_TYPES[kind]:
+        raise ConfigurationError(f"config key '{key}': expected {kind.__name__}")
+    return float(value) if kind is float else value
 
 
 def config_from_dict(data: dict) -> CampaignConfig:
     """Build a campaign configuration from parsed JSON, naming bad keys."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("config root must be an object")
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigurationError(f"config key '{sorted(unknown)[0]}': unknown key")
-    kwargs: dict = {}
-    for key, value in data.items():
-        try:
-            if key == "methods":
-                kwargs[key] = tuple(
-                    _method_from_dict(item, i) for i, item in enumerate(value)
-                )
-            elif key == "an_counts":
-                kwargs[key] = tuple(int(v) for v in value)
-            elif key == "snr_db":
-                kwargs[key] = tuple(float(v) for v in value)
-            elif key in ("offset_range_s", "drift_range_ppm"):
-                lo, hi = value
-                kwargs[key] = (float(lo), float(hi))
-            elif key in ("noise_free",):
-                if not isinstance(value, bool):
-                    raise ConfigurationError("expected true or false")
-                kwargs[key] = value
-            elif key in ("runs", "seed", "workers"):
-                kwargs[key] = int(value)
-            elif key == "response_sigma_rule":
-                kwargs[key] = str(value)
-            else:
-                kwargs[key] = float(value)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"config key '{key}': {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"config key '{key}': {exc}") from exc
-    try:
-        return CampaignConfig(**kwargs)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"config: {exc}") from exc
+    return _from_dict(CampaignConfig, data, "")
 
 
 def config_to_dict(cfg: CampaignConfig) -> dict:

@@ -27,6 +27,7 @@ MIN_RANGE = 1e-9
 # Summaries of the M link distances that ``noise_for_snr`` can take as the
 # response distance.
 _SIGMA_REDUCERS = {"mean": np.mean, "min": np.min, "max": np.max}
+_SQUARE_AN_COUNTS = (4, 5, 8)  # the layouts of build_square_scenario
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ def build_square_scenario(
     """
     if side_len <= 0.0:
         raise ConfigurationError("side length must be positive")
-    if an_count not in (4, 5, 8):
+    if an_count not in _SQUARE_AN_COUNTS:
         raise ConfigurationError(f"unsupported anchor count {an_count}")
     s = float(side_len)
     corners = [(0.0, 0.0), (s, 0.0), (s, s), (0.0, s)]

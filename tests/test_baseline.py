@@ -17,7 +17,8 @@ from cftwlas import (
     noise_for_snr,
     sample_ud_state,
 )
-from cftwlas.analysis import _jacobians, _ranges
+from cftwlas import baseline
+from cftwlas.analysis import _evaluate, _jacobians, _ranges
 from cftwlas.baseline import IterationTrace, _gauss_newton_batch
 
 ANCHORS = build_square_scenario(800.0, 8)
@@ -115,6 +116,16 @@ class TestGaussNewton:
         rmse = float(np.sqrt(np.mean(np.square(errors))))
         assert rmse < 15.0
 
+    def test_negative_max_iter_and_bad_tol_rejected(self):
+        ud = UdState([300.0, 500.0], [0.0, 0.0], 0.0, 0.0)
+        meas = forward_model(ud, ANCHORS)
+        for kw in ({"max_iter": -1}, {"tol": float("nan")}, {"tol": -1e-4}):
+            with pytest.raises(ConfigurationError, match="max_iter"):
+                gauss_newton(meas, ANCHORS, UNIT_NOISE, ud, **kw)
+        state, trace = gauss_newton(meas, ANCHORS, UNIT_NOISE, ud, max_iter=0)
+        assert state.as_vector().tobytes() == ud.as_vector().tobytes()
+        assert len(trace.costs) == 1 and trace.iterations_used == 0
+
     def test_size_mismatch_rejected(self):
         ud = UdState([300.0, 500.0], [0.0, 0.0], 0.0, 0.0)
         meas = forward_model(ud, ANCHORS)
@@ -197,7 +208,7 @@ def _assert_matches_reference(meas, anchors, noise, init, **kw):
     ndim=st.sampled_from([2, 3]),
     seed=st.integers(0, 2**32 - 1),
     init_std=st.sampled_from([0.0, 50.0, 200.0]),
-    max_iter=st.integers(1, 20),
+    max_iter=st.integers(0, 20),
     tol=st.sampled_from([0.0, 1e-4, 1.0]),
 )
 def test_gauss_newton_matches_reference_loop_bitwise(ndim, seed, init_std, max_iter, tol):
@@ -215,7 +226,7 @@ def test_gauss_newton_matches_reference_loop_bitwise(ndim, seed, init_std, max_i
 
 
 @pytest.mark.parametrize("ndim", [2, 3])
-def test_singular_normal_matrix_is_diverged_like_the_reference(ndim):
+def test_singular_normal_matrix_is_diverged_like_the_reference(ndim, monkeypatch):
     # Anchors on a line (a plane in 3-D) and a device in it that moves in it:
     # no measurement depends on the off-line position or velocity, so J'WJ
     # has zero rows and columns.
@@ -234,6 +245,17 @@ def test_singular_normal_matrix_is_diverged_like_the_reference(ndim):
     assert trace.diverged and not trace.converged
     assert trace.iterations_used == 0 and len(trace.costs) == 1
     assert state.as_vector().tobytes() == init.as_vector().tobytes()
+    # Once its only row has left, the kernel stops, however large max_iter.
+    evaluations = []
+
+    def counted(thetas, anchors):
+        evaluations.append(len(thetas))
+        assert len(evaluations) <= 2, "the kernel iterates an empty stack"
+        return _evaluate(thetas, anchors)
+
+    monkeypatch.setattr(baseline, "_evaluate", counted)
+    _, trace = gauss_newton(meas, anchors, noise, init, max_iter=10**9, tol=0.0)
+    assert trace.diverged
 
 
 # --- the batched kernel against gauss_newton alone -------------------------
@@ -299,7 +321,7 @@ def _alone(anchors, runs, **kw):
     ndim=st.sampled_from([2, 3]),
     seed=st.integers(0, 2**32 - 1),
     init_std=st.sampled_from([0.0, 50.0, 200.0]),
-    max_iter=st.integers(1, 20),
+    max_iter=st.integers(0, 20),
     tol=st.sampled_from([0.0, 1e-4, 1.0]),
     rows=st.integers(1, 12),
     data=st.data(),

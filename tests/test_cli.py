@@ -166,6 +166,37 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
+    def test_negative_seed_reported(self, tmp_path, capsys):
+        assert main([
+            "simulate", "--preset", "benchmark", "--runs", "2", "--seed", "-1",
+            "--csv", str(tmp_path / "o.csv"), "--summary", str(tmp_path / "o.json"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"snr_db": "30"}, "snr_db"),
+            ({"an_counts": [3]}, "an_counts"),
+            ({"anchor_side_m": float("nan")}, "anchor_side_m"),
+            ({"response_step_s": -0.01}, "response_step_s"),
+            ({"snr_db": [30.0, float("inf")]}, "snr_db"),
+        ],
+    )
+    def test_bad_campaign_value_reported_before_any_run(
+        self, tmp_path, capsys, overrides, key
+    ):
+        cfg_path = write_json(tmp_path / "cfg.json", small_config(**overrides))
+        assert main([
+            "simulate", "--config", cfg_path,
+            "--csv", str(tmp_path / "o.csv"), "--summary", str(tmp_path / "o.json"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_requires_config_or_preset(self, capsys):
         assert main(["simulate"]) == 2
         assert "config" in capsys.readouterr().err.lower()

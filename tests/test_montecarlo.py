@@ -148,6 +148,30 @@ class TestConfigSerialization:
         with pytest.raises(ConfigurationError, match="noise_free"):
             config_from_dict({"noise_free": 1})
 
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"snr_db": "30"}, "snr_db"),
+            ({"an_counts": "48"}, "an_counts"),
+            ({"runs": 2.7}, "runs"),
+            ({"an_counts": [8.5]}, "an_counts"),
+            ({"seed": True}, "seed"),
+            ({"runs": "5"}, "runs"),
+            ({"offset_range_s": [0.0]}, "offset_range_s"),
+            ({"methods": [{"kind": "gauss_newton", "max_iter": 2.9}]},
+             r"methods\[0\]\.max_iter"),
+        ],
+    )
+    def test_value_of_another_type_named(self, data, key):
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_dict(data)
+
+    def test_numbers_read_as_their_field_types(self):
+        cfg = config_from_dict({"anchor_side_m": 800, "snr_db": [30, 20.5]})
+        assert cfg.anchor_side_m == 800.0 and type(cfg.anchor_side_m) is float
+        assert cfg.snr_db == (30.0, 20.5)
+        assert all(type(snr) is float for snr in cfg.snr_db)
+
     def test_benchmark_preset_layout(self):
         cfg = benchmark_config()
         assert cfg.anchor_side_m == 800.0
@@ -197,6 +221,19 @@ class TestConfigSerialization:
             config_from_dict(
                 {"methods": [{"kind": "cftwlas"}, {"kind": "gauss_newton", "init_std_m": -1}]}
             )
+        with pytest.raises(ConfigurationError, match="seed"):
+            CampaignConfig(seed=-1)
+        CampaignConfig(seed=0)
+        for counts in ((3,), (8, 6), (0,)):
+            with pytest.raises(ConfigurationError, match="an_counts"):
+                CampaignConfig(an_counts=counts)
+        for key in ("anchor_side_m", "response_step_s"):
+            for bad in (-1.0, 0.0, float("nan"), float("inf")):
+                with pytest.raises(ConfigurationError, match=key):
+                    CampaignConfig(**{key: bad})
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigurationError, match="snr_db"):
+                CampaignConfig(snr_db=(30.0, bad))
 
     def test_methods_sharing_a_label_rejected(self, tmp_path, capsys):
         # Two GN methods that differ only in max_iter would write two CSV
