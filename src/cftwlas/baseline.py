@@ -67,6 +67,8 @@ def _gauss_newton_batch(
     theta = thetas
     done = [False] * rows  # the last update norm was below tol
     for step in count():
+        if not live.size:
+            break
         ranges, model = _evaluate(theta, anchors)
         residual = gamma - model
         # r @ (w * r) and |delta| per row as stacked dot products: bit for
@@ -76,7 +78,7 @@ def _gauss_newton_batch(
         for k, c, a in zip(live.tolist(), cost.ravel().tolist(), anchor):
             if not a:
                 costs[k].append(c)
-        if not live.size or step >= max_iter or True in anchor or True in done:
+        if step >= max_iter or True in anchor or True in done:
             stop = [step >= max_iter or a or d for a, d in zip(anchor, done)]
             for j, (k, a, d, s) in enumerate(zip(live.tolist(), anchor, done, stop)):
                 if s:

@@ -95,25 +95,11 @@ def compute_residuals(
     return Residuals(stacked[: meas.count], stacked[meas.count :], cost)
 
 
-def _candidate_states(g: np.ndarray, U: np.ndarray, solutions):
-    """Flat candidates of the rows of ``solve_pairs``: each candidate's row,
-    its parameter vector ``g + U lam`` (C, 2N+2) and whether a complex
-    projection seeded it, the real pairs of a row first."""
-    row, lam, from_complex = [], [], []
-    for k, (pairs, complex_pairs) in enumerate(solutions):
-        for x, y in pairs:
-            row.append(k)
-            lam.append((x, y))
-            from_complex.append(False)
-        for x, y, _ in complex_pairs:
-            row.append(k)
-            lam.append((x, y))
-            from_complex.append(True)
-    row = np.array(row, dtype=np.intp)
-    lam = np.array(lam, dtype=float).reshape(-1, 2, 1)
+def _candidate_states(g: np.ndarray, U: np.ndarray, row: np.ndarray, lam: np.ndarray):
+    """Parameter vectors ``g + U lam`` (C, 2N+2) of the flat candidates of
+    ``solve_pairs``: (C, 2) pairs ``lam`` of the rows ``row``."""
     with np.errstate(all="ignore"):
-        thetas = g[row] + np.matmul(U[row], lam)[:, :, 0]
-    return row, thetas, np.array(from_complex, dtype=bool)
+        return g[row] + np.matmul(U[row], lam[:, :, None])[:, :, 0]
 
 
 def _score(row, thetas, gamma, weights, anchors: AnchorSet, rows: int):
@@ -238,11 +224,9 @@ def raw_estimate(
 
     roots = [(pair, False) for pair in solution.pairs]
     roots.extend((seed.pair, True) for seed in solution.complex_pairs)
-    as_rows = [(
-        [(p.lam1, p.lam2) for p in solution.pairs],
-        [(s.pair.lam1, s.pair.lam2, s.rel_imag) for s in solution.complex_pairs],
-    )]
-    row, thetas, _ = _candidate_states(system.g[None], system.U[None], as_rows)
+    row = np.zeros(len(roots), dtype=np.intp)
+    lam = np.array([(p.lam1, p.lam2) for p, _ in roots], dtype=float).reshape(-1, 2)
+    thetas = _candidate_states(system.g[None], system.U[None], row, lam)
     cost, usable, (winner,), _, _ = _score(
         row, thetas, meas.stacked()[None], noise.weights()[None], anchors, 1
     )
@@ -326,9 +310,8 @@ def estimate_batch(
     _, _, solution, full_rank = build_systems(gamma[:, :m], gamma[:, m:], anchors)
     solved = np.flatnonzero(full_rank)
     g, U = solution[solved, :, 0], solution[solved, :, 1:]
-    solutions = solve_pairs(quadratic_coefficients(g, U, anchors.ndim))
-
-    local, thetas, from_complex = _candidate_states(g, U, solutions)
+    local, lam, from_complex, _ = solve_pairs(quadratic_coefficients(g, U, anchors.ndim))
+    thetas = _candidate_states(g, U, local, lam)
     row = solved[local]
     _, usable, winner, ranges, model = _score(row, thetas, gamma, weights, anchors, rows)
     candidates = np.bincount(row[usable], minlength=rows)

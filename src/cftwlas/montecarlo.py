@@ -122,6 +122,10 @@ class CampaignConfig:
         for key in ("offset_range_s", "drift_range_ppm", "snr_db"):
             if not all(math.isfinite(value) for value in getattr(self, key)):
                 raise ConfigurationError(f"{key} values must be finite")
+        for key in ("offset_range_s", "drift_range_ppm"):
+            lo, hi = getattr(self, key)
+            if not 0.0 <= hi - lo < math.inf:
+                raise ConfigurationError(f"{key} must be (lo, hi) with lo <= hi")
         if self.response_sigma_rule not in _SIGMA_REDUCERS:
             raise ConfigurationError(
                 f"unknown response_sigma_rule {self.response_sigma_rule!r}"
@@ -478,7 +482,12 @@ def _from_json(value, kind, key: str):
         return _from_dict(kind, value, key)
     if type(value) not in _JSON_TYPES[kind]:
         raise ConfigurationError(f"config key '{key}': expected {kind.__name__}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(f"config key '{key}': too large for a float") from None
 
 
 def config_from_dict(data: dict) -> CampaignConfig:

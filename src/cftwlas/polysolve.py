@@ -14,11 +14,14 @@ the non-finite exit apply to each pair on its own. The accepted pairs are
 merged in seed order, and by Bezout's bound at most four real pairs are
 kept.
 
-``solve_pairs`` does this for K pairs at once in stacked arrays, and
-``solve_pair_detailed`` is its one-pair case. Each pair's result depends on
-that pair alone: every array operation is elementwise or acts on one pair's
-own matrix, and where a loop on Python floats replaces an array pass for a
-few values (``_kept_roots_each``, ``_polish_seed``) it repeats the same
+``solve_pairs`` does this for K pairs at once in stacked arrays, from the
+resultant to flat candidate arrays, and ``solve_pair_detailed`` is its
+one-pair case. Each pair's result depends on that pair alone: every array
+operation is elementwise, acts on one pair's own matrix or, in the order-
+dependent passes (``_cluster_rows``, ``_merge_pairs``, ``_distinct``), takes
+one position at a time with each pair's own state. Where a loop on Python
+floats replaces an array pass for a few values (``_cluster``,
+``_kept_roots_each``, ``_polish_seed``, ``_insert_pair``) it repeats the same
 arithmetic in the same order.
 
 Solutions can be many orders of magnitude larger than unity (the auxiliary
@@ -185,36 +188,48 @@ def solve_pair_detailed(
     the one-row case of ``solve_pairs``."""
     if q1.scale() == 0.0 or q2.scale() == 0.0:
         raise ValueError("an equation is identically zero")
-    ((pairs, complex_pairs),) = solve_pairs(np.array([[_terms(q1), _terms(q2)]]))
+    with np.errstate(all="ignore"):
+        ((pairs, complex_pairs),) = _solve_pairs(
+            np.array([[_terms(q1), _terms(q2)]]), flat=False
+        )
     return BivariateSolution(
         tuple(AuxiliaryPair(x, y) for x, y in pairs),
         tuple(ComplexSeed(AuxiliaryPair(x, y), rel) for x, y, rel in complex_pairs),
     )
 
 
-def solve_pairs(coef: np.ndarray) -> list[tuple]:
+def solve_pairs(coef: np.ndarray):
     """Solve K quadratic pairs at once.
 
-    ``coef`` is (K, 2, 6): [a, b, c, d, e, f] per row and equation. Returns a
-    list with one ``(pairs, complex_pairs)`` per row, where ``pairs`` holds
-    the real solutions as ascending (lam1, lam2) tuples and ``complex_pairs``
-    the (lam1, lam2, rel_imag) projections of complex roots, nearest-to-real
-    first (see BivariateSolution).
+    ``coef`` is (K, 2, 6): [a, b, c, d, e, f] per row and equation. Returns
+    the candidates of all rows as flat arrays ``(row, lam, from_complex,
+    rel_imag)``: each candidate's row (C,), its (lam1, lam2) as (C, 2),
+    whether it is the real projection of a complex root (C,) and that root's
+    relative imaginary magnitude (C,), 0 for a real pair. Rows come in order;
+    a row lists its real solutions in ascending (lam1, lam2) order, then its
+    projections nearest-to-real first (see BivariateSolution).
 
     Every row takes the y-elimination in stacked arrays: one companion
     eigenvalue call per resultant degree, then one Newton polish and one
-    residual pass over the seeds of every row. Each row's result depends on
-    that row alone. A row has no solution when an equation is identically
-    zero or not finite, or when its y-resultant vanishes identically: then
-    both equations share a factor that contains y, or neither contains y,
-    and the pair has no isolated solution.
+    residual pass over the seeds of every row, and one merge of each row's
+    accepted seeds. Each row's result depends on that row alone. A row has no
+    solution when an equation is identically zero or not finite, or when its
+    y-resultant vanishes identically: then both equations share a factor that
+    contains y, or neither contains y, and the pair has no isolated solution.
     """
     with np.errstate(all="ignore"):
-        return _solve_pairs(coef)
+        return _solve_pairs(coef, flat=True)
 
 
-def _solve_pairs(coef: np.ndarray) -> list[tuple]:
-    """The body of ``solve_pairs``, run with floating-point warnings off."""
+def _solve_pairs(coef: np.ndarray, flat: bool):
+    """The body of ``solve_pairs``, run with floating-point warnings off.
+
+    Below _ARRAY_MIN rows, or without ``flat``, the seeds are merged by the
+    loops on Python floats, which give one ``(pairs, complex_pairs)`` of
+    tuples per row; ``flat`` then lays them out as ``solve_pairs`` returns
+    them. The array merge takes one pass per seed position, so it pays only
+    over many rows.
+    """
     rows = coef.shape[0]
     s = np.abs(coef).max(axis=2)
     usable = (np.isfinite(s) & (s > 0.0)).all(axis=1)
@@ -235,15 +250,11 @@ def _solve_pairs(coef: np.ndarray) -> list[tuple]:
         at = np.flatnonzero(solvable & (degree == d))
         roots[at, :d] = _companion_roots(resultant[at, : d + 1])
 
-    return [
-        (
-            tuple((x * fx, y * fy) for x, y in pairs),
-            tuple((x * fx, y * fy, rel) for x, y, rel in complex_pairs),
-        )
-        for (pairs, complex_pairs), fx, fy in zip(
-            _back_substitute(m, t1, t2, roots), sx.tolist(), sy.tolist()
-        )
-    ]
+    seeds, projected = _back_substitute(m, t1, t2, roots)
+    if flat and rows >= _ARRAY_MIN:
+        return _collect(m, seeds, projected, sx, sy)
+    per_row = _collect_each(m, seeds, projected, sx, sy)
+    return _flatten(per_row) if flat else per_row
 
 
 def _variable_scales(n: np.ndarray):
@@ -321,74 +332,63 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
     return roots
 
 
-# Below this many kept values or seeds the per-value loops on Python floats
-# (_kept_roots_each, _polish_seed) are cheaper than the array passes; each
-# loop gives the bits of its array pass.
+# Below this many values (resultant roots, kept values, seeds) the loops on
+# Python floats (_cluster, _kept_roots_each, _polish_seed and _insert_pair)
+# are cheaper than the array passes; each loop gives the bits of its array
+# pass.
 _ARRAY_MIN = 24
+
+# No complex candidates: (elimination, x, y, rel_imag).
+_NO_PROJECTIONS = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), np.empty(0))
 
 
 def _back_substitute(m, t1, t2, roots):
-    """Real pairs and complex projections of J y-eliminations.
+    """Seeds and complex candidates of J y-eliminations.
 
     ``m`` is (J, 2, 6), ``t1`` and ``t2`` are (J, 3) and (J, 2) and
-    ``roots`` (J, 4) holds the resultant roots in x, NaN-padded. Every real
-    root yields y seeds from -t1/t2 and from both equations as quadratics in
-    y; the seeds of all eliminations are polished together and a seed whose
-    normalized residual passes joins its elimination's pairs. Complex
-    candidates become projections. Returns one ``(pairs, complex_pairs)``
-    per elimination, in the scaled variables.
+    ``roots`` (J, 4) holds the resultant roots in x, NaN-padded. Every
+    distinct real root yields y seeds from -t1/t2 and from both equations as
+    quadratics in y. Returns the seeds as (elimination, x, y) arrays in
+    elimination order, and two sets of complex candidates as (elimination,
+    x, y, rel_imag) arrays: where an equation's y went complex at a real
+    root, and one per conjugate pair of the resultant's own roots. All of it
+    is in the scaled variables.
     """
     re, im = roots.real, roots.imag
     real = np.abs(im) <= _IMAG_RTOL * np.maximum(1.0, np.abs(re))
     upper = ~real & (im > 0)
 
     # Distinct real roots of each elimination, flat with their elimination.
-    kept_row: list[int] = []
-    kept: list[float] = []
-    for j, (values, is_real) in enumerate(zip(re.tolist(), real.tolist())):
-        for v in _cluster([v for v, r in zip(values, is_real) if r]):
-            kept_row.append(j)
-            kept.append(v)
-    kr = np.array(kept_row, dtype=np.intp)
-    kv = np.array(kept, dtype=float)
+    if roots.size < _ARRAY_MIN:
+        kept_row: list[int] = []
+        kept: list[float] = []
+        for j, (values, is_real) in enumerate(zip(re.tolist(), real.tolist())):
+            for v in _cluster([v for v, r in zip(values, is_real) if r]):
+                kept_row.append(j)
+                kept.append(v)
+        kr = np.array(kept_row, dtype=np.intp)
+        kv = np.array(kept, dtype=float)
+    else:
+        values, keep = _cluster_rows(np.where(real, re, np.nan))
+        kr, kc = np.nonzero(keep)
+        kv = values[kr, kc]
 
     kept_roots = _kept_roots if kv.size >= _ARRAY_MIN else _kept_roots_each
     others, ok, cplx_re, cplx_im, cplx_ok = kept_roots(m[kr], t1[kr], t2[kr], kv)
-
-    # Real seeds in kept order, polished together.
     seed_k, seed_c = np.nonzero(ok)
-    seed_row = kr[seed_k]
-    x, y = kv[seed_k], others[seed_k, seed_c]
-    if x.size < _ARRAY_MIN:
-        polished = [
-            _polish_seed(q, xi, yi)
-            for q, xi, yi in zip(m[seed_row].tolist(), x.tolist(), y.tolist())
-        ]
-    else:
-        coef = m[seed_row].transpose(2, 1, 0)
-        x, y = _newton_polish(coef, x, y)
-        polished = zip(x.tolist(), y.tolist(), _normalized_residual(coef, x, y).tolist())
+    seeds = kr[seed_k], kv[seed_k], others[seed_k, seed_c]
 
-    pairs: list[list] = [[] for _ in range(m.shape[0])]
-    for j, (xi, yi, ri) in zip(seed_row.tolist(), polished):
-        if ri <= _RESIDUAL_RTOL:
-            _insert_pair(pairs[j], (xi, yi), ri)
-
-    # A real kept value whose companion went complex: keep its projection.
-    complex_pairs: list[list] = [[] for _ in range(m.shape[0])]
+    # A real kept value whose companion went complex: its projection.
+    first = _NO_PROJECTIONS
     if cplx_ok.any():
         ck, ce = np.nonzero(cplx_ok)
-        for j, kept_value, o_re, o_im in zip(
-            kr[ck].tolist(),
-            kv[ck].tolist(),
-            cplx_re[ck, ce].tolist(),
-            cplx_im[ck, ce].tolist(),
-        ):
-            rel = abs(o_im) / max(1.0, abs(o_re))
-            _add_projection(complex_pairs[j], kept_value, o_re, rel, dedupe=True)
+        o_re = cplx_re[ck, ce]
+        rel = np.abs(cplx_im[ck, ce]) / np.maximum(1.0, np.abs(o_re))
+        first = kr[ck], kv[ck], o_re, rel
 
     # One representative per conjugate pair of the resultant itself (roots of
     # real polynomials come in exact conjugate pairs).
+    second = _NO_PROJECTIONS
     zj, zc = np.nonzero(upper)
     if zj.size:
         z = roots[zj, zc]
@@ -400,21 +400,202 @@ def _back_substitute(m, t1, t2, roots):
         if flat.any():
             for i in np.flatnonzero(flat).tolist():
                 other[i] = _first_root(m[zj[i]], complex(z[i])).real
-        for j, z_kept, z_im, o_re in zip(
-            zj.tolist(), z.real.tolist(), z.imag.tolist(), other.tolist()
-        ):
-            rel = abs(z_im) / max(1.0, abs(z_kept))
-            _add_projection(complex_pairs[j], z_kept, o_re, rel)
+        rel = np.abs(z.imag) / np.maximum(1.0, np.abs(z.real))
+        second = zj, z.real, other, rel
+    return seeds, (first, second)
+
+
+def _collect_each(m, seeds, projected, sx, sy):
+    """One ``(pairs, complex_pairs)`` of tuples per elimination, scaled back
+    to the original variables, by loops on Python floats.
+
+    ``seeds`` and ``projected`` are what ``_back_substitute`` returns and
+    ``sx``, ``sy`` the (J,) variable scales. Each seed is polished (by
+    ``_polish_seed``, or in one array pass from _ARRAY_MIN seeds) and, when
+    its residual passes, merged into its row by ``_insert_pair`` in seed
+    order. The first complex set is deduplicated as it is added; each row's
+    projections are then ordered nearest-to-real first and deduplicated.
+    """
+    seed_row, x, y = seeds
+    if x.size < _ARRAY_MIN:
+        polished = [
+            _polish_seed(q, xi, yi)
+            for q, xi, yi in zip(m[seed_row].tolist(), x.tolist(), y.tolist())
+        ]
+    else:
+        polished = zip(*(v.tolist() for v in _polish(m, seeds)))
+    pairs: list[list] = [[] for _ in range(m.shape[0])]
+    for j, (xi, yi, ri) in zip(seed_row.tolist(), polished):
+        if ri <= _RESIDUAL_RTOL:
+            _insert_pair(pairs[j], (xi, yi), ri)
+
+    complex_pairs: list[list] = [[] for _ in range(m.shape[0])]
+    for dedupe, entries in zip((True, False), projected):
+        for j, xi, yi, rel in zip(*(v.tolist() for v in entries)):
+            _add_projection(complex_pairs[j], xi, yi, rel, dedupe)
 
     out = []
-    for found, projections in zip(pairs, complex_pairs):
-        # Deduplicate and order nearest-to-real first.
+    for found, projections, fx, fy in zip(pairs, complex_pairs, sx.tolist(), sy.tolist()):
         deduped: list[tuple] = []
         for seed in sorted(projections, key=lambda s: s[2]):
             if not any(_same_pair(seed, kept_seed) for kept_seed in deduped):
                 deduped.append(seed)
-        out.append((sorted(p for p, _ in found), deduped))
+        out.append((
+            tuple((x * fx, y * fy) for x, y in sorted(p for p, _ in found)),
+            tuple((x * fx, y * fy, rel) for x, y, rel in deduped),
+        ))
     return out
+
+
+def _polish(m, seeds):
+    """Newton polish and normalized residual of the (elimination, x, y)
+    seeds in one array pass: the polished x, y and residual arrays."""
+    seed_row, x, y = seeds
+    coef = m[seed_row].transpose(2, 1, 0)
+    x, y = _newton_polish(coef, x, y)
+    return x, y, _normalized_residual(coef, x, y)
+
+
+def _flatten(per_row):
+    """The flat arrays of ``solve_pairs`` from per-row ``(pairs,
+    complex_pairs)`` tuples."""
+    row, lam, from_complex, rel = [], [], [], []
+    for k, (pairs, complex_pairs) in enumerate(per_row):
+        for x, y in pairs:
+            row.append(k)
+            lam.append((x, y))
+            from_complex.append(False)
+            rel.append(0.0)
+        for x, y, r in complex_pairs:
+            row.append(k)
+            lam.append((x, y))
+            from_complex.append(True)
+            rel.append(r)
+    return (
+        np.array(row, dtype=np.intp),
+        np.array(lam, dtype=float).reshape(-1, 2),
+        np.array(from_complex, dtype=bool),
+        np.array(rel, dtype=float),
+    )
+
+
+def _collect(m, seeds, projected, sx, sy):
+    """``_collect_each`` in array passes over all eliminations, laid out as
+    ``solve_pairs`` returns it."""
+    rows = m.shape[0]
+    x, y, res = _polish(m, seeds)
+    passed = res <= _RESIDUAL_RTOL
+    real = _merge_pairs(seeds[0][passed], x[passed], y[passed], res[passed], rows)
+
+    first, second = (
+        tuple(v[np.isfinite(entries[1]) & np.isfinite(entries[2])] for v in entries)
+        for entries in projected
+    )
+    first = tuple(v[_distinct(*first[:3], rows)] for v in first)
+    joined = [np.concatenate(parts) for parts in zip(first, second)]
+    # Each row's projections nearest-to-real first; the sort is stable.
+    order = np.lexsort((joined[3], joined[0]))
+    joined = [v[order] for v in joined]
+    keep = _distinct(*joined[:3], rows)
+    pr, px, py, prel = (v[keep] for v in joined)
+
+    # Each row's real pairs, then its projections.
+    real_count = real[0].size
+    row = np.concatenate([real[0], pr])
+    order = np.argsort(row, kind="stable")
+    row = row[order]
+    lam = np.stack([
+        np.concatenate([real[1], px])[order] * sx[row],
+        np.concatenate([real[2], py])[order] * sy[row],
+    ], axis=1)
+    from_complex = (np.arange(row.size) >= real_count)[order]
+    rel = np.concatenate([np.zeros(real_count), prel])[order]
+    return row, lam, from_complex, rel
+
+
+def _by_position(row, rows, *values):
+    """Entries of nondecreasing rows laid out by their position in the row:
+    each (C,) value array as (width, rows), NaN-padded. Returns the per-row
+    counts, the entries' (position, row) index and the layouts."""
+    counts = np.bincount(row, minlength=rows)
+    at = np.arange(row.size) - (np.cumsum(counts) - counts)[row], row
+    laid = []
+    for v in values:
+        out = np.full((counts.max(initial=0), rows), np.nan)
+        out[at] = v
+        laid.append(out)
+    return counts, at, laid
+
+
+def _tolerance(v: np.ndarray) -> np.ndarray:
+    """The _same_pair tolerance of each component value."""
+    return _DEDUPE_RTOL * np.maximum(1.0, np.abs(v))
+
+
+def _merge_pairs(row, x, y, res, rows):
+    """``_insert_pair`` of each row's accepted seeds in order, then each
+    row's pairs in ascending order, for all rows at once.
+
+    ``row`` holds the seeds' nondecreasing row indices and ``res`` their
+    residuals. The merge takes one seed position at a time, over every row
+    at once; a row holds up to five slots, NaN when empty, and a row without
+    a seed at that position keeps its slots. Returns the kept pairs as flat
+    (row, x, y) arrays.
+    """
+    counts, _, (new_x, new_y, new_res) = _by_position(row, rows, x, y, res)
+    tol_x, tol_y = _tolerance(new_x), _tolerance(new_y)
+    kx, ky, kres = (np.full((5, rows), np.nan) for _ in range(3))
+    n = np.zeros(rows, dtype=np.intp)
+    slots, every = np.arange(5)[:, None], np.arange(rows)
+    for p in range(new_x.shape[0]):
+        nx, ny, nres = new_x[p], new_y[p], new_res[p]
+        # The first same-pair slot, else a new one at the end.
+        same = (np.abs(nx - kx) <= tol_x[p]) & (np.abs(ny - ky) <= tol_y[p])
+        found = same.any(axis=0)
+        slot = np.where(found, same.argmax(axis=0), n)
+        has = counts > p
+        put = (slots == slot) & (has & (~found | (nres < kres[slot, every])))
+        kx, ky, kres = np.where(put, nx, kx), np.where(put, ny, ky), np.where(put, nres, kres)
+        n += has & ~found
+        if n.max(initial=0) > 4:
+            # Bezout bound: keep the four best-fitting pairs.
+            full = np.flatnonzero(n > 4)
+            order = np.argsort(kres[:, full], axis=0, kind="stable")
+            for kept in (kx, ky, kres):
+                kept[:, full] = np.take_along_axis(kept[:, full], order, axis=0)
+                kept[4, full] = np.nan
+            n[full] = 4
+    kept_slot, kept_row = np.nonzero(slots < n)
+    fx, fy = kx[kept_slot, kept_row], ky[kept_slot, kept_row]
+    order = np.lexsort((fy, fx, kept_row))
+    return kept_row[order], fx[order], fy[order]
+
+
+def _distinct(row, x, y, rows):
+    """Mask of the finite pairs that are not ``_same_pair`` as an earlier
+    kept pair of their row, the rows nondecreasing; one position at a time
+    over every row at once."""
+    _, at, (px, py) = _by_position(row, rows, x, y)
+    tol_x, tol_y = _tolerance(px), _tolerance(py)
+    keep = ~np.isnan(px)
+    for p in range(1, px.shape[0]):
+        same = (np.abs(px[p] - px[:p]) <= tol_x[p]) & (np.abs(py[p] - py[:p]) <= tol_y[p])
+        keep[p] &= ~(same & keep[:p]).any(axis=0)
+    return keep[at]
+
+
+def _cluster_rows(values: np.ndarray):
+    """``_cluster`` of every row of (J, R) values at once, NaN where a row
+    has no value: each row sorted and its kept mask, one position at a
+    time."""
+    values = np.sort(values, axis=1, kind="stable")
+    keep = ~np.isnan(values)
+    last = values[:, 0]
+    for c in range(1, values.shape[1]):
+        v = values[:, c]
+        keep[:, c] &= np.abs(v - last) > 1e-9 * np.maximum(1.0, np.abs(v))
+        last = np.where(keep[:, c], v, last)
+    return values, keep
 
 
 def _add_projection(projections, x, y, rel, dedupe=False):

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -183,9 +184,10 @@ class NoiseSpec:
         sig = np.asarray(self.sigma_request, dtype=float).ravel()
         object.__setattr__(self, "sigma_request", sig)
         object.__setattr__(self, "sigma_response", float(self.sigma_response))
-        if np.any(sig <= 0.0) or not np.isfinite(sig).all():
+        # Checked as Python floats: cheaper than array tests for a few values.
+        if not all(0.0 < v < math.inf for v in sig.tolist()):
             raise ConfigurationError("request sigmas must be positive and finite")
-        if self.sigma_response <= 0.0 or not np.isfinite(self.sigma_response):
+        if not 0.0 < self.sigma_response < math.inf:
             raise ConfigurationError("response sigma must be positive and finite")
 
     @property
@@ -246,14 +248,20 @@ def sample_ud_state(
     half = region_side / 2.0
     (offset_lo, offset_hi), (drift_lo, drift_hi) = offset_range_s, drift_range_ppm
     if ndim == 2:
-        # Position, speed, heading, offset and drift in one call: uniform
-        # draws element by element, lo + (hi - lo) * u, in the order of
-        # separate calls.
+        # Position, speed, heading, offset and drift from six doubles:
+        # lo + (hi - lo) * u element by element, the bits and the errors of
+        # one rng.uniform(lows, highs) call, which costs more.
         lows = np.concatenate([center - half, [0.0, 0.0, offset_lo, drift_lo]])
-        highs = np.concatenate(
+        spans = np.concatenate(
             [center + half, [vmax, 2.0 * np.pi, offset_hi, drift_hi]]
-        )
-        draw = rng.uniform(lows, highs)
+        ) - lows
+        span_values = spans.tolist()
+        if not all(map(math.isfinite, span_values)):
+            raise OverflowError("Range exceeds valid bounds")
+        # numpy tests the sign bit, so a -0.0 range is negative too.
+        if any(math.copysign(1.0, v) < 0.0 for v in span_values):
+            raise ValueError("high - low < 0")
+        draw = lows + spans * rng.random(spans.shape)
         pos, (speed, heading, offset, drift) = draw[:2], draw[2:]
         direction = np.array([np.cos(heading), np.sin(heading)])
     else:

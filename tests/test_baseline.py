@@ -258,6 +258,33 @@ def test_singular_normal_matrix_is_diverged_like_the_reference(ndim, monkeypatch
     assert trace.diverged
 
 
+def test_batch_whose_rows_all_diverge_stops_without_an_empty_evaluation(monkeypatch):
+    # The line layout of the test above: every row has a singular normal
+    # matrix, so all of them diverge on the first step, and the kernel
+    # returns then instead of evaluating the empty stack that is left.
+    positions = np.zeros((5, 2))
+    positions[:, 0] = [0.0, 100.0, 300.0, 700.0, 900.0]
+    anchors = AnchorSet(positions, 0.01 * np.arange(1, 6))
+    truths = [UdState([x, 0.0], [v, 0.0], 300.0, 2.0) for x, v in ((450, 5), (620, -3), (80, 1))]
+    gamma = np.array([forward_model(t, anchors).stacked() for t in truths])
+    inits = np.array([[x - 30.0, 0.0, 0.0, 0.0, 0.0, 0.0] for x in (450, 620, 80)])
+    evaluations = []
+
+    def counted(thetas, anchors):
+        evaluations.append(len(thetas))
+        return _evaluate(thetas, anchors)
+
+    monkeypatch.setattr(baseline, "_evaluate", counted)
+    states, costs, iterations, converged, diverged, on_anchor = _gauss_newton_batch(
+        gamma, np.ones_like(gamma), inits, anchors, max_iter=10**9, tol=0.0
+    )
+    assert evaluations == [3]
+    assert diverged == [True] * 3 and iterations == [0] * 3
+    assert converged == on_anchor == [False] * 3
+    assert [len(c) for c in costs] == [1] * 3
+    assert states.tobytes() == inits.tobytes()
+
+
 # --- the batched kernel against gauss_newton alone -------------------------
 
 

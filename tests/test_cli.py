@@ -183,6 +183,9 @@ class TestSimulateCommand:
             ({"anchor_side_m": float("nan")}, "anchor_side_m"),
             ({"response_step_s": -0.01}, "response_step_s"),
             ({"snr_db": [30.0, float("inf")]}, "snr_db"),
+            ({"offset_range_s": [2e-5, 0.0]}, "offset_range_s"),
+            ({"drift_range_ppm": [10.0, -10.0]}, "drift_range_ppm"),
+            ({"anchor_side_m": 10**400}, "anchor_side_m"),
         ],
     )
     def test_bad_campaign_value_reported_before_any_run(

@@ -166,6 +166,29 @@ class TestConfigSerialization:
         with pytest.raises(ConfigurationError, match=key):
             config_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"offset_range_s": [2e-5, 0.0]}, "offset_range_s"),
+            ({"drift_range_ppm": [10.0, -10.0]}, "drift_range_ppm"),
+            ({"drift_range_ppm": [-1.7e308, 1.7e308]}, "drift_range_ppm"),
+            ({"anchor_side_m": 10**400}, "anchor_side_m"),
+            ({"snr_db": [30, -(10**400)]}, r"snr_db\[1\]"),
+        ],
+    )
+    def test_value_that_would_fail_a_run_named(self, data, key):
+        # A reversed or overflowing range used to raise inside the first
+        # window, and a JSON integer too large for a float in the loader.
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_dict(data)
+
+    def test_zero_width_ranges_accepted(self):
+        cfg = config_from_dict(
+            {"runs": 2, "offset_range_s": [1e-5, 1e-5], "drift_range_ppm": [0, 0]}
+        )
+        (cell,) = run_campaign(cfg).cells
+        assert cell.runs == 2
+
     def test_numbers_read_as_their_field_types(self):
         cfg = config_from_dict({"anchor_side_m": 800, "snr_db": [30, 20.5]})
         assert cfg.anchor_side_m == 800.0 and type(cfg.anchor_side_m) is float

@@ -13,14 +13,22 @@ from cftwlas import (
     sample_ud_state,
 )
 from cftwlas.linear_system import LinearSystem, constraint_matrices
+from cftwlas import polysolve
 from cftwlas.polysolve import (
+    _ARRAY_MIN,
     AuxiliaryPair,
     BivariateQuadratic,
+    _cluster,
+    _cluster_rows,
+    _distinct,
+    _insert_pair,
     _kept_roots,
     _kept_roots_each,
+    _merge_pairs,
     _newton_polish,
     _normalized_residual,
     _polish_seed,
+    _same_pair,
     _terms,
     coefficients_from_system,
     solve_pair,
@@ -417,19 +425,35 @@ def _edge_rows():
     return np.array(coef, dtype=float), expected
 
 
+def per_row(solved, rows):
+    """The flat candidates of ``solve_pairs`` as one (pairs, complex_pairs)
+    of tuples per row."""
+    out = [([], []) for _ in range(rows)]
+    for k, lam, from_complex, rel in zip(*(v.tolist() for v in solved)):
+        if from_complex:
+            out[k][1].append((*lam, rel))
+        else:
+            out[k][0].append(tuple(lam))
+    return [(tuple(pairs), tuple(projections)) for pairs, projections in out]
+
+
+def solve_rows(coef):
+    return per_row(solve_pairs(coef), len(coef))
+
+
 def test_edge_rows_solved_the_same_alone_and_in_a_batch():
     coef, expected = _edge_rows()
-    together = solve_pairs(coef)
+    together = solve_rows(coef)
     for row, want in zip(together, expected):
         if want is not None:
             assert [len(part) for part in row] == [len(part) for part in want]
             for got, value in zip(sum(row, ()), sum(want, ())):
                 assert got == pytest.approx(value, rel=1e-12)
     for k in range(len(coef)):
-        (alone,) = solve_pairs(coef[k : k + 1])
+        (alone,) = solve_rows(coef[k : k + 1])
         assert repr(alone) == repr(together[k])
     perm = np.random.default_rng(2).permutation(len(coef))
-    shuffled = solve_pairs(coef[perm])
+    shuffled = solve_rows(coef[perm])
     assert [repr(r) for r in shuffled] == [repr(together[k]) for k in perm]
 
 
@@ -452,7 +476,7 @@ def test_planted_root_found_from_both_variable_orders(seed, exponent, factors):
     pair = np.array([
         _terms(q1.scaled(s1 * 10.0**e1)), _terms(q2.scaled(s2 * 10.0**e2))
     ])
-    direct, swapped = solve_pairs(np.stack([pair, pair[:, _SWAP_XY]]))
+    direct, swapped = solve_rows(np.stack([pair, pair[:, _SWAP_XY]]))
     swapped_back = [(px, py) for py, px in swapped[0]]
     assert len(direct[0]) == len(swapped_back)
     size = max(abs(x), abs(y))
@@ -461,3 +485,193 @@ def test_planted_root_found_from_both_variable_orders(seed, exponent, factors):
             abs(px - x) <= 1e-6 * size and abs(py - y) <= 1e-6 * size
             for px, py in pairs
         )
+
+
+# --- the array merge and cluster against their loops -------------------------
+
+
+@st.composite
+def _root_rows(draw):
+    """Rows of up to four values, some a few 1e-9 (relative) from another, on
+    either side of _cluster's tolerance."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        values: list[float] = []
+        for _ in range(draw(st.integers(0, 4))):
+            if values and draw(st.booleans()):
+                base = draw(st.sampled_from(values))
+                step = draw(st.sampled_from([0.0, 5e-10, 9e-10, 1e-9, 1.1e-9, -6e-10, 2e-9]))
+                values.append(base + step * max(1.0, abs(base)))
+            else:
+                values.append(draw(st.one_of(
+                    st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0, -1.0])
+                )))
+        rows.append(values)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_root_rows())
+# A chain: each value is within the tolerance of the one before, and measured
+# against the last kept one.
+@example([[1.0, 1.0 + 6e-10, 1.0 + 1.2e-9, 1.0 + 1.8e-9]])
+@example([[0.0, -0.0], [], [-0.0, 0.0, 3.0]])
+def test_array_cluster_matches_loop_bitwise(rows):
+    values = np.full((len(rows), 4), np.nan)
+    for j, row in enumerate(rows):
+        values[j, : len(row)] = row
+    ordered, keep = _cluster_rows(values)
+    for j, row in enumerate(rows):
+        want = np.array(_cluster(row), dtype=float)
+        assert ordered[j][keep[j]].tobytes() == want.tobytes(), j
+
+
+_SAME_STEPS = [0.0, 4e-8, 9e-8, 1e-7, 1.1e-7, -6e-8, 3e-7]
+
+
+@st.composite
+def _seed_rows(draw):
+    """Rows of accepted seeds (x, y, residual) near a few base pairs, on
+    either side of the same-pair tolerance, so that seeds replace and chain
+    into one another and a row can reach more than four distinct pairs."""
+    coord = st.one_of(st.floats(-1e4, 1e4), st.sampled_from([0.0, -0.0, 1.0]))
+    bases = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=7))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        seeds = []
+        for _ in range(draw(st.integers(0, 14))):
+            bx, by = draw(st.sampled_from(bases))
+            sx, sy = draw(st.sampled_from(_SAME_STEPS)), draw(st.sampled_from(_SAME_STEPS))
+            res = draw(st.sampled_from([0.0, 1e-12, 3e-10, 1e-9, 5e-9, 1e-8]))
+            seeds.append((bx + sx * max(1.0, abs(bx)), by + sy * max(1.0, abs(by)), res))
+        rows.append(seeds)
+    return rows
+
+
+def _flat_seeds(rows):
+    flat = [(j, *seed) for j, seeds in enumerate(rows) for seed in seeds]
+    row = np.array([f[0] for f in flat], dtype=np.intp)
+    x, y, res = (np.array([f[i] for f in flat], dtype=float) for i in (1, 2, 3))
+    return row, x, y, res
+
+
+@settings(max_examples=300, deadline=None)
+@given(_seed_rows())
+# A lower residual replaces the kept pair.
+@example([[(1.0, 2.0, 5e-9), (1.0 + 5e-8, 2.0, 1e-9), (1.0, 2.0 - 5e-8, 3e-9)]])
+# A chain: each seed is the same pair as the one it replaced, not as the first.
+@example([[(1.0, 1.0, 1e-9), (1.0 + 9e-8, 1.0, 5e-10), (1.0 + 1.8e-7, 1.0, 1e-10)]])
+# Six distinct pairs: the fifth and sixth trim the row to the four lowest
+# residuals, ties kept in slot order.
+@example([[(6.0, 6.0, 5e-9), (2.0, 2.0, 1e-9), (3.0, 3.0, 5e-9), (4.0, 4.0, 0.0),
+           (5.0, 5.0, 5e-9), (1.0, 1.0, 1e-9), (3.0 + 5e-7, 3.0, 0.0)], []])
+def test_array_merge_matches_insert_pair_bitwise(rows):
+    row, x, y, res = _flat_seeds(rows)
+    got_row, got_x, got_y = _merge_pairs(row, x, y, res, len(rows))
+    for j, seeds in enumerate(rows):
+        pairs: list = []
+        for sx, sy, sres in seeds:
+            _insert_pair(pairs, (sx, sy), sres)
+        want = np.array(sorted(p for p, _ in pairs), dtype=float).reshape(-1, 2)
+        mine = got_row == j
+        assert np.stack([got_x[mine], got_y[mine]], axis=1).tobytes() == want.tobytes(), j
+    assert (np.diff(got_row) >= 0).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_seed_rows())
+def test_array_dedupe_matches_loop_bitwise(rows):
+    row, x, y, _ = _flat_seeds(rows)
+    want = []
+    for seeds in rows:
+        kept: list = []
+        for sx, sy, _ in seeds:
+            new = not any(_same_pair((sx, sy), k) for k in kept)
+            if new:
+                kept.append((sx, sy))
+            want.append(new)
+    assert _distinct(row, x, y, len(rows)).tolist() == want
+
+
+# Rows of 5- and 8-anchor campaign windows (15, 5 and 30 dB) whose seeds
+# polish to more than four distinct pairs that pass the residual test.
+_TRIM_ROWS = [
+    [
+        [-4.255301419509261e-09, -5.339177523224539e-08, -2.363142303415763e-08,
+         -2.122890513057907, -7.794919524510209, -96007685.18484008],
+        [3.5861247792952495e-10, 8.327871967577836e-09, 4.269127878904086e-08,
+         0.10973643508937585, 0.3130900771475118, -1122101.7421721965],
+    ],
+    [
+        [1.1715687102998583e-09, 5.277513755825843e-08, 5.830373931464346e-07,
+         -1.0879195365476262, -0.7430997206057576, -33090982.77850588],
+        [-2.953300685770996e-11, -2.5156912997394518e-09, -4.010881533124793e-08,
+         0.07814363957319578, -0.41456090766827103, 5390340.305276516],
+    ],
+    [
+        [6.138570939184714e-09, 2.907932912261215e-07, 3.422966841228337e-06,
+         -1.3072828486498793, -7.321256091720684, 3722882.4492889084],
+        [2.1731307592234668e-10, 9.290399808166176e-09, 9.712091184677421e-08,
+         0.0448018502340306, -0.8172085636251805, -708148.3505157471],
+    ],
+]
+
+
+def _complex_meeting_rows(rng, count):
+    """Pairs a (x - x1)(x - x2) + c (y^2 + 1) = 0 that meet only at y = +-i
+    over x1 and x2: each double resultant root splits into two real kept
+    values whose equations both project to the same pair, so the first
+    complex set repeats pairs with rel_imag differing in the last bits."""
+    rows = []
+    for _ in range(count):
+        x1, x2 = rng.uniform(-5.0, 5.0, 2)
+        rows.append([
+            [a, 0.0, c, -a * (x1 + x2), 0.0, a * x1 * x2 + c]
+            for a, c in ((rng.uniform(0.5, 3.0), 1.0), (rng.uniform(0.5, 3.0), 2.0))
+        ])
+    return np.array(rows)
+
+
+def test_batch_merge_equals_rows_alone(monkeypatch):
+    # The trim rows, the edge rows, planted and noise-free pairs and random
+    # pairs with several complex projections: in one batch they take the
+    # array merge, alone the loops, and between them they replace kept
+    # pairs, repeat them and trim past four.
+    rng = np.random.default_rng(21)
+    planted = [planted_system(rng, 10.0 ** rng.uniform(-1, 3))[:2] for _ in range(8)]
+    noise_free = [noise_free_pair(seed)[:2] for seed in range(6)]
+    coef = np.concatenate([
+        np.array(_TRIM_ROWS),
+        _edge_rows()[0],
+        np.array([[_terms(q1), _terms(q2)] for q1, q2 in planted + noise_free]),
+        rng.normal(size=(12, 2, 6)),
+        _complex_meeting_rows(rng, 8),
+    ])
+    assert len(coef) >= _ARRAY_MIN
+
+    paths = set()
+
+    def recording(pairs, pair, res):
+        for kept, kept_res in pairs:
+            if _same_pair(pair, kept):
+                paths.add("replace" if res < kept_res else "same")
+                break
+        else:
+            if len(pairs) == 4:
+                paths.add("trim")
+        return _insert_pair(pairs, pair, res)
+
+    monkeypatch.setattr(polysolve, "_insert_pair", recording)
+    alone = [solve_rows(coef[k : k + 1])[0] for k in range(len(coef))]
+    assert paths == {"replace", "same", "trim"}
+
+    merges = []
+
+    def counted(*args):
+        merges.append(len(args[0]))
+        return _merge_pairs(*args)
+
+    monkeypatch.setattr(polysolve, "_merge_pairs", counted)
+    together = solve_rows(coef)
+    assert merges
+    assert repr(together) == repr(alone)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cftwlas import (
     AnchorSet,
@@ -287,3 +291,72 @@ class TestDomainTypes:
             NoiseSpec([1.0, 0.0], 1.0)
         with pytest.raises(ConfigurationError):
             NoiseSpec([1.0], -1.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_noise_spec_rejects_each_bad_sigma(self, bad):
+        with pytest.raises(ConfigurationError, match="request"):
+            NoiseSpec([1.0, bad, 2.0], 1.0)
+        with pytest.raises(ConfigurationError, match="request"):
+            NoiseSpec(np.array([[bad]]), 1.0)
+        with pytest.raises(ConfigurationError, match="response"):
+            NoiseSpec([1.0, 2.0], bad)
+
+    def test_noise_spec_accepts_positive_finite_and_empty(self):
+        NoiseSpec([5e-324, 1e308], 5e-324)
+        assert NoiseSpec(np.empty(0), 2.0).count == 0
+
+
+def _uniform_call_state(rng, region_side, vmax, offset_range_s, drift_range_ppm, center):
+    """``sample_ud_state`` in 2-D through one ``rng.uniform(lows, highs)``."""
+    half = region_side / 2.0
+    lows = np.concatenate([center - half, [0.0, 0.0, offset_range_s[0], drift_range_ppm[0]]])
+    highs = np.concatenate(
+        [center + half, [vmax, 2.0 * np.pi, offset_range_s[1], drift_range_ppm[1]]]
+    )
+    draw = rng.uniform(lows, highs)
+    pos, (speed, heading, offset, drift) = draw[:2], draw[2:]
+    direction = np.array([np.cos(heading), np.sin(heading)])
+    return UdState(
+        pos, speed * direction, offset * SPEED_OF_LIGHT, drift * 1e-6 * SPEED_OF_LIGHT
+    )
+
+
+_bound = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 1e-5, math.inf, -math.inf, math.nan, 1.7e308, -1.7e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    _bound,
+    _bound,
+    st.tuples(_bound, _bound),
+    st.tuples(_bound, _bound),
+    st.tuples(_bound, _bound),
+)
+@example(1, 500.0, 50.0, (1e-5, 1e-5), (3.0, 3.0), (400.0, 400.0))  # zero width
+@example(1, 0.0, 0.0, (0.0, 0.0), (0.0, 0.0), (0.0, 0.0))  # all zero width
+@example(0, 0.0, -0.0, (0.0, 0.0), (0.0, 0.0), (0.0, 0.0))  # a -0.0 range
+@example(1, 500.0, 50.0, (2e-5, 0.0), (-10.0, 10.0), (400.0, 400.0))  # reversed
+@example(1, -500.0, 50.0, (0.0, 2e-5), (10.0, -10.0), (400.0, 400.0))  # reversed
+@example(1, 500.0, 50.0, (0.0, math.inf), (-10.0, 10.0), (400.0, 400.0))
+@example(1, 500.0, 50.0, (2e-5, 0.0), (-1.7e308, 1.7e308), (400.0, 400.0))  # both
+@example(1, 500.0, math.nan, (0.0, 2e-5), (-10.0, 10.0), (400.0, 400.0))
+@example(1, 500.0, 50.0, (0.0, 2e-5), (-10.0, 10.0), (math.nan, 400.0))
+def test_state_draw_matches_one_uniform_call(seed, region, vmax, offset, drift, center):
+    # The same state bits, or the same error in numpy's order (a non-finite
+    # range before a negative one), and the stream left at the same place.
+    def outcome(sample):
+        rng = np.random.default_rng(seed)
+        try:
+            state = sample(rng)
+        except (OverflowError, ValueError, ConfigurationError) as exc:
+            return type(exc), str(exc), rng.random()
+        return state.as_vector().tobytes(), rng.random()
+
+    center = np.array(center)
+    got = outcome(lambda rng: sample_ud_state(rng, region, vmax, offset, drift, center=center))
+    want = outcome(lambda rng: _uniform_call_state(rng, region, vmax, offset, drift, center))
+    assert got == want
