@@ -333,9 +333,10 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
 
 
 # Below this many values (resultant roots, kept values, seeds) the loops on
-# Python floats (_cluster, _kept_roots_each, _polish_seed and _insert_pair)
-# are cheaper than the array passes; each loop gives the bits of its array
-# pass.
+# Python floats (_cluster, _kept_roots_each, _polish_seed) are cheaper than
+# the array passes, and below this many rows _insert_pair's loop is cheaper
+# than the merge, which costs one array pass per seed position. Each loop
+# gives the bits of its array pass.
 _ARRAY_MIN = 24
 
 # No complex candidates: (elimination, x, y, rel_imag).
