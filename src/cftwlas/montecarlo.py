@@ -124,7 +124,8 @@ class CampaignConfig:
                 raise ConfigurationError(f"{key} values must be finite")
         for key in ("offset_range_s", "drift_range_ppm"):
             lo, hi = getattr(self, key)
-            if not 0.0 <= hi - lo < math.inf:
+            # The sign bit, as the state draw tests it: (0.0, -0.0) is reversed.
+            if not (math.copysign(1.0, hi - lo) > 0.0 and hi - lo < math.inf):
                 raise ConfigurationError(f"{key} must be (lo, hi) with lo <= hi")
         if self.response_sigma_rule not in _SIGMA_REDUCERS:
             raise ConfigurationError(

@@ -20,9 +20,9 @@ one-pair case. Each pair's result depends on that pair alone: every array
 operation is elementwise, acts on one pair's own matrix or, in the order-
 dependent passes (``_cluster_rows``, ``_merge_pairs``, ``_distinct``), takes
 one position at a time with each pair's own state. Where a loop on Python
-floats replaces an array pass for a few values (``_cluster``,
-``_kept_roots_each``, ``_polish_seed``, ``_insert_pair``) it repeats the same
-arithmetic in the same order.
+floats replaces an array pass, for a few values (``_cluster``,
+``_kept_roots_each``, ``_polish_seed``) or in the one-pair case
+(``_insert_pair``), it repeats the same arithmetic in the same order.
 
 Solutions can be many orders of magnitude larger than unity (the auxiliary
 variables of the TOA problem reach 1e7) while the quadratic coefficients are
@@ -189,8 +189,8 @@ def solve_pair_detailed(
     if q1.scale() == 0.0 or q2.scale() == 0.0:
         raise ValueError("an equation is identically zero")
     with np.errstate(all="ignore"):
-        ((pairs, complex_pairs),) = _solve_pairs(
-            np.array([[_terms(q1), _terms(q2)]]), flat=False
+        ((pairs, complex_pairs),) = _collect_each(
+            *_solve_pairs(np.array([[_terms(q1), _terms(q2)]]))
         )
     return BivariateSolution(
         tuple(AuxiliaryPair(x, y) for x, y in pairs),
@@ -218,17 +218,14 @@ def solve_pairs(coef: np.ndarray):
     contains y, or neither contains y, and the pair has no isolated solution.
     """
     with np.errstate(all="ignore"):
-        return _solve_pairs(coef, flat=True)
+        return _collect(*_solve_pairs(coef))
 
 
-def _solve_pairs(coef: np.ndarray, flat: bool):
-    """The body of ``solve_pairs``, run with floating-point warnings off.
-
-    Below _ARRAY_MIN rows, or without ``flat``, the seeds are merged by the
-    loops on Python floats, which give one ``(pairs, complex_pairs)`` of
-    tuples per row; ``flat`` then lays them out as ``solve_pairs`` returns
-    them. The array merge takes one pass per seed position, so it pays only
-    over many rows.
+def _solve_pairs(coef: np.ndarray):
+    """Elimination and back-substitution of K quadratic pairs, run with
+    floating-point warnings off: the scaled coefficients ``m``, the seeds
+    and complex candidates of ``_back_substitute`` and the variable scales
+    ``sx``, ``sy``, for ``_collect`` or ``_collect_each`` to finish.
     """
     rows = coef.shape[0]
     s = np.abs(coef).max(axis=2)
@@ -251,10 +248,7 @@ def _solve_pairs(coef: np.ndarray, flat: bool):
         roots[at, :d] = _companion_roots(resultant[at, : d + 1])
 
     seeds, projected = _back_substitute(m, t1, t2, roots)
-    if flat and rows >= _ARRAY_MIN:
-        return _collect(m, seeds, projected, sx, sy)
-    per_row = _collect_each(m, seeds, projected, sx, sy)
-    return _flatten(per_row) if flat else per_row
+    return m, seeds, projected, sx, sy
 
 
 def _variable_scales(n: np.ndarray):
@@ -334,9 +328,7 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
 
 # Below this many values (resultant roots, kept values, seeds) the loops on
 # Python floats (_cluster, _kept_roots_each, _polish_seed) are cheaper than
-# the array passes, and below this many rows _insert_pair's loop is cheaper
-# than the merge, which costs one array pass per seed position. Each loop
-# gives the bits of its array pass.
+# the array passes. Each loop gives the bits of its array pass.
 _ARRAY_MIN = 24
 
 # No complex candidates: (elimination, x, y, rel_imag).
@@ -455,29 +447,6 @@ def _polish(m, seeds):
     coef = m[seed_row].transpose(2, 1, 0)
     x, y = _newton_polish(coef, x, y)
     return x, y, _normalized_residual(coef, x, y)
-
-
-def _flatten(per_row):
-    """The flat arrays of ``solve_pairs`` from per-row ``(pairs,
-    complex_pairs)`` tuples."""
-    row, lam, from_complex, rel = [], [], [], []
-    for k, (pairs, complex_pairs) in enumerate(per_row):
-        for x, y in pairs:
-            row.append(k)
-            lam.append((x, y))
-            from_complex.append(False)
-            rel.append(0.0)
-        for x, y, r in complex_pairs:
-            row.append(k)
-            lam.append((x, y))
-            from_complex.append(True)
-            rel.append(r)
-    return (
-        np.array(row, dtype=np.intp),
-        np.array(lam, dtype=float).reshape(-1, 2),
-        np.array(from_complex, dtype=bool),
-        np.array(rel, dtype=float),
-    )
 
 
 def _collect(m, seeds, projected, sx, sy):

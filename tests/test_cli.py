@@ -185,6 +185,8 @@ class TestSimulateCommand:
             ({"snr_db": [30.0, float("inf")]}, "snr_db"),
             ({"offset_range_s": [2e-5, 0.0]}, "offset_range_s"),
             ({"drift_range_ppm": [10.0, -10.0]}, "drift_range_ppm"),
+            ({"offset_range_s": [0.0, -0.0]}, "offset_range_s"),
+            ({"drift_range_ppm": [0.0, -0.0]}, "drift_range_ppm"),
             ({"anchor_side_m": 10**400}, "anchor_side_m"),
         ],
     )

@@ -171,6 +171,8 @@ class TestConfigSerialization:
         [
             ({"offset_range_s": [2e-5, 0.0]}, "offset_range_s"),
             ({"drift_range_ppm": [10.0, -10.0]}, "drift_range_ppm"),
+            ({"offset_range_s": [0.0, -0.0]}, "offset_range_s"),
+            ({"drift_range_ppm": [0.0, -0.0]}, "drift_range_ppm"),
             ({"drift_range_ppm": [-1.7e308, 1.7e308]}, "drift_range_ppm"),
             ({"anchor_side_m": 10**400}, "anchor_side_m"),
             ({"snr_db": [30, -(10**400)]}, r"snr_db\[1\]"),
@@ -182,9 +184,17 @@ class TestConfigSerialization:
         with pytest.raises(ConfigurationError, match=key):
             config_from_dict(data)
 
-    def test_zero_width_ranges_accepted(self):
+    @pytest.mark.parametrize(
+        "offset, drift",
+        [
+            ([1e-5, 1e-5], [0, 0]),
+            # Spans of +0.0; [0.0, -0.0] spans -0.0, which the state draw rejects.
+            ([-0.0, 0.0], [-0.0, -0.0]),
+        ],
+    )
+    def test_zero_width_ranges_accepted(self, offset, drift):
         cfg = config_from_dict(
-            {"runs": 2, "offset_range_s": [1e-5, 1e-5], "drift_range_ppm": [0, 0]}
+            {"runs": 2, "offset_range_s": offset, "drift_range_ppm": drift}
         )
         (cell,) = run_campaign(cfg).cells
         assert cell.runs == 2

@@ -441,6 +441,16 @@ def solve_rows(coef):
     return per_row(solve_pairs(coef), len(coef))
 
 
+def loop_rows(coef):
+    """Each row solved alone by the loops of ``solve_pair_detailed``, as one
+    (pairs, complex_pairs) of tuples per row."""
+    with np.errstate(all="ignore"):
+        return [
+            polysolve._collect_each(*polysolve._solve_pairs(coef[k : k + 1]))[0]
+            for k in range(len(coef))
+        ]
+
+
 def test_edge_rows_solved_the_same_alone_and_in_a_batch():
     coef, expected = _edge_rows()
     together = solve_rows(coef)
@@ -452,6 +462,7 @@ def test_edge_rows_solved_the_same_alone_and_in_a_batch():
     for k in range(len(coef)):
         (alone,) = solve_rows(coef[k : k + 1])
         assert repr(alone) == repr(together[k])
+    assert repr(loop_rows(coef)) == repr(together)
     perm = np.random.default_rng(2).permutation(len(coef))
     shuffled = solve_rows(coef[perm])
     assert [repr(r) for r in shuffled] == [repr(together[k]) for k in perm]
@@ -634,9 +645,9 @@ def _complex_meeting_rows(rng, count):
 
 def test_batch_merge_equals_rows_alone(monkeypatch):
     # The trim rows, the edge rows, planted and noise-free pairs and random
-    # pairs with several complex projections: in one batch they take the
-    # array merge, alone the loops, and between them they replace kept
-    # pairs, repeat them and trim past four.
+    # pairs with several complex projections: in a batch they take the
+    # array merge, alone through the one-pair loops ``_insert_pair``, and
+    # between them they replace kept pairs, repeat them and trim past four.
     rng = np.random.default_rng(21)
     planted = [planted_system(rng, 10.0 ** rng.uniform(-1, 3))[:2] for _ in range(8)]
     noise_free = [noise_free_pair(seed)[:2] for seed in range(6)]
@@ -662,7 +673,7 @@ def test_batch_merge_equals_rows_alone(monkeypatch):
         return _insert_pair(pairs, pair, res)
 
     monkeypatch.setattr(polysolve, "_insert_pair", recording)
-    alone = [solve_rows(coef[k : k + 1])[0] for k in range(len(coef))]
+    alone = loop_rows(coef)
     assert paths == {"replace", "same", "trim"}
 
     merges = []
