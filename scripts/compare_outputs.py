@@ -11,6 +11,8 @@ Prints, over the estimates present in both files:
 * the number of failure mismatches (the degenerate-geometry or
   singular-refinement flag, or a state present on one side only),
 * the number of no-real-root flag mismatches,
+* the number of inputs whose candidate count changed, and the first few of
+  them with both counts,
 
 and the largest relative error of the noise-free refined states against the
 truth in the second file, and the number of digest entries (Gauss-Newton,
@@ -36,9 +38,12 @@ def compare(first: dict, second: dict) -> dict:
     estimates = [k for k in first if isinstance(first[k], dict)]
     same = mismatched = fallback = 0
     state_diff = clean_err = 0.0
+    recounted = []
     for key in estimates:
         a, b = first[key], second[key]
         same += _same_winner(a, b)
+        if a["candidates"] != b["candidates"]:
+            recounted.append(f"{key} ({a['candidates']} -> {b['candidates']})")
         degenerate, no_real_root, singular = (
             x != y for x, y in zip(a["flags"], b["flags"])
         )
@@ -60,6 +65,8 @@ def compare(first: dict, second: dict) -> dict:
         "max_rel_state_diff": state_diff,
         "failure_mismatches": mismatched,
         "no_real_root_mismatches": fallback,
+        "candidate_count_changes": len(recounted),
+        "first_count_changes": ", ".join(recounted[:5]),
         "noise_free_max_rel_err": clean_err,
         "digests": len(digests),
         "digest_mismatches": sum(first[k] != second[k] for k in digests),

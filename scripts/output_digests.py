@@ -10,8 +10,9 @@ outputs on every input drawn from it, so a change meant to keep the numbers
 
 A change that alters the closed form's arithmetic cannot pass that check.
 ``--values`` writes each estimate as values instead (the winning pair and
-whether a complex projection seeded it, the raw, refined and true states and
-the flags; Gauss-Newton and CRLB entries stay digests), and
+whether a complex projection seeded it, the raw, refined and true states,
+the flags and the number of candidates; Gauss-Newton and CRLB entries stay
+digests), and
 ``scripts/compare_outputs.py`` reports how far two such files differ:
 
     PYTHONPATH=<parent>/src python3 scripts/output_digests.py 7 --values > parent.json
@@ -100,6 +101,7 @@ def estimate_values(meas, anchors, noise, truth) -> dict:
         "truth": truth.as_vector().tolist(),
         "flags": [flags.degenerate_geometry, flags.no_real_root_fallback,
                   flags.refinement_singular],
+        "candidates": len(rep.candidates),
     }
 
 

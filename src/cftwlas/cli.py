@@ -134,11 +134,12 @@ def _require(data: dict, key: str, context: str):
 def _numbers(data: dict, key: str, context: str, scalar: bool = False):
     """``data[key]`` as a float array, or a float when ``scalar``, naming
     the file and key when it holds something else or a value that is not
-    finite (JSON ``null`` reads as NaN, ``1e999`` as infinity)."""
+    finite (JSON ``null`` reads as NaN, ``1e999`` as infinity, and an
+    integer too large for a double overflows)."""
     value = _require(data, key, context)
     try:
         numbers = float(value) if scalar else np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{context}: key '{key}': {exc}") from exc
     if not np.isfinite(numbers).all():
         raise ConfigurationError(f"{context}: key '{key}': values must be finite")

@@ -9,10 +9,11 @@ in x = lam1, y = lam2. y is eliminated through the classical resultant of
 the two conics, giving a polynomial in x of degree at most four whose roots
 are found via companion-matrix eigenvalues; y is back-substituted. Two
 Newton steps on the 2x2 system and a normalized-residual test then polish
-and check every real candidate pair; the singular-Jacobian early stop and
-the non-finite exit apply to each pair on its own. The accepted pairs are
-merged in seed order, and by Bezout's bound at most four real pairs are
-kept.
+and check the real candidate pairs; the singular-Jacobian early stop and
+the non-finite exit apply to each pair on its own. A real root's y seed is
+-t1/t2; only where that is missing or fails the residual test do both
+equations' y roots seed it. The accepted pairs are merged in seed order,
+and by Bezout's bound at most four real pairs are kept.
 
 ``solve_pairs`` does this for K pairs at once in stacked arrays, from the
 resultant to flat candidate arrays, and ``solve_pair_detailed`` is its
@@ -21,8 +22,8 @@ operation is elementwise, acts on one pair's own matrix or, in the order-
 dependent passes (``_cluster_rows``, ``_merge_pairs``, ``_distinct``), takes
 one position at a time with each pair's own state. Where a loop on Python
 floats replaces an array pass, for a few values (``_cluster``,
-``_kept_roots_each``, ``_polish_seed``) or in the one-pair case
-(``_insert_pair``), it repeats the same arithmetic in the same order.
+``_kept_roots_each``) or in the one-pair case (``_polish_seed``,
+``_insert_pair``), it repeats the same arithmetic in the same order.
 
 Solutions can be many orders of magnitude larger than unity (the auxiliary
 variables of the TOA problem reach 1e7) while the quadratic coefficients are
@@ -211,11 +212,13 @@ def solve_pairs(coef: np.ndarray):
 
     Every row takes the y-elimination in stacked arrays: one companion
     eigenvalue call per resultant degree, then one Newton polish and one
-    residual pass over the seeds of every row, and one merge of each row's
-    accepted seeds. Each row's result depends on that row alone. A row has no
-    solution when an equation is identically zero or not finite, or when its
-    y-resultant vanishes identically: then both equations share a factor that
-    contains y, or neither contains y, and the pair has no isolated solution.
+    residual pass over the -t1/t2 seeds of every row and one over the
+    equation seeds that ``_back_substitute`` falls back on, and one merge of
+    each row's accepted seeds. Each row's result depends on that row alone.
+    A row has no solution when an equation is identically zero or not
+    finite, or when its y-resultant vanishes identically: then both
+    equations share a factor that contains y, or neither contains y, and the
+    pair has no isolated solution.
     """
     with np.errstate(all="ignore"):
         return _collect(*_solve_pairs(coef))
@@ -326,9 +329,9 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
     return roots
 
 
-# Below this many values (resultant roots, kept values, seeds) the loops on
-# Python floats (_cluster, _kept_roots_each, _polish_seed) are cheaper than
-# the array passes. Each loop gives the bits of its array pass.
+# Below this many values (resultant roots, kept values) the loops on Python
+# floats (_cluster, _kept_roots_each) are cheaper than the array passes. Each
+# loop gives the bits of its array pass.
 _ARRAY_MIN = 24
 
 # No complex candidates: (elimination, x, y, rel_imag).
@@ -340,12 +343,20 @@ def _back_substitute(m, t1, t2, roots):
 
     ``m`` is (J, 2, 6), ``t1`` and ``t2`` are (J, 3) and (J, 2) and
     ``roots`` (J, 4) holds the resultant roots in x, NaN-padded. Every
-    distinct real root yields y seeds from -t1/t2 and from both equations as
-    quadratics in y. Returns the seeds as (elimination, x, y) arrays in
-    elimination order, and two sets of complex candidates as (elimination,
-    x, y, rel_imag) arrays: where an equation's y went complex at a real
-    root, and one per conjugate pair of the resultant's own roots. All of it
-    is in the scaled variables.
+    distinct real root (kept value) yields y candidates from -t1/t2 and from
+    both equations as quadratics in y (``_kept_roots``). Returns the seeds as
+    (kept, elimination, x, y, first) arrays in kept-value order, each kept
+    value's -t1/t2 seed first (``first`` marks it), then its equation seeds,
+    and two sets of complex candidates as (elimination, x, y, rel_imag)
+    arrays: where an equation's y went complex at a real root, and one per
+    conjugate pair of the resultant's own roots. All of it is in the scaled
+    variables.
+
+    The collect step polishes one seed per kept value where it can: the
+    -t1/t2 seed, when it exists and its polished pair passes the residual
+    test, is the kept value's only seed. The equation seeds are polished only
+    for the kept values where it does not: t2 vanishes there, or -t1/t2 is
+    too inaccurate, as at a double root where two solutions share one x.
     """
     re, im = roots.real, roots.imag
     real = np.abs(im) <= _IMAG_RTOL * np.maximum(1.0, np.abs(re))
@@ -369,7 +380,7 @@ def _back_substitute(m, t1, t2, roots):
     kept_roots = _kept_roots if kv.size >= _ARRAY_MIN else _kept_roots_each
     others, ok, cplx_re, cplx_im, cplx_ok = kept_roots(m[kr], t1[kr], t2[kr], kv)
     seed_k, seed_c = np.nonzero(ok)
-    seeds = kr[seed_k], kv[seed_k], others[seed_k, seed_c]
+    seeds = seed_k, kr[seed_k], kv[seed_k], others[seed_k, seed_c], seed_c == 0
 
     # A real kept value whose companion went complex: its projection.
     first = _NO_PROJECTIONS
@@ -403,24 +414,26 @@ def _collect_each(m, seeds, projected, sx, sy):
     to the original variables, by loops on Python floats.
 
     ``seeds`` and ``projected`` are what ``_back_substitute`` returns and
-    ``sx``, ``sy`` the (J,) variable scales. Each seed is polished (by
-    ``_polish_seed``, or in one array pass from _ARRAY_MIN seeds) and, when
-    its residual passes, merged into its row by ``_insert_pair`` in seed
-    order. The first complex set is deduplicated as it is added; each row's
-    projections are then ordered nearest-to-real first and deduplicated.
+    ``sx``, ``sy`` the (J,) variable scales. The seeds are polished by
+    ``_polish_seed`` in seed order, skipping the equation seeds of a kept
+    value whose -t1/t2 seed passed, and each seed whose residual passes is
+    merged into its row by ``_insert_pair``. The first complex set is
+    deduplicated as it is added; each row's projections are then ordered
+    nearest-to-real first and deduplicated.
     """
-    seed_row, x, y = seeds
-    if x.size < _ARRAY_MIN:
-        polished = [
-            _polish_seed(q, xi, yi)
-            for q, xi, yi in zip(m[seed_row].tolist(), x.tolist(), y.tolist())
-        ]
-    else:
-        polished = zip(*(v.tolist() for v in _polish(m, seeds)))
+    kept, seed_row, x, y, first = seeds
     pairs: list[list] = [[] for _ in range(m.shape[0])]
-    for j, (xi, yi, ri) in zip(seed_row.tolist(), polished):
+    coef = m.tolist()
+    settled = -1  # the last kept value whose -t1/t2 seed passed
+    per_seed = zip(kept.tolist(), seed_row.tolist(), x.tolist(), y.tolist(), first.tolist())
+    for k, j, xi, yi, is_first in per_seed:
+        if k == settled:
+            continue
+        xi, yi, ri = _polish_seed(coef[j], xi, yi)
         if ri <= _RESIDUAL_RTOL:
             _insert_pair(pairs[j], (xi, yi), ri)
+            if is_first:
+                settled = k
 
     complex_pairs: list[list] = [[] for _ in range(m.shape[0])]
     for dedupe, entries in zip((True, False), projected):
@@ -440,10 +453,10 @@ def _collect_each(m, seeds, projected, sx, sy):
     return out
 
 
-def _polish(m, seeds):
-    """Newton polish and normalized residual of the (elimination, x, y)
-    seeds in one array pass: the polished x, y and residual arrays."""
-    seed_row, x, y = seeds
+def _polish(m, seed_row, x, y):
+    """Newton polish and normalized residual of the seeds (x, y) of the
+    eliminations ``seed_row`` in one array pass: the polished x, y and
+    residual arrays."""
     coef = m[seed_row].transpose(2, 1, 0)
     x, y = _newton_polish(coef, x, y)
     return x, y, _normalized_residual(coef, x, y)
@@ -453,9 +466,19 @@ def _collect(m, seeds, projected, sx, sy):
     """``_collect_each`` in array passes over all eliminations, laid out as
     ``solve_pairs`` returns it."""
     rows = m.shape[0]
-    x, y, res = _polish(m, seeds)
+    kept, row, x, y, first = seeds
+    # The -t1/t2 seeds, then the equation seeds of each kept value whose
+    # -t1/t2 seed is missing or fails; a seed not polished keeps a NaN
+    # residual, which fails.
+    px, py, res = (np.full(x.size, np.nan) for _ in range(3))
+    px[first], py[first], res[first] = _polish(m, row[first], x[first], y[first])
+    settled = np.zeros(kept.max(initial=-1) + 1, dtype=bool)
+    settled[kept[first]] = res[first] <= _RESIDUAL_RTOL
+    second = ~first & ~settled[kept]
+    if second.any():
+        px[second], py[second], res[second] = _polish(m, row[second], x[second], y[second])
     passed = res <= _RESIDUAL_RTOL
-    real = _merge_pairs(seeds[0][passed], x[passed], y[passed], res[passed], rows)
+    real = _merge_pairs(row[passed], px[passed], py[passed], res[passed], rows)
 
     first, second = (
         tuple(v[np.isfinite(entries[1]) & np.isfinite(entries[2])] for v in entries)
@@ -581,12 +604,16 @@ def _add_projection(projections, x, y, rel, dedupe=False):
 def _kept_roots(q: np.ndarray, t1: np.ndarray, t2: np.ndarray, kept: np.ndarray):
     """Candidates for y at F kept values, the real resultant roots in x.
 
-    ``q`` is (F, 2, 6) (both equations), ``t1`` (F, 3) and ``t2`` (F, 2). Returns the real candidates as (F, 5) values [-t1/t2, eq1 r1,
-    eq1 r2, eq2 r1, eq2 r2] with their validity mask, and each equation's
-    complex root of positive imaginary part as (F, 2) real and imaginary
-    parts with a validity mask. A real pair takes the larger-magnitude root
-    first and its companion via the product (stable pairing); a conjugate
-    pair within _IMAG_RTOL of the real axis counts as one real root.
+    ``q`` is (F, 2, 6) (both equations), ``t1`` (F, 3) and ``t2`` (F, 2).
+    Returns the real candidates as (F, 5) values [-t1/t2, eq1 r1, eq1 r2,
+    eq2 r1, eq2 r2] with their validity mask, and each equation's complex
+    root of positive imaginary part as (F, 2) real and imaginary parts with
+    a validity mask. -t1/t2 is valid where |t2| > 1e-10 max(1, |x|); it is
+    the one seed of its kept value unless its polished pair fails, and only
+    then are the equation candidates polished (``_back_substitute``). A real
+    pair takes the larger-magnitude root first and its companion via the
+    product (stable pairing); a conjugate pair within _IMAG_RTOL of the real
+    axis counts as one real root.
     """
     out = np.empty((kept.shape[0], 5))
     ok = np.empty(out.shape, dtype=bool)

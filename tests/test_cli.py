@@ -313,6 +313,32 @@ def test_non_numeric_input_value_reported(tmp_path, capsys, command, key, value)
 
 
 @pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("estimate", "sigma_response_m", 10**400),
+        ("estimate", "request_toa_m", [10**400] + [300.0] * 7),
+        ("estimate", "anchors", [[-(10**400), 0.0]] + [[800.0, 0.0]] * 7),
+        ("crlb", "snr_db", 10**400),
+        ("crlb", "drift_ppm", -(10**400)),
+    ],
+    ids=["sigma_response_m", "request_toa_m", "anchors", "snr_db", "drift_ppm"],
+)
+def test_number_too_large_for_a_double_reported(tmp_path, capsys, command, key, value):
+    # A 400-digit JSON integer overflows a double. It ends in exit 2 with an
+    # error naming the file and the key, as null and 1e999 do.
+    if command == "estimate":
+        case_path, _ = estimate_case(tmp_path)
+        payload = json.loads(open(case_path).read())
+    else:
+        payload = crlb_scene()
+    (payload["ud"] if key == "drift_ppm" else payload)[key] = value
+    path = write_json(tmp_path / "huge_value.json", payload)
+    assert main([command, "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and f"'{key}'" in err
+
+
+@pytest.mark.parametrize(
     "key, values",
     [
         ("request_toa_m", ["null"] * 8),

@@ -378,10 +378,58 @@ def test_kept_roots_loop_matches_array_pass_bitwise(cases):
     out, ok, re, im, cplx = array
     l_out, l_ok, l_re, l_im, l_cplx = loop
     np.testing.assert_array_equal(ok, l_ok)
+    assert np.isnan(l_out[~l_ok]).all()
     np.testing.assert_array_equal(cplx, l_cplx)
     assert out[ok].tobytes() == l_out[ok].tobytes()
     assert re[cplx].tobytes() == l_re[cplx].tobytes()
     assert im[cplx].tobytes() == l_im[cplx].tobytes()
+
+
+def _seeds_over(coef):
+    """The seeds of one row as (x, y, first) in the original variables."""
+    with np.errstate(all="ignore"):
+        _, (_, _, x, y, first), _, sx, sy = polysolve._solve_pairs(coef)
+    return x * sx[0], y * sy[0], first
+
+
+def _both_paths(coef):
+    """The real pairs of one row from the one-pair loops and from a batch."""
+    q1, q2 = (BivariateQuadratic(*q) for q in coef[0])
+    return [tuple((p.lam1, p.lam2) for p in solve_pair(q1, q2)), solve_rows(coef)[0][0]]
+
+
+def test_kept_root_where_t2_vanishes_seeds_from_the_equations():
+    # The unit circles about (0, 0) and (1, 0) meet at (1/2, +-sqrt(3)/2).
+    # Neither has an x y or a y term, so t2 vanishes identically: -t1/t2 is
+    # 0/0 at the kept value 1/2, and its seeds are both equations' y roots.
+    coef = np.array([[[1.0, 0.0, 1.0, 0.0, 0.0, -1.0], [1.0, 0.0, 1.0, -2.0, 0.0, 0.0]]])
+    x, y, first = _seeds_over(coef)
+    assert not first.any()
+    assert np.allclose(x, 0.5)
+    assert sorted(set(np.round(y, 12).tolist())) == [-0.866025403784, 0.866025403784]
+    root = math.sqrt(3.0) / 2.0
+    for pairs in _both_paths(coef):
+        np.testing.assert_allclose(pairs, [(0.5, -root), (0.5, root)], rtol=1e-12)
+
+
+def test_failing_t2_seed_falls_back_to_the_equations():
+    # x^2 + y^2 = 2 and x^2 + xy + y^2 - y = 2 differ by (x - 1) y, so they
+    # meet at (1, +-1) and (+-sqrt(2), 0). Over x = 1 the resultant has a
+    # double root, which the eigenvalues split by about 1e-8: t2 (x - 1 up
+    # to scale) passes its zero test there, but -t1/t2 is 0 and polishes to
+    # no solution. Both y then come from the equations' roots, while at
+    # +-sqrt(2) -t1/t2 is the one seed.
+    coef = np.array([[[1.0, 0.0, 1.0, 0.0, 0.0, -2.0], [1.0, 1.0, 1.0, 0.0, -1.0, -2.0]]])
+    x, y, first = _seeds_over(coef)
+    near_one = np.abs(x - 1.0) < 1e-6
+    assert first[near_one].any() and not (np.abs(y[first & near_one]) > 1e-6).any()
+    assert sorted(set(np.round(y[near_one & ~first], 6).tolist())) == [-1.0, 1.0]
+    assert (np.abs(np.abs(x[first & ~near_one]) - math.sqrt(2.0)) < 1e-9).all()
+    want = [(-math.sqrt(2.0), 0.0), (1.0, -1.0), (1.0, 1.0), (math.sqrt(2.0), 0.0)]
+    for pairs in _both_paths(coef):
+        # Ascending pairs, but the two x over 1 differ in their last bits.
+        pairs = sorted(pairs, key=lambda p: (round(p[0], 9), p[1]))
+        np.testing.assert_allclose(pairs, want, rtol=1e-9, atol=1e-12)
 
 
 def _edge_rows():
@@ -604,8 +652,9 @@ def test_array_dedupe_matches_loop_bitwise(rows):
     assert _distinct(row, x, y, len(rows)).tolist() == want
 
 
-# Rows of 5- and 8-anchor campaign windows (15, 5 and 30 dB) whose seeds
-# polish to more than four distinct pairs that pass the residual test.
+# Rows of 5- and 8-anchor campaign windows (15, 5 and 30 dB) with far-off,
+# ill-conditioned solutions. With one -t1/t2 seed per kept value they stay
+# within four pairs; the touching rows below reach the trim.
 _TRIM_ROWS = [
     [
         [-4.255301419509261e-09, -5.339177523224539e-08, -2.363142303415763e-08,
@@ -628,6 +677,19 @@ _TRIM_ROWS = [
 ]
 
 
+# Pairs even in y, so that t2 vanishes identically and every kept value
+# seeds from both equations' y roots: an ellipse and a conic that nearly
+# touch it at two points over one x (t1 = k (x - x0)^2 - delta, delta about
+# 1e-7). The nearly fourfold roots of the resultant t1^2 split into four kept
+# values whose seeds polish to more than four pairs that pass the residual
+# test, repeat one another and replace one another.
+_TOUCHING_ROWS = [
+    [[2.0, 0.0, 1.0, 0.0, 0.0, -3.0], [8.0, 0.0, 3.0, 4.0, 0.0, -7.0000001]],
+    [[3.0, 0.0, 1.0, -1.0, 0.0, -3.0], [4.0, 0.0, 1.0, -3.0, 0.0, -2.0000001]],
+    [[2.0, 0.0, 1.0, 1.0, 0.0, -2.0], [5.0, 0.0, 3.0, 1.0, 0.0, -6.9999999]],
+]
+
+
 def _complex_meeting_rows(rng, count):
     """Pairs a (x - x1)(x - x2) + c (y^2 + 1) = 0 that meet only at y = +-i
     over x1 and x2: each double resultant root splits into two real kept
@@ -644,10 +706,11 @@ def _complex_meeting_rows(rng, count):
 
 
 def test_batch_merge_equals_rows_alone(monkeypatch):
-    # The trim rows, the edge rows, planted and noise-free pairs and random
-    # pairs with several complex projections: in a batch they take the
-    # array merge, alone through the one-pair loops ``_insert_pair``, and
-    # between them they replace kept pairs, repeat them and trim past four.
+    # The trim rows, the edge rows, planted and noise-free pairs, random
+    # pairs with several complex projections and the touching rows, whose
+    # kept values seed from the equations: in a batch they take the array
+    # merge, alone through the one-pair loops ``_insert_pair``, and between
+    # them they replace kept pairs, repeat them and trim past four.
     rng = np.random.default_rng(21)
     planted = [planted_system(rng, 10.0 ** rng.uniform(-1, 3))[:2] for _ in range(8)]
     noise_free = [noise_free_pair(seed)[:2] for seed in range(6)]
@@ -657,6 +720,7 @@ def test_batch_merge_equals_rows_alone(monkeypatch):
         np.array([[_terms(q1), _terms(q2)] for q1, q2 in planted + noise_free]),
         rng.normal(size=(12, 2, 6)),
         _complex_meeting_rows(rng, 8),
+        np.array(_TOUCHING_ROWS),
     ])
     assert len(coef) >= _ARRAY_MIN
 
