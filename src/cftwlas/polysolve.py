@@ -16,14 +16,18 @@ equations' y roots seed it. The accepted pairs are merged in seed order,
 and by Bezout's bound at most four real pairs are kept.
 
 ``solve_pairs`` does this for K pairs at once in stacked arrays, from the
-resultant to flat candidate arrays, and ``solve_pair_detailed`` is its
-one-pair case. Each pair's result depends on that pair alone: every array
-operation is elementwise, acts on one pair's own matrix or, in the order-
-dependent passes (``_cluster_rows``, ``_merge_pairs``, ``_distinct``), takes
-one position at a time with each pair's own state. Where a loop on Python
-floats replaces an array pass, for a few values (``_cluster``,
-``_kept_roots_each``) or in the one-pair case (``_polish_seed``,
-``_insert_pair``), it repeats the same arithmetic in the same order.
+resultant to flat candidate arrays. Each pair's result depends on that pair
+alone: every array operation is elementwise, acts on one pair's own matrix
+or, in the order-dependent passes (``_cluster_rows``, ``_merge_pairs``,
+``_distinct``), takes one position at a time with each pair's own state.
+``solve_pair_detailed`` is the one-pair case on Python floats, from the
+normalization to the projection dedupe; only the companion eigenvalues and
+the -t1/t2 projections at complex roots stay numpy calls, on the pair's own
+small arrays. The y-elimination (``_y_elimination``, ``_conv``) is one code
+for floats and arrays. Everywhere else a loop on Python floats, in the one-
+pair case (``_scaled_pair``, ``_polish_seed``, ``_insert_pair``) or for a few
+values (``_cluster``, ``_kept_root``), repeats the arithmetic of its array
+pass in the same order, so both give the same bits.
 
 Solutions can be many orders of magnitude larger than unity (the auxiliary
 variables of the TOA problem reach 1e7) while the quadratic coefficients are
@@ -185,18 +189,88 @@ def solve_pair(q1: BivariateQuadratic, q2: BivariateQuadratic) -> list[Auxiliary
 def solve_pair_detailed(
     q1: BivariateQuadratic, q2: BivariateQuadratic
 ) -> BivariateSolution:
-    """Solve the quadratic pair, reporting real pairs and complex projections;
-    the one-row case of ``solve_pairs``."""
+    """Solve the quadratic pair, reporting real pairs and complex projections.
+
+    The one-pair case of ``solve_pairs``, on Python floats from start to
+    finish: every step repeats the arithmetic of the array pass in the same
+    order, so the result equals the pair's ``solve_pairs`` row bit for bit.
+    Only the companion eigenvalues and the projections of the resultant's
+    complex roots stay numpy calls, on the pair's own small arrays.
+    """
     if q1.scale() == 0.0 or q2.scale() == 0.0:
         raise ValueError("an equation is identically zero")
-    with np.errstate(all="ignore"):
-        ((pairs, complex_pairs),) = _collect_each(
-            *_solve_pairs(np.array([[_terms(q1), _terms(q2)]]))
-        )
+    m, sx, sy = _scaled_pair(_terms(q1), _terms(q2))
+    t1, t2, cross, square = _y_elimination(*m)
+    no_square = max(abs(m[0][2]), abs(m[1][2])) <= _COEFF_ZERO_RTOL
+    resultant = [*cross, 0.0] if no_square else square
+    magnitude = max(map(abs, resultant))
+    if not magnitude > 1e-14:
+        return BivariateSolution((), ())
+    resultant = [c / magnitude for c in resultant]
+    degree = max(k for k, c in enumerate(resultant) if abs(c) > 1e-13)
+    roots = []
+    if degree:
+        companion = [[0.0] * (degree - 1) + [-(c / resultant[degree])] for c in resultant[:degree]]
+        for i in range(1, degree):
+            companion[i][i - 1] = 1.0
+        roots = np.linalg.eigvals(np.array(companion)).astype(complex).tolist()
+        roots.sort(key=lambda z: (z.real, z.imag))
+    real = [abs(z.imag) <= _IMAG_RTOL * max(1.0, abs(z.real)) for z in roots]
+
+    # Each kept value's -t1/t2 seed, or its equation seeds where that is
+    # missing or fails, merged in seed order; then its equations' complex y.
+    pairs: list = []
+    projections: list = []
+    for k in _cluster([z.real for z, r in zip(roots, real) if r]):
+        values, ok, c_re, c_im, cplx = _kept_root(m, t1, t2, k)
+        for c, (y, valid) in enumerate(zip(values, ok)):
+            if valid:
+                px, py, res = _polish_seed(m, k, y)
+                if res <= _RESIDUAL_RTOL:
+                    _insert_pair(pairs, (px, py), res)
+                    if c == 0:
+                        break
+        for re, im, is_complex in zip(c_re, c_im, cplx):
+            if is_complex:
+                _add_projection(projections, k, re, abs(im) / max(1.0, abs(re)), True)
+    upper = [z for z, r in zip(roots, real) if not r and z.imag > 0]
+    if upper:
+        many = len(upper)
+        with np.errstate(all="ignore"):
+            conjugate = _conjugate_projections(
+                np.array([m] * many), np.array([t1] * many), np.array([t2] * many),
+                np.array(upper),
+            )
+        for x, y, rel in zip(*(v.tolist() for v in conjugate)):
+            _add_projection(projections, x, y, rel)
+
+    deduped: list = []
+    for seed in sorted(projections, key=lambda s: s[2]):
+        _add_projection(deduped, *seed, True)
     return BivariateSolution(
-        tuple(AuxiliaryPair(x, y) for x, y in pairs),
-        tuple(ComplexSeed(AuxiliaryPair(x, y), rel) for x, y, rel in complex_pairs),
+        tuple(AuxiliaryPair(x * sx, y * sy) for x, y in sorted(p for p, _ in pairs)),
+        tuple(ComplexSeed(AuxiliaryPair(x * sx, y * sy), rel) for x, y, rel in deduped),
     )
+
+
+def _scaled_pair(e1, e2):
+    """The normalization and variable scaling of ``_solve_pairs`` for one
+    pair [a, b, c, d, e, f] x 2 on Python floats: the scaled equations and
+    the scales sx, sy."""
+    n = [[v / s for v in eq] for eq in (e1, e2) for s in [max(map(abs, eq))]]
+    best = [math.inf, math.inf]
+    for eq in n:
+        const = abs(eq[5])
+        if const > 1e-30:
+            for i, (linear, square) in enumerate(((eq[3], eq[0]), (eq[4], eq[2]))):
+                if abs(linear) > 1e-30:
+                    best[i] = min(best[i], const / abs(linear))
+                if abs(square) > 1e-30:
+                    best[i] = min(best[i], math.sqrt(const / abs(square)))
+    sx, sy = (max(1.0, b) if b < math.inf else 1.0 for b in best)
+    factors = (sx * sx, sx * sy, sy * sy, sx, sy, 1.0)
+    m = [[v * f for v, f in zip(eq, factors)] for eq in n]
+    return [[v / s for v in eq] for eq in m for s in [max(map(abs, eq))]], sx, sy
 
 
 def solve_pairs(coef: np.ndarray):
@@ -228,7 +302,7 @@ def _solve_pairs(coef: np.ndarray):
     """Elimination and back-substitution of K quadratic pairs, run with
     floating-point warnings off: the scaled coefficients ``m``, the seeds
     and complex candidates of ``_back_substitute`` and the variable scales
-    ``sx``, ``sy``, for ``_collect`` or ``_collect_each`` to finish.
+    ``sx``, ``sy``, for ``_collect`` to finish.
     """
     rows = coef.shape[0]
     s = np.abs(coef).max(axis=2)
@@ -272,49 +346,71 @@ def _variable_scales(n: np.ndarray):
     return scales[:, 0], scales[:, 1]
 
 
-@lru_cache(maxsize=8)
-def _antidiagonals(a: int, b: int) -> np.ndarray:
-    """0/1 matrix summing an (a, b) outer product into polynomial powers."""
-    out = np.zeros((a * b, a + b - 1))
-    for i in range(a):
-        for j in range(b):
-            out[i * b + j, i + j] = 1.0
-    out.setflags(write=False)
+@lru_cache(maxsize=None)
+def _power_terms(a: int, b: int) -> tuple:
+    """The (i, j) of the products p[i] q[j] of each power of an (a, b)
+    polynomial product, lowest power first and, within a power, highest i
+    first."""
+    return tuple(
+        tuple((i, k - i) for i in range(min(k, a - 1), max(0, k - b + 1) - 1, -1))
+        for k in range(a + b - 1)
+    )
+
+
+def _conv(p, q) -> list:
+    """Product of two polynomials, lowest power first, given as coefficient
+    sequences of floats or of (K,) arrays.
+
+    Each power sums its products from the highest i down, as in
+    t0 + (t1 + t2): the order in which OpenBLAS summed them when this was a
+    0/1 matmul.
+    """
+    out = []
+    for (i, j), *rest in _power_terms(len(p), len(q)):
+        total = p[i] * q[j]
+        for i, j in rest:
+            total = p[i] * q[j] + total
+        out.append(total)
     return out
 
 
-def _conv(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Products of K polynomial pairs (K, a) and (K, b), lowest power first."""
-    k, a = p.shape
-    b = q.shape[1]
-    outer = (p[:, :, None] * q[:, None, :]).reshape(k, 1, a * b)
-    return np.matmul(outer, _antidiagonals(a, b))[:, 0]
-
-
-def _y_resultants(m: np.ndarray):
-    """t1 (K, 3), t2 (K, 2) and the resultant (K, 5) of the y-elimination of
-    every row, as polynomials in x (lowest power first).
+def _y_elimination(eq1, eq2):
+    """t1 (3), t2 (2), the cross term (4) and t1^2 - t2 cross (5) of the
+    y-elimination of two equations [a, b, c, d, e, f], as polynomials in x
+    (lowest power first); each coefficient is a float for one pair or a (K,)
+    array for K rows.
 
     Written as a quadratic in y, equation i reads c_i y^2 + P1_i(x) y +
     P0_i(x) with P1 = e + b x and P0 = f + d x + a x^2; y is -t1/t2 where
     t2 does not vanish. When neither equation has a y^2 term the resultant
     is the cross term P1_1 P0_2 - P0_1 P1_2 alone; this covers linear pairs.
-    Whether a y^2 term vanishes is judged on the scaled coefficients ``m``,
-    at the magnitude of the solution.
     """
-    # Per equation: [c, e, b, f, d, a] = y^2, P1 and P0 coefficients.
-    views = m[:, :, [2, 4, 1, 5, 3, 0]]
-    c1, p1, p0 = views[:, 0, :1], views[:, 0, 1:3], views[:, 0, 3:]
-    c2, q1, q0 = views[:, 1, :1], views[:, 1, 1:3], views[:, 1, 3:]
-    t1 = c1 * q0 - c2 * p0
-    t2 = c1 * q1 - c2 * p1
-    cross = _conv(p1, q0) - _conv(p0, q1)
-    no_square = np.abs(views[:, :, 0]).max(axis=1) <= _COEFF_ZERO_RTOL
+    a1, b1, c1, d1, e1, f1 = eq1
+    a2, b2, c2, d2, e2, f2 = eq2
+    p1, p0 = (e1, b1), (f1, d1, a1)
+    q1, q0 = (e2, b2), (f2, d2, a2)
+    t1 = [c1 * v - c2 * w for v, w in zip(q0, p0)]
+    t2 = [c1 * v - c2 * w for v, w in zip(q1, p1)]
+    # Adding +0.0 turns a -0.0 into +0.0, as the matmul did; other values
+    # cannot tell the sign of a zero they sum.
+    cross = [u - v + 0.0 for u, v in zip(_conv(p1, q0), _conv(p0, q1))]
+    square = [u - v + 0.0 for u, v in zip(_conv(t1, t1), _conv(t2, cross))]
+    return t1, t2, cross, square
+
+
+def _y_resultants(m: np.ndarray):
+    """t1 (K, 3), t2 (K, 2) and the resultant (K, 5) of the y-elimination
+    (``_y_elimination``) of every row of ``m`` (K, 2, 6). Whether a y^2 term
+    vanishes is judged on the scaled coefficients ``m``, at the magnitude of
+    the solution.
+    """
+    t1, t2, cross, square = _y_elimination(m[:, 0].T, m[:, 1].T)
+    no_square = np.abs(m[:, :, 2]).max(axis=1) <= _COEFF_ZERO_RTOL
     # Padded by slice assignment: np.pad costs more than the whole y-resultant.
     padded = np.zeros((m.shape[0], 5))
-    padded[:, :4] = cross
-    resultant = np.where(no_square[:, None], padded, _conv(t1, t1) - _conv(t2, cross))
-    return t1, t2, resultant
+    padded[:, :4] = np.stack(cross, axis=1)
+    resultant = np.where(no_square[:, None], padded, np.stack(square, axis=1))
+    return np.stack(t1, axis=1), np.stack(t2, axis=1), resultant
 
 
 def _companion_roots(c: np.ndarray) -> np.ndarray:
@@ -395,62 +491,25 @@ def _back_substitute(m, t1, t2, roots):
     second = _NO_PROJECTIONS
     zj, zc = np.nonzero(upper)
     if zj.size:
-        z = roots[zj, zc]
-        t1z, t2z = t1[zj], t2[zj]
-        t1z = t1z[:, 0] + (t1z[:, 1] + t1z[:, 2] * z) * z
-        t2z = t2z[:, 0] + t2z[:, 1] * z
-        other = (-t1z / t2z).real
-        flat = np.abs(t2z) <= 1e-12 * np.maximum(1.0, np.abs(t1z))
-        if flat.any():
-            for i in np.flatnonzero(flat).tolist():
-                other[i] = _first_root(m[zj[i]], complex(z[i])).real
-        rel = np.abs(z.imag) / np.maximum(1.0, np.abs(z.real))
-        second = zj, z.real, other, rel
+        second = zj, *_conjugate_projections(m[zj], t1[zj], t2[zj], roots[zj, zc])
     return seeds, (first, second)
 
 
-def _collect_each(m, seeds, projected, sx, sy):
-    """One ``(pairs, complex_pairs)`` of tuples per elimination, scaled back
-    to the original variables, by loops on Python floats.
-
-    ``seeds`` and ``projected`` are what ``_back_substitute`` returns and
-    ``sx``, ``sy`` the (J,) variable scales. The seeds are polished by
-    ``_polish_seed`` in seed order, skipping the equation seeds of a kept
-    value whose -t1/t2 seed passed, and each seed whose residual passes is
-    merged into its row by ``_insert_pair``. The first complex set is
-    deduplicated as it is added; each row's projections are then ordered
-    nearest-to-real first and deduplicated.
+def _conjugate_projections(m, t1, t2, z):
+    """Real projections of complex resultant roots ``z`` (n,): x is the real
+    part of each root and y that of -t1/t2 there, or of ``_first_root`` where
+    t2 vanishes. ``m`` (n, 2, 6), ``t1`` (n, 3) and ``t2`` (n, 2) belong to
+    each root's elimination. Returns x, y and the relative imaginary
+    magnitude as (n,) arrays. The complex arithmetic stays on numpy arrays:
+    Python and numpy complex scalars round differently.
     """
-    kept, seed_row, x, y, first = seeds
-    pairs: list[list] = [[] for _ in range(m.shape[0])]
-    coef = m.tolist()
-    settled = -1  # the last kept value whose -t1/t2 seed passed
-    per_seed = zip(kept.tolist(), seed_row.tolist(), x.tolist(), y.tolist(), first.tolist())
-    for k, j, xi, yi, is_first in per_seed:
-        if k == settled:
-            continue
-        xi, yi, ri = _polish_seed(coef[j], xi, yi)
-        if ri <= _RESIDUAL_RTOL:
-            _insert_pair(pairs[j], (xi, yi), ri)
-            if is_first:
-                settled = k
-
-    complex_pairs: list[list] = [[] for _ in range(m.shape[0])]
-    for dedupe, entries in zip((True, False), projected):
-        for j, xi, yi, rel in zip(*(v.tolist() for v in entries)):
-            _add_projection(complex_pairs[j], xi, yi, rel, dedupe)
-
-    out = []
-    for found, projections, fx, fy in zip(pairs, complex_pairs, sx.tolist(), sy.tolist()):
-        deduped: list[tuple] = []
-        for seed in sorted(projections, key=lambda s: s[2]):
-            if not any(_same_pair(seed, kept_seed) for kept_seed in deduped):
-                deduped.append(seed)
-        out.append((
-            tuple((x * fx, y * fy) for x, y in sorted(p for p, _ in found)),
-            tuple((x * fx, y * fy, rel) for x, y, rel in deduped),
-        ))
-    return out
+    t1z = t1[:, 0] + (t1[:, 1] + t1[:, 2] * z) * z
+    t2z = t2[:, 0] + t2[:, 1] * z
+    other = (-t1z / t2z).real
+    flat = np.abs(t2z) <= 1e-12 * np.maximum(1.0, np.abs(t1z))
+    for i in np.flatnonzero(flat).tolist():
+        other[i] = _first_root(m[i], complex(z[i])).real
+    return z.real, other, np.abs(z.imag) / np.maximum(1.0, np.abs(z.real))
 
 
 def _polish(m, seed_row, x, y):
@@ -463,8 +522,17 @@ def _polish(m, seed_row, x, y):
 
 
 def _collect(m, seeds, projected, sx, sy):
-    """``_collect_each`` in array passes over all eliminations, laid out as
-    ``solve_pairs`` returns it."""
+    """The candidates of all eliminations, laid out as ``solve_pairs``
+    returns them, in array passes.
+
+    ``seeds`` and ``projected`` are what ``_back_substitute`` returns and
+    ``sx``, ``sy`` the (J,) variable scales. The seeds are polished in seed
+    order, the equation seeds of a kept value only where its -t1/t2 seed
+    fails, and each row's passing seeds are merged as ``_insert_pair``
+    would (``_merge_pairs``). The first complex set is deduplicated as it is
+    added; each row's projections are then ordered nearest-to-real first and
+    deduplicated (``_distinct``).
+    """
     rows = m.shape[0]
     kept, row, x, y, first = seeds
     # The -t1/t2 seeds, then the equation seeds of each kept value whose
@@ -649,58 +717,62 @@ def _kept_roots(q: np.ndarray, t1: np.ndarray, t2: np.ndarray, kept: np.ndarray)
 
 
 def _kept_roots_each(q: np.ndarray, t1: np.ndarray, t2: np.ndarray, kept: np.ndarray):
-    """``_kept_roots`` on Python floats, one kept value at a time.
+    """``_kept_roots`` by ``_kept_root``, one kept value at a time; entries
+    outside the validity masks are NaN."""
+    per_kept = zip(q.tolist(), t1.tolist(), t2.tolist(), kept.tolist())
+    found = [_kept_root(*args) for args in per_kept]
+    return tuple(
+        np.array([parts[i] for parts in found], dtype=dtype).reshape(-1, width)
+        for i, (dtype, width) in enumerate(zip((float, bool, float, float, bool), (5, 5, 2, 2, 2)))
+    )
+
+
+def _kept_root(eqs, t1, t2, k):
+    """``_kept_roots`` of one kept value ``k`` on Python floats, ``eqs``
+    holding both equations' [a, b, c, d, e, f]: the five candidate values
+    and their validity flags, and per equation the real and imaginary part
+    of its complex root and whether that counts.
 
     Each valid entry is computed with the arithmetic of ``_kept_roots`` in
-    the same order, so it has the same bits; entries outside the validity
-    masks are NaN.
+    the same order, so it has the same bits; the others are NaN.
     """
-    out, ok, re_part, im_part, cplx = [], [], [], [], []
+    a0, a1, a2 = t1
+    b0, b1 = t2
     nan = math.nan
-    per_kept = zip(q.tolist(), t1.tolist(), t2.tolist(), kept.tolist())
-    for eqs, (a0, a1, a2), (b0, b1), k in per_kept:
-        t1v = a0 + (a1 + a2 * k) * k
-        t2v = b0 + b1 * k
-        valid = abs(t2v) > 1e-10 * max(1.0, abs(k))
-        values, flags = [-t1v / t2v if valid else nan], [valid]
-        for a, b, c, d, e, f in eqs:
-            aa, bb, cc = c, b * k + e, (a * k + d) * k + f
-            tiny = _COEFF_ZERO_RTOL * max(max(abs(aa), abs(bb)), abs(cc))
-            re = im = nan
-            near = True
-            if abs(aa) > tiny:
-                two_a = 2.0 * aa
-                disc = bb * bb - 2.0 * two_a * cc
-                root = math.sqrt(abs(disc))
-                re, im = -bb / two_a, root / abs(two_a)
-                if disc >= 0.0:
-                    denom = -bb - math.copysign(root, bb)
-                    r1 = denom / two_a
-                    values += [r1, _divide(cc, aa * r1) if denom != 0.0 else nan]
-                    flags += [True, denom != 0.0]
-                else:
-                    near = im <= _IMAG_RTOL * max(1.0, abs(re))
-                    values += [re if near else nan, nan]
-                    flags += [near, False]
-            elif abs(bb) > tiny:
-                values += [-cc / bb, nan]
-                flags += [True, False]
+    t1v = a0 + (a1 + a2 * k) * k
+    t2v = b0 + b1 * k
+    valid = abs(t2v) > 1e-10 * max(1.0, abs(k))
+    values, flags = [-t1v / t2v if valid else nan], [valid]
+    re_part, im_part, cplx = [], [], []
+    for a, b, c, d, e, f in eqs:
+        aa, bb, cc = c, b * k + e, (a * k + d) * k + f
+        tiny = _COEFF_ZERO_RTOL * max(max(abs(aa), abs(bb)), abs(cc))
+        re = im = nan
+        near = True
+        if abs(aa) > tiny:
+            two_a = 2.0 * aa
+            disc = bb * bb - 2.0 * two_a * cc
+            root = math.sqrt(abs(disc))
+            re, im = -bb / two_a, root / abs(two_a)
+            if disc >= 0.0:
+                denom = -bb - math.copysign(root, bb)
+                r1 = denom / two_a
+                values += [r1, _divide(cc, aa * r1) if denom != 0.0 else nan]
+                flags += [True, denom != 0.0]
             else:
-                values += [nan, nan]
-                flags += [False, False]
-            re_part.append(re)
-            im_part.append(im)
-            cplx.append(not near)
-        out.append(values)
-        ok.append(flags)
-    rows = kept.shape[0]
-    return (
-        np.array(out, dtype=float).reshape(rows, 5),
-        np.array(ok, dtype=bool).reshape(rows, 5),
-        np.array(re_part, dtype=float).reshape(rows, 2),
-        np.array(im_part, dtype=float).reshape(rows, 2),
-        np.array(cplx, dtype=bool).reshape(rows, 2),
-    )
+                near = im <= _IMAG_RTOL * max(1.0, abs(re))
+                values += [re if near else nan, nan]
+                flags += [near, False]
+        elif abs(bb) > tiny:
+            values += [-cc / bb, nan]
+            flags += [True, False]
+        else:
+            values += [nan, nan]
+            flags += [False, False]
+        re_part.append(re)
+        im_part.append(im)
+        cplx.append(not near)
+    return values, flags, re_part, im_part, cplx
 
 
 def _divide(a: float, b: float) -> float:

@@ -7,9 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cftwlas import (
+    AnchorSet,
+    add_noise,
     build_square_scenario,
     build_system,
     forward_model,
+    noise_for_snr,
     sample_ud_state,
 )
 from cftwlas.linear_system import LinearSystem, constraint_matrices
@@ -490,13 +493,16 @@ def solve_rows(coef):
 
 
 def loop_rows(coef):
-    """Each row solved alone by the loops of ``solve_pair_detailed``, as one
-    (pairs, complex_pairs) of tuples per row."""
-    with np.errstate(all="ignore"):
-        return [
-            polysolve._collect_each(*polysolve._solve_pairs(coef[k : k + 1]))[0]
-            for k in range(len(coef))
-        ]
+    """Each row solved alone by ``solve_pair_detailed``, the one-pair path on
+    Python floats, as one (pairs, complex_pairs) of tuples per row."""
+    out = []
+    for q1, q2 in coef.tolist():
+        sol = solve_pair_detailed(BivariateQuadratic(*q1), BivariateQuadratic(*q2))
+        out.append((
+            tuple((p.lam1, p.lam2) for p in sol.pairs),
+            tuple((s.pair.lam1, s.pair.lam2, s.rel_imag) for s in sol.complex_pairs),
+        ))
+    return out
 
 
 def test_edge_rows_solved_the_same_alone_and_in_a_batch():
@@ -514,6 +520,51 @@ def test_edge_rows_solved_the_same_alone_and_in_a_batch():
     perm = np.random.default_rng(2).permutation(len(coef))
     shuffled = solve_rows(coef[perm])
     assert [repr(r) for r in shuffled] == [repr(together[k]) for k in perm]
+
+
+def _scenario_rows(layout, seed, rows, noise_free):
+    """Quadratic-pair coefficients (K, 2, 6) of ``rows`` measurement rows on
+    one geometry: a 4-, 5- or 8-anchor square or, for "3d", 5 to 9 random
+    3-D anchors; noisy rows draw their SNR from 0 to 50 dB."""
+    rng = np.random.default_rng(seed)
+    if layout == "3d":
+        m = int(rng.integers(5, 10))
+        anchors = AnchorSet(rng.uniform(0.0, 800.0, size=(m, 3)), 0.01 * np.arange(1, m + 1))
+    else:
+        anchors = build_square_scenario(800.0, layout)
+    coef = []
+    for _ in range(rows):
+        ud = sample_ud_state(rng, 500.0, center=anchors.center, ndim=anchors.ndim)
+        meas = forward_model(ud, anchors)
+        if not noise_free:
+            meas = add_noise(meas, noise_for_snr(ud, anchors, float(rng.uniform(0.0, 50.0))), rng)
+        coef.append([_terms(q) for q in coefficients_from_system(build_system(meas, anchors))])
+    return np.array(coef)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    layout=st.sampled_from([4, 5, 8, "3d"]),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 12),
+    noise_free=st.booleans(),
+)
+def test_one_pair_path_equals_its_batch_row(layout, seed, rows, noise_free):
+    # solve_pair_detailed solves its pair on Python floats; each of its real
+    # pairs and projections, rel_imag included, must be bit for bit what the
+    # array passes of solve_pairs give for that row in a batch.
+    coef = _scenario_rows(layout, seed, rows, noise_free)
+    assert repr(loop_rows(coef)) == repr(solve_rows(coef))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_quadratic, _quadratic), min_size=1, max_size=4))
+def test_one_pair_path_equals_its_batch_row_on_drawn_pairs(drawn):
+    # The same on drawn coefficients: zeros, tiny and unit values reach the
+    # linear, no-y^2, low-degree and shared-factor branches.
+    drawn = [(q1, q2) for q1, q2 in drawn if q1.scale() > 0.0 and q2.scale() > 0.0]
+    coef = np.array([[_terms(q1), _terms(q2)] for q1, q2 in drawn]).reshape(-1, 2, 6)
+    assert repr(loop_rows(coef)) == repr(solve_rows(coef))
 
 
 # The same pair with x and y swapped: [a, b, c, d, e, f] -> [c, b, a, e, d, f].
