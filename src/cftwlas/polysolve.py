@@ -235,10 +235,10 @@ def solve_pair_detailed(
                 _add_projection(projections, k, re, abs(im) / max(1.0, abs(re)), True)
     upper = [z for z, r in zip(roots, real) if not r and z.imag > 0]
     if upper:
-        many = len(upper)
+        count = len(upper)
         with np.errstate(all="ignore"):
             conjugate = _conjugate_projections(
-                np.array([m] * many), np.array([t1] * many), np.array([t2] * many),
+                np.array([m] * count), np.array([t1] * count), np.array([t2] * count),
                 np.array(upper),
             )
         for x, y, rel in zip(*(v.tolist() for v in conjugate)):
@@ -362,8 +362,9 @@ def _conv(p, q) -> list:
     sequences of floats or of (K,) arrays.
 
     Each power sums its products from the highest i down, as in
-    t0 + (t1 + t2): the order in which OpenBLAS summed them when this was a
-    0/1 matmul.
+    t0 + (t1 + t2): the order of OpenBLAS's 0/1-matrix product of the outer
+    products, which fixed the bits of the outputs, and one order for the
+    one-pair and the array path alike.
     """
     out = []
     for (i, j), *rest in _power_terms(len(p), len(q)):
@@ -391,8 +392,8 @@ def _y_elimination(eq1, eq2):
     q1, q0 = (e2, b2), (f2, d2, a2)
     t1 = [c1 * v - c2 * w for v, w in zip(q0, p0)]
     t2 = [c1 * v - c2 * w for v, w in zip(q1, p1)]
-    # Adding +0.0 turns a -0.0 into +0.0, as the matmul did; other values
-    # cannot tell the sign of a zero they sum.
+    # Adding +0.0 turns a -0.0 into +0.0, as that matrix product did; a sum
+    # with any nonzero term does not depend on the sign of a zero in it.
     cross = [u - v + 0.0 for u, v in zip(_conv(p1, q0), _conv(p0, q1))]
     square = [u - v + 0.0 for u, v in zip(_conv(t1, t1), _conv(t2, cross))]
     return t1, t2, cross, square

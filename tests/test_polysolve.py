@@ -560,8 +560,8 @@ def test_one_pair_path_equals_its_batch_row(layout, seed, rows, noise_free):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_quadratic, _quadratic), min_size=1, max_size=4))
 def test_one_pair_path_equals_its_batch_row_on_drawn_pairs(drawn):
-    # The same on drawn coefficients: zeros, tiny and unit values reach the
-    # linear, no-y^2, low-degree and shared-factor branches.
+    # The same on drawn coefficients, whose zeros, tiny and unit values make
+    # linear, no-y^2 and low-degree pairs.
     drawn = [(q1, q2) for q1, q2 in drawn if q1.scale() > 0.0 and q2.scale() > 0.0]
     coef = np.array([[_terms(q1), _terms(q2)] for q1, q2 in drawn]).reshape(-1, 2, 6)
     assert repr(loop_rows(coef)) == repr(solve_rows(coef))
