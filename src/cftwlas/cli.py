@@ -92,29 +92,13 @@ def _cell_dicts(stats: CampaignStats, include_timing: bool) -> list[dict]:
     return cells
 
 
-def campaign_rows(stats: CampaignStats, include_timing: bool = False) -> list[dict]:
-    """CSV rows: the ``CSV_COLUMNS`` of each per-cell summary record."""
-    return [
-        {col: cell[col] for col in CSV_COLUMNS}
-        for cell in _cell_dicts(stats, include_timing)
-    ]
-
-
-def _write_csv(path: str, rows: list[dict]) -> None:
+def _write_csv(path: str, cells: list[dict]) -> None:
+    """One CSV row per cell record: its ``CSV_COLUMNS``."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in CSV_COLUMNS])
-
-
-def _summary_payload(stats: CampaignStats, include_timing: bool) -> dict:
-    return {
-        "config": config_to_dict(stats.config),
-        "seed": stats.config.seed,
-        "timing_included": include_timing,
-        "cells": _cell_dicts(stats, include_timing),
-    }
+        for cell in cells:
+            writer.writerow([_fmt(cell[col]) for col in CSV_COLUMNS])
 
 
 def _load_json(path: str) -> dict:
@@ -204,13 +188,18 @@ def _cmd_simulate(args) -> int:
     if overrides:
         cfg = config_from_dict({**config_to_dict(cfg), **overrides})
 
-    stats = run_campaign(cfg)
-    rows = campaign_rows(stats, include_timing=args.timing)
-    _write_csv(args.csv, rows)
+    cells = _cell_dicts(run_campaign(cfg), args.timing)
+    _write_csv(args.csv, cells)
+    summary = {
+        "config": config_to_dict(cfg),
+        "seed": cfg.seed,
+        "timing_included": args.timing,
+        "cells": cells,
+    }
     with open(args.summary, "w") as handle:
-        json.dump(_summary_payload(stats, args.timing), handle, indent=2)
+        json.dump(summary, handle, indent=2)
         handle.write("\n")
-    print(f"wrote {len(rows)} rows to {args.csv} and summary to {args.summary}")
+    print(f"wrote {len(cells)} rows to {args.csv} and summary to {args.summary}")
     return 0
 
 

@@ -9,6 +9,7 @@ are kept separate from the deterministic statistics.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, is_dataclass
@@ -419,8 +420,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignStats:
     """Execute all (anchor-count, SNR) cells and aggregate per method.
 
     Each cell splits into windows of ``ceil(runs / workers)`` runs, at most
-    ``_BATCH_ROWS``; the windows of all cells go through one process pool (or
-    run in this process at one worker).
+    ``_BATCH_ROWS``; the windows of all cells go through one process pool of
+    at most ``workers`` processes, and no more than there are windows or CPUs
+    (or run in this process when that is one).
     Per-run estimator failures are recorded in the statistics and never abort
     the campaign. Reduction order is fixed by run index, so results do not
     depend on the worker count.
@@ -434,10 +436,11 @@ def run_campaign(cfg: CampaignConfig) -> CampaignStats:
         for cell_index, (an_count, snr_db) in enumerate(exec_cells)
         for lo in range(0, cfg.runs, chunk)
     ]
-    if cfg.workers == 1:
+    processes = min(cfg.workers, len(windows), os.cpu_count() or 1)
+    if processes == 1:
         cells = _reduce(cfg, windows, map(_run_window, repeat(cfg), windows))
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             cells = _reduce(cfg, windows, pool.map(_run_window, repeat(cfg), windows))
     cells.sort(key=lambda c: (c.method, c.snr_db, c.an_count))
     return CampaignStats(config=cfg, cells=tuple(cells))

@@ -24,10 +24,11 @@ or, in the order-dependent passes (``_cluster_rows``, ``_merge_pairs``,
 normalization to the projection dedupe; only the companion eigenvalues and
 the -t1/t2 projections at complex roots stay numpy calls, on the pair's own
 small arrays. The y-elimination (``_y_elimination``, ``_conv``) is one code
-for floats and arrays. Everywhere else a loop on Python floats, in the one-
-pair case (``_scaled_pair``, ``_polish_seed``, ``_insert_pair``) or for a few
-values (``_cluster``, ``_kept_root``), repeats the arithmetic of its array
-pass in the same order, so both give the same bits.
+for floats and arrays. Every other step has one array pass, which
+``solve_pairs`` runs at every K, and one loop on Python floats
+(``_scaled_pair``, ``_cluster``, ``_kept_root``, ``_polish_seed``,
+``_insert_pair``), which ``solve_pair_detailed`` runs; the loop repeats the
+arithmetic of its array pass in the same order, so both give the same bits.
 
 Solutions can be many orders of magnitude larger than unity (the auxiliary
 variables of the TOA problem reach 1e7) while the quadratic coefficients are
@@ -426,11 +427,6 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
     return roots
 
 
-# Below this many values (resultant roots, kept values) the loops on Python
-# floats (_cluster, _kept_roots_each) are cheaper than the array passes. Each
-# loop gives the bits of its array pass.
-_ARRAY_MIN = 24
-
 # No complex candidates: (elimination, x, y, rel_imag).
 _NO_PROJECTIONS = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), np.empty(0))
 
@@ -440,8 +436,9 @@ def _back_substitute(m, t1, t2, roots):
 
     ``m`` is (J, 2, 6), ``t1`` and ``t2`` are (J, 3) and (J, 2) and
     ``roots`` (J, 4) holds the resultant roots in x, NaN-padded. Every
-    distinct real root (kept value) yields y candidates from -t1/t2 and from
-    both equations as quadratics in y (``_kept_roots``). Returns the seeds as
+    distinct real root (kept value, ``_cluster_rows``) yields y candidates
+    from -t1/t2 and from both equations as quadratics in y (``_kept_roots``),
+    in array passes for every J. Returns the seeds as
     (kept, elimination, x, y, first) arrays in kept-value order, each kept
     value's -t1/t2 seed first (``first`` marks it), then its equation seeds,
     and two sets of complex candidates as (elimination, x, y, rel_imag)
@@ -460,22 +457,11 @@ def _back_substitute(m, t1, t2, roots):
     upper = ~real & (im > 0)
 
     # Distinct real roots of each elimination, flat with their elimination.
-    if roots.size < _ARRAY_MIN:
-        kept_row: list[int] = []
-        kept: list[float] = []
-        for j, (values, is_real) in enumerate(zip(re.tolist(), real.tolist())):
-            for v in _cluster([v for v, r in zip(values, is_real) if r]):
-                kept_row.append(j)
-                kept.append(v)
-        kr = np.array(kept_row, dtype=np.intp)
-        kv = np.array(kept, dtype=float)
-    else:
-        values, keep = _cluster_rows(np.where(real, re, np.nan))
-        kr, kc = np.nonzero(keep)
-        kv = values[kr, kc]
+    values, keep = _cluster_rows(np.where(real, re, np.nan))
+    kr, kc = np.nonzero(keep)
+    kv = values[kr, kc]
 
-    kept_roots = _kept_roots if kv.size >= _ARRAY_MIN else _kept_roots_each
-    others, ok, cplx_re, cplx_im, cplx_ok = kept_roots(m[kr], t1[kr], t2[kr], kv)
+    others, ok, cplx_re, cplx_im, cplx_ok = _kept_roots(m[kr], t1[kr], t2[kr], kv)
     seed_k, seed_c = np.nonzero(ok)
     seeds = seed_k, kr[seed_k], kv[seed_k], others[seed_k, seed_c], seed_c == 0
 
@@ -715,17 +701,6 @@ def _kept_roots(q: np.ndarray, t1: np.ndarray, t2: np.ndarray, kept: np.ndarray)
     ok[:, 1::2] = linear | real_pair | (quadratic & near)
     ok[:, 2::2] = real_pair & (denom != 0.0)
     return out, ok, re, im, quadratic & ~real_pair & ~near
-
-
-def _kept_roots_each(q: np.ndarray, t1: np.ndarray, t2: np.ndarray, kept: np.ndarray):
-    """``_kept_roots`` by ``_kept_root``, one kept value at a time; entries
-    outside the validity masks are NaN."""
-    per_kept = zip(q.tolist(), t1.tolist(), t2.tolist(), kept.tolist())
-    found = [_kept_root(*args) for args in per_kept]
-    return tuple(
-        np.array([parts[i] for parts in found], dtype=dtype).reshape(-1, width)
-        for i, (dtype, width) in enumerate(zip((float, bool, float, float, bool), (5, 5, 2, 2, 2)))
-    )
 
 
 def _kept_root(eqs, t1, t2, k):

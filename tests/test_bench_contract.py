@@ -4,8 +4,10 @@
 ``CALL_SITES`` to a timing wrapper and names the span after the module that
 defines the wrapped function. A refactor that drops a call site, or moves a
 function to another module, leaves some per-layer span list empty and the
-traced run fails; these tests catch that in the default suite, which does not
-run ``bench/test_smoke.py``.
+traced run fails. These tests catch that from the call-site table and one
+small campaign, without running the benchmark; ``bench/test_smoke.py``, which
+the default suite runs too (``testpaths`` includes ``bench``), runs the
+benchmark itself at tiny size.
 """
 
 import importlib

@@ -35,6 +35,20 @@ ANCHORS = build_square_scenario(800.0, 8)
 UNIT_NOISE = NoiseSpec(np.ones(8), 1.0)
 
 
+# A shift component: up to a few square sides.
+_coordinate = st.floats(-2000.0, 2000.0)
+# Noise-free device states of the campaign prior: a position within 250 m of
+# the square's center on each axis, a velocity up to 35 m/s per axis, the
+# offset up to 20 us and the drift within 10 ppm, in meters.
+_states = st.builds(
+    lambda dx, dy, vx, vy, offset, drift: UdState(
+        ANCHORS.center + [dx, dy], [vx, vy], offset, drift
+    ),
+    *[st.floats(-250.0, 250.0)] * 2, *[st.floats(-35.0, 35.0)] * 2,
+    st.floats(0.0, 6000.0), st.floats(-3000.0, 3000.0),
+)
+
+
 def rel_block_errors(est, truth):
     out = []
     for a, b in ((est.pos, truth.pos), (est.vel, truth.vel)):
@@ -197,11 +211,11 @@ class TestEstimate:
                     report.flags.refinement_singular
                 )
 
-    def test_translation_covariance_noise_free(self):
-        rng = np.random.default_rng(7)
-        ud = sample_ud_state(rng, 500.0, center=ANCHORS.center)
+    @settings(max_examples=60, deadline=None)
+    @given(ud=_states, shift=st.tuples(_coordinate, _coordinate))
+    def test_translation_covariance_noise_free(self, ud, shift):
         base = estimate(forward_model(ud, ANCHORS), ANCHORS, UNIT_NOISE)
-        shift = np.array([1234.5, -987.0])
+        shift = np.array(shift)
         moved_anchors = AnchorSet(ANCHORS.positions + shift, ANCHORS.schedule)
         moved_ud = UdState(ud.pos + shift, ud.vel, ud.offset, ud.drift)
         moved = estimate(forward_model(moved_ud, moved_anchors),
@@ -212,11 +226,10 @@ class TestEstimate:
         assert abs(moved.refined.offset - base.refined.offset) < 1e-9 * scale
         assert abs(moved.refined.drift - base.refined.drift) < 1e-9 * scale
 
-    def test_rotation_covariance_noise_free(self):
-        rng = np.random.default_rng(8)
-        ud = sample_ud_state(rng, 500.0, center=ANCHORS.center)
+    @settings(max_examples=60, deadline=None)
+    @given(ud=_states, th=st.floats(-np.pi, np.pi))
+    def test_rotation_covariance_noise_free(self, ud, th):
         base = estimate(forward_model(ud, ANCHORS), ANCHORS, UNIT_NOISE)
-        th = 0.7
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         anchors2 = AnchorSet(ANCHORS.positions @ rot.T, ANCHORS.schedule)
         ud2 = UdState(rot @ ud.pos, rot @ ud.vel, ud.offset, ud.drift)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cftwlas import (
     AnchorSet,
@@ -20,6 +22,16 @@ def random_state(rng, ndim=2):
         rng.uniform(0, 5000),
         rng.uniform(-2500, 2500),
     )
+
+
+# The states of ``random_state``, drawn component by component.
+_states = st.builds(
+    UdState,
+    st.lists(st.floats(100, 700), min_size=2, max_size=2),
+    st.lists(st.floats(-40, 40), min_size=2, max_size=2),
+    st.floats(0, 5000),
+    st.floats(-2500, 2500),
+)
 
 
 def true_aux(ud):
@@ -126,11 +138,18 @@ class TestBuildSystem:
             ranks.append(int(np.sum(svals > 1e-9 * svals[0])))
         assert all(b >= a for a, b in zip(ranks, ranks[1:]))
 
-    def test_alternative_reference_anchor(self):
-        rng = np.random.default_rng(4)
-        anchors = build_square_scenario(800.0, 8)
-        ud = random_state(rng)
-        sys_ = build_system(forward_model(ud, anchors), anchors, ref_index=3)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), count=st.sampled_from([4, 5, 8]))
+    def test_alternative_reference_anchor(self, data, count):
+        # Any reference anchor recovers a noise-free state on the 4-, 5- and
+        # 8-anchor squares.
+        anchors = build_square_scenario(800.0, count)
+        ref_index = data.draw(st.integers(0, count - 1), label="ref_index")
+        ud = data.draw(_states, label="ud")
+        try:
+            sys_ = build_system(forward_model(ud, anchors), anchors, ref_index=ref_index)
+        except DegenerateGeometryError:
+            assume(False)
         lam = true_aux(ud)
         theta = sys_.g + sys_.U @ lam
         np.testing.assert_allclose(theta, ud.as_vector(), rtol=1e-8, atol=1e-6)

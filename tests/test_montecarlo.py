@@ -65,6 +65,47 @@ class TestRunCampaign:
         for a, b in zip(cells_a, cells_b):
             assert deterministic_fields(a) == deterministic_fields(b)
 
+    @pytest.mark.parametrize(
+        "workers, runs, cpus, pool",
+        [
+            (100_000, 6, 4, 4),  # six one-run windows on four CPUs
+            (8, 3, 64, 3),  # three windows on many CPUs
+            (4, 40, 2, 2),  # four windows on two CPUs
+            (100_000, 6, None, None),  # CPU count unknown: in this process
+            (2, 1, 8, None),  # one window: in this process
+        ],
+    )
+    def test_pool_never_larger_than_windows_or_cpus(
+        self, monkeypatch, workers, runs, cpus, pool
+    ):
+        # The pool is a stand-in that records its size and maps in this
+        # process, so no large pool is ever started.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        cfg = CampaignConfig(snr_db=(30.0,), runs=runs, seed=9, workers=workers)
+        stats = run_campaign(cfg)
+        assert sizes == ([] if pool is None else [pool])
+        assert stats.config.workers == workers
+        alone = run_campaign(dataclasses.replace(cfg, workers=1))
+        assert [deterministic_fields(c) for c in stats.cells] == [
+            deterministic_fields(c) for c in alone.cells
+        ]
+
     def test_repeat_run_bit_identical(self):
         cfg = CampaignConfig(snr_db=(26.0,), runs=40, seed=4)
         a = run_campaign(cfg).cells

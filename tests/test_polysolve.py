@@ -18,15 +18,14 @@ from cftwlas import (
 from cftwlas.linear_system import LinearSystem, constraint_matrices
 from cftwlas import polysolve
 from cftwlas.polysolve import (
-    _ARRAY_MIN,
     AuxiliaryPair,
     BivariateQuadratic,
     _cluster,
     _cluster_rows,
     _distinct,
     _insert_pair,
+    _kept_root,
     _kept_roots,
-    _kept_roots_each,
     _merge_pairs,
     _newton_polish,
     _normalized_residual,
@@ -377,9 +376,12 @@ def test_kept_roots_loop_matches_array_pass_bitwise(cases):
     kept = np.array([c[2] for c in cases])
     with np.errstate(all="ignore"):
         array = _kept_roots(q, t[:, :3], t[:, 3:], kept)
-    loop = _kept_roots_each(q, t[:, :3], t[:, 3:], kept)
+    # The loop side: ``_kept_root`` on Python floats, one kept value at a
+    # time, laid out as the array pass returns it.
+    per_kept = zip(q.tolist(), t[:, :3].tolist(), t[:, 3:].tolist(), kept.tolist())
+    found = [_kept_root(*args) for args in per_kept]
+    l_out, l_ok, l_re, l_im, l_cplx = (np.array(part) for part in zip(*found))
     out, ok, re, im, cplx = array
-    l_out, l_ok, l_re, l_im, l_cplx = loop
     np.testing.assert_array_equal(ok, l_ok)
     assert np.isnan(l_out[~l_ok]).all()
     np.testing.assert_array_equal(cplx, l_cplx)
@@ -773,7 +775,6 @@ def test_batch_merge_equals_rows_alone(monkeypatch):
         _complex_meeting_rows(rng, 8),
         np.array(_TOUCHING_ROWS),
     ])
-    assert len(coef) >= _ARRAY_MIN
 
     paths = set()
 
