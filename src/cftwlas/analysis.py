@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateGeometryError, GeometryError
-from .scenario import MIN_RANGE, AnchorSet, NoiseSpec, UdState
+from .scenario import MIN_RANGE, AnchorSet, NoiseSpec, UdState, _check_sizes
 
 
 def _ranges(pos: np.ndarray, vel: np.ndarray, anchors: AnchorSet):
@@ -109,8 +109,10 @@ def crlb(state: UdState, anchors: AnchorSet, noise: NoiseSpec) -> CrlbResult:
     """Lower bound on the error covariance of any unbiased estimator.
 
     Computed as the inverse of J' W J with J evaluated at the true state and W
-    the inverse-variance weight matrix.
+    the inverse-variance weight matrix. A state dimension or request sigma
+    count that is not the anchors' raises ConfigurationError.
     """
+    _check_sizes(anchors, noise=noise, state=state)
     jac = jacobian(state, anchors)
     w = noise.weights()
     fisher = jac.T @ (w[:, None] * jac)

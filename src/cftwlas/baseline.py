@@ -17,8 +17,8 @@ import numpy as np
 # here, so those names stay importable.
 from .analysis import _evaluate, _jacobians, jacobian, predict_measurements  # noqa: F401
 from .errors import ConfigurationError, GeometryError
-from .estimator import _check_sizes, _wls_step, compute_residuals  # noqa: F401
-from .scenario import AnchorSet, MeasurementSet, NoiseSpec, UdState
+from .estimator import _wls_step, compute_residuals  # noqa: F401
+from .scenario import AnchorSet, MeasurementSet, NoiseSpec, UdState, _check_sizes
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,12 @@ def gauss_newton(
     ``_wls_step``. A singular normal matrix gives a NaN step; a non-finite
     iterate sets the diverged flag and returns the last valid iterate. No
     damping or line search is applied, so divergence is recorded, not
-    repaired. Inputs whose sizes disagree, a negative ``max_iter`` and a
-    negative or NaN ``tol`` raise ConfigurationError; an iterate (the
-    initial guess included) on an anchor raises GeometryError.
+    repaired. Inputs whose counts or dimensions disagree with the anchors',
+    a negative ``max_iter`` and a negative or NaN ``tol`` raise
+    ConfigurationError; an iterate (the initial guess included) on an anchor
+    raises GeometryError.
     """
-    _check_sizes(meas, anchors, noise)
+    _check_sizes(anchors, meas, noise, init)
     if max_iter < 0 or not tol >= 0.0:
         raise ConfigurationError(f"max_iter {max_iter} and tol {tol} must be >= 0")
     states, costs, iterations, converged, diverged, on_anchor = _gauss_newton_batch(

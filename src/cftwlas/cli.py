@@ -30,6 +30,7 @@ from .montecarlo import (
     run_campaign,
 )
 from .scenario import SPEED_OF_LIGHT, AnchorSet, MeasurementSet, NoiseSpec, UdState
+from .scenario import _check_sizes, noise_for_snr
 
 CSV_COLUMNS = [
     "method",
@@ -212,6 +213,10 @@ def _cmd_estimate(args) -> int:
         _numbers(data, "response_toa_m", context),
     )
     noise = _noise_from_dict(data, anchors.count, context)
+    truth = None
+    if "truth" in data:
+        truth = _state_from_dict(data["truth"], f"{context}: truth")
+        _check_sizes(anchors, state=truth)
     report = estimate(meas, anchors, noise, refine_steps=args.refine_steps)
     payload = {
         "raw": _state_to_dict(report.raw) if report.raw else None,
@@ -219,8 +224,7 @@ def _cmd_estimate(args) -> int:
         "flags": asdict(report.flags),
         "candidates": len(report.candidates),
     }
-    if "truth" in data and report.refined is not None:
-        truth = _state_from_dict(data["truth"], f"{context}: truth")
+    if truth is not None and report.refined is not None:
         payload["position_error_m"] = float(
             np.linalg.norm(report.refined.pos - truth.pos)
         )
@@ -234,8 +238,6 @@ def _cmd_crlb(args) -> int:
     anchors = _anchors_from_dict(data, context)
     state = _state_from_dict(_require(data, "ud", context), f"{context}: ud")
     if "snr_db" in data:
-        from .scenario import noise_for_snr
-
         snr_db = _numbers(data, "snr_db", context, scalar=True)
         noise = noise_for_snr(state, anchors, snr_db)
     else:

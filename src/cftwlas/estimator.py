@@ -31,7 +31,7 @@ from .polysolve import (
     solve_pair_detailed,
     solve_pairs,
 )
-from .scenario import AnchorSet, MeasurementSet, NoiseSpec, UdState
+from .scenario import AnchorSet, MeasurementSet, NoiseSpec, UdState, _check_sizes
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,6 @@ class EstimateReport:
     candidates: tuple[Candidate, ...]
     refinement_cov: np.ndarray | None
     flags: EstimateFlags = field(default_factory=EstimateFlags)
-
-
-def _check_sizes(meas: MeasurementSet, anchors: AnchorSet, noise: NoiseSpec) -> None:
-    """Reject inputs whose anchor, measurement and noise counts differ."""
-    if not anchors.count == meas.count == noise.count:
-        raise ConfigurationError(
-            f"{anchors.count} anchors, {meas.count} measurement pairs and "
-            f"{noise.count} request sigmas: the three counts must match"
-        )
 
 
 def compute_residuals(
@@ -352,7 +343,7 @@ def estimate(
     Inputs whose sizes disagree and fewer than one refinement step raise
     ConfigurationError.
     """
-    _check_sizes(meas, anchors, noise)
+    _check_sizes(anchors, meas, noise)
     _check_steps(refine_steps)
     flags = EstimateFlags()
     try:

@@ -110,10 +110,13 @@ class CampaignConfig:
             raise ConfigurationError(f"an_counts must be among {_SQUARE_AN_COUNTS}")
         if not self.methods:
             raise ConfigurationError("methods must be non-empty")
+        # Each (method label, SNR, anchor count) keys one CSV row.
         labels = [method.label for method in self.methods]
-        for label in labels:
-            if labels.count(label) > 1:
-                raise ConfigurationError(f"two methods share the label {label!r}")
+        keyed = ("an_counts", list(self.an_counts)), ("snr_db", list(self.snr_db))
+        for key, values in (("method labels", labels), *keyed):
+            for value in values:
+                if values.count(value) > 1:
+                    raise ConfigurationError(f"{key} must be distinct; {value!r} repeats")
         for key in ("anchor_side_m", "response_step_s"):
             if not 0.0 < getattr(self, key) < math.inf:
                 raise ConfigurationError(f"{key} must be finite and > 0")

@@ -15,20 +15,23 @@ the non-finite exit apply to each pair on its own. A real root's y seed is
 equations' y roots seed it. The accepted pairs are merged in seed order,
 and by Bezout's bound at most four real pairs are kept.
 
-``solve_pairs`` does this for K pairs at once in stacked arrays, from the
-resultant to flat candidate arrays. Each pair's result depends on that pair
-alone: every array operation is elementwise, acts on one pair's own matrix
-or, in the order-dependent passes (``_cluster_rows``, ``_merge_pairs``,
-``_distinct``), takes one position at a time with each pair's own state.
-``solve_pair_detailed`` is the one-pair case on Python floats, from the
-normalization to the projection dedupe; only the companion eigenvalues and
-the -t1/t2 projections at complex roots stay numpy calls, on the pair's own
-small arrays. The y-elimination (``_y_elimination``, ``_conv``) is one code
-for floats and arrays. Every other step has one array pass, which
-``solve_pairs`` runs at every K, and one loop on Python floats
-(``_scaled_pair``, ``_cluster``, ``_kept_root``, ``_polish_seed``,
-``_insert_pair``), which ``solve_pair_detailed`` runs; the loop repeats the
-arithmetic of its array pass in the same order, so both give the same bits.
+``solve_pairs`` does this for K pairs at once, in one pass over stacked
+arrays at every K: scale, eliminate, take the companion roots, keep the
+distinct real ones, back-substitute into one (F, 5) seed table of the F kept
+values, polish its cells, merge the passing ones and lay out the candidates
+flat. Each pair's result depends on that pair alone: every array operation
+is elementwise, acts on one pair's own matrix or, in the order-dependent
+passes (``_cluster_rows``, ``_merge_pairs``, ``_distinct``), takes one
+position at a time with each pair's own state. ``solve_pair_detailed`` is
+the one-pair case on Python floats, from the normalization to the
+projection dedupe; only the companion eigenvalues and the -t1/t2
+projections at complex roots stay numpy calls, on the pair's own small
+arrays. The y-elimination (``_y_elimination``, ``_conv``) is one code for
+floats and arrays. Every other step has one array pass, which
+``solve_pairs`` runs, and one loop on Python floats (``_scaled_pair``,
+``_cluster``, ``_kept_root``, ``_polish_seed``, ``_insert_pair``), which
+``solve_pair_detailed`` runs; the loop repeats the arithmetic of its array
+pass in the same order, so both give the same bits.
 
 Solutions can be many orders of magnitude larger than unity (the auxiliary
 variables of the TOA problem reach 1e7) while the quadratic coefficients are
@@ -255,7 +258,7 @@ def solve_pair_detailed(
 
 
 def _scaled_pair(e1, e2):
-    """The normalization and variable scaling of ``_solve_pairs`` for one
+    """The normalization and variable scaling of ``solve_pairs`` for one
     pair [a, b, c, d, e, f] x 2 on Python floats: the scaled equations and
     the scales sx, sy."""
     n = [[v / s for v in eq] for eq in (e1, e2) for s in [max(map(abs, eq))]]
@@ -285,48 +288,98 @@ def solve_pairs(coef: np.ndarray):
     a row lists its real solutions in ascending (lam1, lam2) order, then its
     projections nearest-to-real first (see BivariateSolution).
 
-    Every row takes the y-elimination in stacked arrays: one companion
-    eigenvalue call per resultant degree, then one Newton polish and one
-    residual pass over the -t1/t2 seeds of every row and one over the
-    equation seeds that ``_back_substitute`` falls back on, and one merge of
-    each row's accepted seeds. Each row's result depends on that row alone.
-    A row has no solution when an equation is identically zero or not
-    finite, or when its y-resultant vanishes identically: then both
-    equations share a factor that contains y, or neither contains y, and the
-    pair has no isolated solution.
-    """
-    with np.errstate(all="ignore"):
-        return _collect(*_solve_pairs(coef))
-
-
-def _solve_pairs(coef: np.ndarray):
-    """Elimination and back-substitution of K quadratic pairs, run with
-    floating-point warnings off: the scaled coefficients ``m``, the seeds
-    and complex candidates of ``_back_substitute`` and the variable scales
-    ``sx``, ``sy``, for ``_collect`` to finish.
+    One pass over stacked arrays, with floating-point warnings off: the
+    normalized and scaled equations, their y-resultants, one companion
+    eigenvalue call per resultant degree, the distinct real roots (kept
+    values), one seed table of the kept values' y candidates, one Newton
+    polish and residual pass over its -t1/t2 column and one over the
+    equation seeds of the kept values where that fails, one merge of each
+    row's passing seeds, and the complex-root projections. Each row's result
+    depends on that row alone. A row has no solution when an equation is
+    identically zero or not finite, or when its y-resultant vanishes
+    identically: then both equations share a factor that contains y, or
+    neither contains y, and the pair has no isolated solution.
     """
     rows = coef.shape[0]
-    s = np.abs(coef).max(axis=2)
-    usable = (np.isfinite(s) & (s > 0.0)).all(axis=1)
-    n = coef / s[:, :, None]
-    sx, sy = _variable_scales(n)
-    m = n.copy()
-    m[:, :, :5] *= np.array([sx * sx, sx * sy, sy * sy, sx, sy]).T[:, None]
-    m /= np.abs(m).max(axis=2)[:, :, None]
+    with np.errstate(all="ignore"):
+        s = np.abs(coef).max(axis=2)
+        usable = (np.isfinite(s) & (s > 0.0)).all(axis=1)
+        n = coef / s[:, :, None]
+        sx, sy = _variable_scales(n)
+        m = n.copy()
+        m[:, :, :5] *= np.array([sx * sx, sx * sy, sy * sy, sx, sy]).T[:, None]
+        m /= np.abs(m).max(axis=2)[:, :, None]
 
-    t1, t2, resultant = _y_resultants(m)
-    magnitude = np.abs(resultant).max(axis=1)
-    resultant = resultant / magnitude[:, None]
-    solvable = usable & (magnitude > 1e-14)
-    # The degree left once negligible leading coefficients are dropped.
-    degree = 4 - np.argmax(np.abs(resultant[:, ::-1]) > 1e-13, axis=1)
-    roots = np.full((rows, 4), np.nan, dtype=complex)
-    for d in sorted(set(degree[solvable].tolist()) - {0}):
-        at = np.flatnonzero(solvable & (degree == d))
-        roots[at, :d] = _companion_roots(resultant[at, : d + 1])
+        t1, t2, resultant = _y_resultants(m)
+        magnitude = np.abs(resultant).max(axis=1)
+        resultant = resultant / magnitude[:, None]
+        solvable = usable & (magnitude > 1e-14)
+        # The degree left once negligible leading coefficients are dropped.
+        degree = 4 - np.argmax(np.abs(resultant[:, ::-1]) > 1e-13, axis=1)
+        roots = np.full((rows, 4), np.nan, dtype=complex)
+        for d in sorted(set(degree[solvable].tolist()) - {0}):
+            at = np.flatnonzero(solvable & (degree == d))
+            roots[at, :d] = _companion_roots(resultant[at, : d + 1])
+        re, im = roots.real, roots.imag
+        real = np.abs(im) <= _IMAG_RTOL * np.maximum(1.0, np.abs(re))
 
-    seeds, projected = _back_substitute(m, t1, t2, roots)
-    return m, seeds, projected, sx, sy
+        # The seed table (F, 5) of the F kept values (``_kept_roots``), row
+        # by row. Column 0, the -t1/t2 seed, is polished first; the equation
+        # seeds of columns 1-4 only where the kept value's column-0 residual
+        # did not pass: t2 vanishes there, or -t1/t2 is too inaccurate, as
+        # at a double root where two solutions share one x. A cell not
+        # polished keeps a NaN residual, which fails.
+        values, keep = _cluster_rows(np.where(real, re, np.nan))
+        kr, kc = np.nonzero(keep)
+        kv = values[kr, kc]
+        seed, ok, cplx_re, cplx_im, cplx = _kept_roots(m[kr], t1[kr], t2[kr], kv)
+        tx, ty, res = (np.full(seed.shape, np.nan) for _ in range(3))
+        for columns in (np.arange(5) == 0, np.arange(5) > 0):
+            at = ok & columns & ~(res[:, :1] <= _RESIDUAL_RTOL)
+            k = np.nonzero(at)[0]
+            q = m[kr[k]].transpose(2, 1, 0)
+            x, y = _newton_polish(q, kv[k], seed[at])
+            tx[at], ty[at], res[at] = x, y, _normalized_residual(q, x, y)
+        # Each row's passing cells merged in seed order, as ``_insert_pair``.
+        passed = res <= _RESIDUAL_RTOL
+        real_pairs = _merge_pairs(
+            kr[np.nonzero(passed)[0]], tx[passed], ty[passed], res[passed], rows
+        )
+
+        # Projections (row, x, y, rel_imag): where an equation's y went
+        # complex at a kept value, deduplicated as they are added, and one
+        # per conjugate pair of the resultant's own roots (roots of real
+        # polynomials come in exact conjugate pairs).
+        ck, ce = np.nonzero(cplx)
+        o_re = cplx_re[ck, ce]
+        o_rel = np.abs(cplx_im[ck, ce]) / np.maximum(1.0, np.abs(o_re))
+        at_kept = kr[ck], kv[ck], o_re, o_rel
+        zj, zc = np.nonzero(~real & (im > 0))
+        conjugate = zj, *_conjugate_projections(m[zj], t1[zj], t2[zj], roots[zj, zc])
+        at_kept, conjugate = (
+            tuple(v[np.isfinite(p[1]) & np.isfinite(p[2])] for v in p)
+            for p in (at_kept, conjugate)
+        )
+        at_kept = tuple(v[_distinct(*at_kept[:3], rows)] for v in at_kept)
+        joined = [np.concatenate(parts) for parts in zip(at_kept, conjugate)]
+        # Each row's projections nearest-to-real first; the sort is stable.
+        order = np.lexsort((joined[3], joined[0]))
+        joined = [v[order] for v in joined]
+        keep = _distinct(*joined[:3], rows)
+        pr, px, py, prel = (v[keep] for v in joined)
+
+        # Each row's real pairs, then its projections, scaled back.
+        real_count = real_pairs[0].size
+        row = np.concatenate([real_pairs[0], pr])
+        order = np.argsort(row, kind="stable")
+        row = row[order]
+        lam = np.stack([
+            np.concatenate([real_pairs[1], px])[order] * sx[row],
+            np.concatenate([real_pairs[2], py])[order] * sy[row],
+        ], axis=1)
+        from_complex = (np.arange(row.size) >= real_count)[order]
+        rel = np.concatenate([np.zeros(real_count), prel])[order]
+        return row, lam, from_complex, rel
 
 
 def _variable_scales(n: np.ndarray):
@@ -427,61 +480,6 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
     return roots
 
 
-# No complex candidates: (elimination, x, y, rel_imag).
-_NO_PROJECTIONS = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), np.empty(0))
-
-
-def _back_substitute(m, t1, t2, roots):
-    """Seeds and complex candidates of J y-eliminations.
-
-    ``m`` is (J, 2, 6), ``t1`` and ``t2`` are (J, 3) and (J, 2) and
-    ``roots`` (J, 4) holds the resultant roots in x, NaN-padded. Every
-    distinct real root (kept value, ``_cluster_rows``) yields y candidates
-    from -t1/t2 and from both equations as quadratics in y (``_kept_roots``),
-    in array passes for every J. Returns the seeds as
-    (kept, elimination, x, y, first) arrays in kept-value order, each kept
-    value's -t1/t2 seed first (``first`` marks it), then its equation seeds,
-    and two sets of complex candidates as (elimination, x, y, rel_imag)
-    arrays: where an equation's y went complex at a real root, and one per
-    conjugate pair of the resultant's own roots. All of it is in the scaled
-    variables.
-
-    The collect step polishes one seed per kept value where it can: the
-    -t1/t2 seed, when it exists and its polished pair passes the residual
-    test, is the kept value's only seed. The equation seeds are polished only
-    for the kept values where it does not: t2 vanishes there, or -t1/t2 is
-    too inaccurate, as at a double root where two solutions share one x.
-    """
-    re, im = roots.real, roots.imag
-    real = np.abs(im) <= _IMAG_RTOL * np.maximum(1.0, np.abs(re))
-    upper = ~real & (im > 0)
-
-    # Distinct real roots of each elimination, flat with their elimination.
-    values, keep = _cluster_rows(np.where(real, re, np.nan))
-    kr, kc = np.nonzero(keep)
-    kv = values[kr, kc]
-
-    others, ok, cplx_re, cplx_im, cplx_ok = _kept_roots(m[kr], t1[kr], t2[kr], kv)
-    seed_k, seed_c = np.nonzero(ok)
-    seeds = seed_k, kr[seed_k], kv[seed_k], others[seed_k, seed_c], seed_c == 0
-
-    # A real kept value whose companion went complex: its projection.
-    first = _NO_PROJECTIONS
-    if cplx_ok.any():
-        ck, ce = np.nonzero(cplx_ok)
-        o_re = cplx_re[ck, ce]
-        rel = np.abs(cplx_im[ck, ce]) / np.maximum(1.0, np.abs(o_re))
-        first = kr[ck], kv[ck], o_re, rel
-
-    # One representative per conjugate pair of the resultant itself (roots of
-    # real polynomials come in exact conjugate pairs).
-    second = _NO_PROJECTIONS
-    zj, zc = np.nonzero(upper)
-    if zj.size:
-        second = zj, *_conjugate_projections(m[zj], t1[zj], t2[zj], roots[zj, zc])
-    return seeds, (first, second)
-
-
 def _conjugate_projections(m, t1, t2, z):
     """Real projections of complex resultant roots ``z`` (n,): x is the real
     part of each root and y that of -t1/t2 there, or of ``_first_root`` where
@@ -497,68 +495,6 @@ def _conjugate_projections(m, t1, t2, z):
     for i in np.flatnonzero(flat).tolist():
         other[i] = _first_root(m[i], complex(z[i])).real
     return z.real, other, np.abs(z.imag) / np.maximum(1.0, np.abs(z.real))
-
-
-def _polish(m, seed_row, x, y):
-    """Newton polish and normalized residual of the seeds (x, y) of the
-    eliminations ``seed_row`` in one array pass: the polished x, y and
-    residual arrays."""
-    coef = m[seed_row].transpose(2, 1, 0)
-    x, y = _newton_polish(coef, x, y)
-    return x, y, _normalized_residual(coef, x, y)
-
-
-def _collect(m, seeds, projected, sx, sy):
-    """The candidates of all eliminations, laid out as ``solve_pairs``
-    returns them, in array passes.
-
-    ``seeds`` and ``projected`` are what ``_back_substitute`` returns and
-    ``sx``, ``sy`` the (J,) variable scales. The seeds are polished in seed
-    order, the equation seeds of a kept value only where its -t1/t2 seed
-    fails, and each row's passing seeds are merged as ``_insert_pair``
-    would (``_merge_pairs``). The first complex set is deduplicated as it is
-    added; each row's projections are then ordered nearest-to-real first and
-    deduplicated (``_distinct``).
-    """
-    rows = m.shape[0]
-    kept, row, x, y, first = seeds
-    # The -t1/t2 seeds, then the equation seeds of each kept value whose
-    # -t1/t2 seed is missing or fails; a seed not polished keeps a NaN
-    # residual, which fails.
-    px, py, res = (np.full(x.size, np.nan) for _ in range(3))
-    px[first], py[first], res[first] = _polish(m, row[first], x[first], y[first])
-    settled = np.zeros(kept.max(initial=-1) + 1, dtype=bool)
-    settled[kept[first]] = res[first] <= _RESIDUAL_RTOL
-    second = ~first & ~settled[kept]
-    if second.any():
-        px[second], py[second], res[second] = _polish(m, row[second], x[second], y[second])
-    passed = res <= _RESIDUAL_RTOL
-    real = _merge_pairs(row[passed], px[passed], py[passed], res[passed], rows)
-
-    first, second = (
-        tuple(v[np.isfinite(entries[1]) & np.isfinite(entries[2])] for v in entries)
-        for entries in projected
-    )
-    first = tuple(v[_distinct(*first[:3], rows)] for v in first)
-    joined = [np.concatenate(parts) for parts in zip(first, second)]
-    # Each row's projections nearest-to-real first; the sort is stable.
-    order = np.lexsort((joined[3], joined[0]))
-    joined = [v[order] for v in joined]
-    keep = _distinct(*joined[:3], rows)
-    pr, px, py, prel = (v[keep] for v in joined)
-
-    # Each row's real pairs, then its projections.
-    real_count = real[0].size
-    row = np.concatenate([real[0], pr])
-    order = np.argsort(row, kind="stable")
-    row = row[order]
-    lam = np.stack([
-        np.concatenate([real[1], px])[order] * sx[row],
-        np.concatenate([real[2], py])[order] * sy[row],
-    ], axis=1)
-    from_complex = (np.arange(row.size) >= real_count)[order]
-    rel = np.concatenate([np.zeros(real_count), prel])[order]
-    return row, lam, from_complex, rel
 
 
 def _by_position(row, rows, *values):
@@ -665,7 +601,7 @@ def _kept_roots(q: np.ndarray, t1: np.ndarray, t2: np.ndarray, kept: np.ndarray)
     root of positive imaginary part as (F, 2) real and imaginary parts with
     a validity mask. -t1/t2 is valid where |t2| > 1e-10 max(1, |x|); it is
     the one seed of its kept value unless its polished pair fails, and only
-    then are the equation candidates polished (``_back_substitute``). A real
+    then are the equation candidates polished (``solve_pairs``). A real
     pair takes the larger-magnitude root first and its companion via the
     product (stable pairing); a conjugate pair within _IMAG_RTOL of the real
     axis counts as one real root.

@@ -200,6 +200,29 @@ class NoiseSpec:
         return np.concatenate([1.0 / self.sigma_request**2, resp])
 
 
+def _check_sizes(anchors: AnchorSet, meas=None, noise=None, state=None) -> None:
+    """Reject inputs whose sizes disagree with the anchors': the measurement
+    pair and request sigma counts with the anchor count, a state's dimension
+    with the anchors' dimension. An input left out is not checked."""
+    count = anchors.count
+    if (meas is not None and meas.count != count) or (
+        noise is not None and noise.count != count
+    ):
+        sizes = [f"{count} anchors"] + [
+            f"{x.count} {name}"
+            for x, name in ((meas, "measurement pairs"), (noise, "request sigmas"))
+            if x is not None
+        ]
+        raise ConfigurationError(
+            f"{', '.join(sizes[:-1])} and {sizes[-1]}: the counts must match"
+        )
+    if state is not None and state.ndim != anchors.ndim:
+        raise ConfigurationError(
+            f"a {state.ndim}-D state and {anchors.ndim}-D anchors: "
+            "the dimensions must match"
+        )
+
+
 def build_square_scenario(
     side_len: float, an_count: int, response_step: float = 0.010
 ) -> AnchorSet:
@@ -303,8 +326,10 @@ def noise_for_snr(
     Each request sigma follows its own link distance at the request instant.
     The single response sigma shared by all response TOAs is derived from a
     summary of the M distances chosen by ``response_rule`` ("mean", "min" or
-    "max").
+    "max"). A state whose dimension is not the anchors' raises
+    ConfigurationError.
     """
+    _check_sizes(anchors, state=ud)
     distances = np.linalg.norm(anchors.positions - ud.pos, axis=1)
     if distances.min() < MIN_RANGE:
         raise GeometryError("state coincides with an anchor")

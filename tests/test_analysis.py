@@ -90,6 +90,19 @@ class TestCrlb:
         ud = sample_ud_state(rng, 500.0, center=ANCHORS.center)
         return ud, noise_for_snr(ud, ANCHORS, snr)
 
+    def test_size_mismatch_rejected(self):
+        # A 2-D state on 3-D anchors and request sigmas of another count
+        # raise ConfigurationError naming both sizes, not a numpy error.
+        ud, noise = self._state_noise()
+        anchors_3d = AnchorSet(
+            np.column_stack([ANCHORS.positions, 50.0 * np.arange(8)]), ANCHORS.schedule
+        )
+        with pytest.raises(ConfigurationError, match="2-D state and 3-D anchors"):
+            crlb(ud, anchors_3d, noise)
+        short = NoiseSpec(noise.sigma_request[:-1], noise.sigma_response)
+        with pytest.raises(ConfigurationError, match="8 anchors and 7 request sigmas"):
+            crlb(ud, ANCHORS, short)
+
     def test_inverse_identity(self):
         ud, noise = self._state_noise()
         result = crlb(ud, ANCHORS, noise)

@@ -135,6 +135,18 @@ class TestGaussNewton:
         with pytest.raises(ConfigurationError, match="counts must match"):
             gauss_newton(short, ANCHORS, UNIT_NOISE, ud)
 
+    def test_initial_guess_of_another_dimension_rejected(self):
+        # A 2-D initial guess on 3-D anchors raises ConfigurationError naming
+        # both dimensions, not an IndexError from the first step.
+        anchors_3d = AnchorSet(
+            np.column_stack([ANCHORS.positions, 50.0 * np.arange(8)]), ANCHORS.schedule
+        )
+        truth = UdState([300.0, 500.0, 20.0], [0.0, 0.0, 0.0], 0.0, 0.0)
+        meas = forward_model(truth, anchors_3d)
+        init = UdState([300.0, 500.0], [0.0, 0.0], 0.0, 0.0)
+        with pytest.raises(ConfigurationError, match="2-D state and 3-D anchors"):
+            gauss_newton(meas, anchors_3d, UNIT_NOISE, init)
+
 
 # --- the shared WLS step against the loop it replaced ----------------------
 

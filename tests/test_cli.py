@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +189,8 @@ class TestSimulateCommand:
             ({"offset_range_s": [0.0, -0.0]}, "offset_range_s"),
             ({"drift_range_ppm": [0.0, -0.0]}, "drift_range_ppm"),
             ({"anchor_side_m": 10**400}, "anchor_side_m"),
+            ({"snr_db": [30.0, 20.0, 30.0]}, "snr_db must be distinct; 30.0 repeats"),
+            ({"an_counts": [8, 8]}, "an_counts must be distinct; 8 repeats"),
         ],
     )
     def test_bad_campaign_value_reported_before_any_run(
@@ -256,13 +259,23 @@ class TestEstimateCommand:
 
     def test_sigma_length_mismatch_reported(self, tmp_path, capsys):
         case_path, _ = estimate_case(tmp_path)
-        payload = json.loads(open(case_path).read())
+        payload = json.loads(Path(case_path).read_text())
         payload["sigma_request_m"] = payload["sigma_request_m"][:-1]
         path = write_json(tmp_path / "short.json", payload)
         assert main(["estimate", "--input", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "7 request sigmas" in err
+
+    def test_truth_of_another_dimension_reported(self, tmp_path, capsys):
+        case_path, _ = estimate_case(tmp_path)
+        payload = json.loads(Path(case_path).read_text())
+        payload["truth"]["pos_m"].append(0.0)
+        payload["truth"]["vel_mps"].append(0.0)
+        path = write_json(tmp_path / "truth_3d.json", payload)
+        assert main(["estimate", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "3-D state and 2-D anchors" in err
 
     @pytest.mark.parametrize("steps", ["0", "-2"])
     def test_fewer_than_one_refine_step_reported(self, tmp_path, capsys, steps):
@@ -302,7 +315,7 @@ def test_non_numeric_input_value_reported(tmp_path, capsys, command, key, value)
     # with an error naming the file and the key, as a bad config key does.
     if command == "estimate":
         case_path, _ = estimate_case(tmp_path)
-        payload = json.loads(open(case_path).read())
+        payload = json.loads(Path(case_path).read_text())
     else:
         payload = crlb_scene()
     (payload["ud"] if key == "drift_ppm" else payload)[key] = value
@@ -328,7 +341,7 @@ def test_number_too_large_for_a_double_reported(tmp_path, capsys, command, key, 
     # error naming the file and the key, as null and 1e999 do.
     if command == "estimate":
         case_path, _ = estimate_case(tmp_path)
-        payload = json.loads(open(case_path).read())
+        payload = json.loads(Path(case_path).read_text())
     else:
         payload = crlb_scene()
     (payload["ud"] if key == "drift_ppm" else payload)[key] = value
@@ -352,7 +365,7 @@ def test_non_finite_toa_reported(tmp_path, capsys, key, values):
     # ends in exit 2 with an error naming the file and the key, not in an
     # estimate flagged as degenerate geometry.
     case_path, _ = estimate_case(tmp_path)
-    payload = json.loads(open(case_path).read())
+    payload = json.loads(Path(case_path).read_text())
     payload[key] = "TOAS"
     path = tmp_path / "bad_toa.json"
     path.write_text(
@@ -372,3 +385,24 @@ class TestCrlbCommand:
         assert result["pos_rmse_bound_m"] > 0
         assert len(result["crlb_matrix"]) == 6
         assert result["pos_rmse_bound_m"] < 30.0
+
+    @pytest.mark.parametrize("noise", ["snr_db", "sigmas"])
+    def test_state_of_another_dimension_reported(self, tmp_path, capsys, noise):
+        scene = crlb_scene()
+        if noise == "sigmas":
+            del scene["snr_db"]
+            scene.update(sigma_request_m=[1.0] * 8, sigma_response_m=1.0)
+        scene["ud"].update(pos_m=[400.0, 300.0, 10.0], vel_mps=[10.0, 0.0, 0.0])
+        path = write_json(tmp_path / "scene.json", scene)
+        assert main(["crlb", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "3-D state and 2-D anchors" in err
+
+    def test_sigma_count_mismatch_reported(self, tmp_path, capsys):
+        scene = crlb_scene()
+        del scene["snr_db"]
+        scene.update(sigma_request_m=[1.0] * 7, sigma_response_m=1.0)
+        path = write_json(tmp_path / "scene.json", scene)
+        assert main(["crlb", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "8 anchors and 7 request sigmas" in err

@@ -308,6 +308,11 @@ class TestConfigSerialization:
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ConfigurationError, match="snr_db"):
                 CampaignConfig(snr_db=(30.0, bad))
+        # Repeats would write several CSV rows under one (method, SNR,
+        # anchors) key, and cell() would find only the first.
+        for key, values in (("snr_db", (30.0, 30.0)), ("an_counts", (8, 4, 8))):
+            with pytest.raises(ConfigurationError, match=f"{key} must be distinct"):
+                CampaignConfig(**{key: values})
 
     def test_methods_sharing_a_label_rejected(self, tmp_path, capsys):
         # Two GN methods that differ only in max_iter would write two CSV

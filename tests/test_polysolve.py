@@ -391,10 +391,24 @@ def test_kept_roots_loop_matches_array_pass_bitwise(cases):
 
 
 def _seeds_over(coef):
-    """The seeds of one row as (x, y, first) in the original variables."""
+    """The seeds that ``solve_pairs`` polishes for one row, recorded as they
+    reach ``_newton_polish``, as (x, y, first) in the original variables.
+    The first Newton pass takes the -t1/t2 seeds, which ``first`` marks; the
+    second takes the equation seeds of the kept values where those fail."""
+    calls = []
+
+    def record(q, x, y):
+        calls.append((x, y))
+        return _newton_polish(q, x, y)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polysolve, "_newton_polish", record)
+        solve_pairs(coef)
+    (x0, y0), (x1, y1) = calls
     with np.errstate(all="ignore"):
-        _, (_, _, x, y, first), _, sx, sy = polysolve._solve_pairs(coef)
-    return x * sx[0], y * sy[0], first
+        sx, sy = polysolve._variable_scales(coef / np.abs(coef).max(axis=2)[:, :, None])
+    first = np.arange(x0.size + x1.size) < x0.size
+    return np.concatenate([x0, x1]) * sx[0], np.concatenate([y0, y1]) * sy[0], first
 
 
 def _both_paths(coef):

@@ -251,6 +251,12 @@ class TestNoiseForSnr:
         with pytest.raises(GeometryError, match="coincides with an anchor"):
             forward_model(ud, anchors)
 
+    def test_state_of_another_dimension_rejected(self):
+        anchors = build_square_scenario(800.0, 4)
+        ud = UdState([400.0, 400.0, 10.0], [0.0, 0.0, 0.0], 0.0, 0.0)
+        with pytest.raises(ConfigurationError, match="3-D state and 2-D anchors"):
+            noise_for_snr(ud, anchors, 30.0)
+
 
 class TestDomainTypes:
     def test_anchor_schedule_must_increase(self):
