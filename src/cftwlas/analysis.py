@@ -64,8 +64,10 @@ def _jacobians(diff0, d0, diff1, d1, anchors: AnchorSet) -> np.ndarray:
 
 def predict_measurements(state: UdState, anchors: AnchorSet) -> np.ndarray:
     """Noise-free stacked measurement vector [requests, responses] at a state;
-    the K=1 case of ``_evaluate``. Raises GeometryError for a state on an
+    the K=1 case of ``_evaluate``. Raises ConfigurationError for a state
+    whose dimension is not the anchors' and GeometryError for a state on an
     anchor."""
+    _check_sizes(anchors, state=state)
     ranges, rows = _evaluate(state.as_vector()[None], anchors)
     if ranges[4][0]:
         raise GeometryError("state coincides with an anchor")
@@ -74,8 +76,10 @@ def predict_measurements(state: UdState, anchors: AnchorSet) -> np.ndarray:
 
 def jacobian(state: UdState, anchors: AnchorSet) -> np.ndarray:
     """Derivative of the stacked measurement vector in the parameter vector;
-    the K=1 case of ``_jacobians``. Raises GeometryError for a state on an
+    the K=1 case of ``_jacobians``. Raises ConfigurationError for a state
+    whose dimension is not the anchors' and GeometryError for a state on an
     anchor."""
+    _check_sizes(anchors, state=state)
     ranges = _ranges(state.pos[None], state.vel[None], anchors)
     if ranges[4][0]:
         raise GeometryError("state coincides with an anchor")
@@ -112,7 +116,7 @@ def crlb(state: UdState, anchors: AnchorSet, noise: NoiseSpec) -> CrlbResult:
     the inverse-variance weight matrix. A state dimension or request sigma
     count that is not the anchors' raises ConfigurationError.
     """
-    _check_sizes(anchors, noise=noise, state=state)
+    _check_sizes(anchors, noise=noise)
     jac = jacobian(state, anchors)
     w = noise.weights()
     fisher = jac.T @ (w[:, None] * jac)

@@ -295,9 +295,15 @@ def estimate_batch(
 ) -> BatchEstimate:
     """``estimate`` for K rows of (K, 2M) stacked [requests, responses] TOAs
     with their (K, 2M) weights, through the same kernels; row k of the result
-    equals, bit for bit, what ``estimate`` reports for row k alone."""
+    equals, bit for bit, what ``estimate`` reports for row k alone. TOAs or
+    weights of another shape raise ConfigurationError."""
     _check_steps(refine_steps)
     rows, m, p = gamma.shape[0], anchors.count, 2 * anchors.ndim + 2
+    if gamma.shape != (rows, 2 * m) or weights.shape != gamma.shape:
+        raise ConfigurationError(
+            f"{gamma.shape} TOAs and {weights.shape} weights on {m} anchors: "
+            f"both must be (K, {2 * m})"
+        )
     _, _, solution, full_rank = build_systems(gamma[:, :m], gamma[:, m:], anchors)
     solved = np.flatnonzero(full_rank)
     g, U = solution[solved, :, 0], solution[solved, :, 1:]

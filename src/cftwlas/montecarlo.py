@@ -255,7 +255,8 @@ def _gauss_newton(
     from run ``start`` on, iterated as one batch.
 
     Run ``r`` starts where ``make_initializer`` puts it from its own stream
-    ``SeedSequence([seed, cell, r, mi + 1])``: N standard normals, scaled and
+    ``SeedSequence([seed, cell, r, mi + 1])``, seeded from the ``_entropy``
+    words of those values: N standard normals, scaled and
     added to the true position on the stack as ``Generator.normal`` computes
     ``loc + scale * z``, with zero dynamics. A batch's rows equal, bit for
     bit, what ``gauss_newton`` reports for each run alone. A run whose
@@ -265,7 +266,7 @@ def _gauss_newton(
     clock = time.perf_counter()
     draws = np.array([
         np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, cell_index, run, mi + 1])
+            np.random.SeedSequence(_entropy(cfg.seed, cell_index, run, mi + 1))
         ).standard_normal(n)
         for run in range(start, start + len(truths))
     ])
@@ -280,31 +281,53 @@ def _gauss_newton(
     return _MethodRecord(flagged, err2, None, iterations, seconds)
 
 
+def _entropy(*values: int) -> np.ndarray:
+    """The uint32 words into which ``SeedSequence`` coerces the list
+    ``values``: each value as little-endian 32-bit words, 0 as one word.
+    Passed as an array, they seed the same stream at less cost."""
+    words = []
+    for value in values:
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+        while value:
+            words.append(value & 0xFFFFFFFF)
+            value >>= 32
+    return np.array(words, dtype=np.uint32)
+
+
 def _window_inputs(cfg, anchors, cell_index, snr_db, start, stop):
     """The stacked inputs of runs ``start`` to ``stop`` of one cell: the
     (K, 2N+2) true parameter vectors, the (K, 2M) measurements and weights
     and the (K, 4) square-rooted bound blocks.
 
     Run ``r`` draws its device state and then 2M standard normals from its
-    own stream ``SeedSequence([seed, cell, r, 0])``: the variates of
-    ``add_noise``'s two ``normal`` calls, which compute ``loc + scale * z``.
-    The model, sigmas, noise and weights are computed on the stacks, bit for
-    bit ``forward_model``, ``noise_for_snr``, ``add_noise`` and
-    ``NoiseSpec.weights`` on each run alone; the bound stays per run.
+    own stream ``SeedSequence([seed, cell, r, 0])``, seeded from the
+    ``_entropy`` words of those values: the variates of ``add_noise``'s two
+    ``normal`` calls, which compute ``loc + scale * z``. The true vectors,
+    model, sigmas, noise and weights are computed on the stacks, bit for bit
+    ``UdState.as_vector``, ``forward_model``, ``noise_for_snr``,
+    ``add_noise`` and ``NoiseSpec.weights`` on each run alone; the generator,
+    the state draw, the ``NoiseSpec`` and the bound stay per run.
     """
-    m = anchors.count
+    m, n = anchors.count, anchors.ndim
     center, uds, draws = anchors.center, [], []
     for run in range(start, stop):
         rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, cell_index, run, 0])
+            np.random.SeedSequence(_entropy(cfg.seed, cell_index, run, 0))
         )
         uds.append(sample_ud_state(
             rng, cfg.region_side_m, cfg.vmax_mps, cfg.offset_range_s,
-            cfg.drift_range_ppm, center=center, ndim=anchors.ndim,
+            cfg.drift_range_ppm, center=center, ndim=n,
         ))
         if not cfg.noise_free:
             draws.append(rng.standard_normal(2 * m))
-    truths = np.array([ud.as_vector() for ud in uds])
+    truths = np.empty((len(uds), 2 * n + 2))
+    truths[:, :n] = [ud.pos for ud in uds]
+    truths[:, n : 2 * n] = [ud.vel for ud in uds]
+    truths[:, 2 * n] = [ud.offset for ud in uds]
+    truths[:, 2 * n + 1] = [ud.drift for ud in uds]
     (_, d0, _, _, on_anchor), gamma = _evaluate(truths, anchors)
     if on_anchor.any():
         raise GeometryError("state coincides with an anchor")

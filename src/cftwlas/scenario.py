@@ -119,8 +119,9 @@ class UdState:
         object.__setattr__(self, "drift", float(self.drift))
         if pos.shape != vel.shape:
             raise ConfigurationError("position and velocity dimensions differ")
-        vec = self.as_vector()
-        if not np.isfinite(vec).all():
+        # Checked as Python floats: cheaper than array tests for a few values.
+        values = [*pos.tolist(), *vel.tolist(), self.offset, self.drift]
+        if not all(map(math.isfinite, values)):
             raise ConfigurationError("device state must be finite")
 
     @property
@@ -272,32 +273,32 @@ def sample_ud_state(
     (offset_lo, offset_hi), (drift_lo, drift_hi) = offset_range_s, drift_range_ppm
     if ndim == 2:
         # Position, speed, heading, offset and drift from six doubles:
-        # lo + (hi - lo) * u element by element, the bits and the errors of
-        # one rng.uniform(lows, highs) call, which costs more.
-        lows = np.concatenate([center - half, [0.0, 0.0, offset_lo, drift_lo]])
-        spans = np.concatenate(
-            [center + half, [vmax, 2.0 * np.pi, offset_hi, drift_hi]]
-        ) - lows
-        span_values = spans.tolist()
-        if not all(map(math.isfinite, span_values)):
+        # lo + (hi - lo) * u element by element on Python floats, the bits
+        # and the errors of one rng.uniform(lows, highs) call, which costs more.
+        cx, cy = center.tolist()
+        lows = [cx - half, cy - half, 0.0, 0.0, float(offset_lo), float(drift_lo)]
+        highs = [cx + half, cy + half, float(vmax), 2.0 * math.pi,
+                 float(offset_hi), float(drift_hi)]
+        spans = [hi - lo for lo, hi in zip(lows, highs)]
+        if not all(map(math.isfinite, spans)):
             raise OverflowError("Range exceeds valid bounds")
         # numpy tests the sign bit, so a -0.0 range is negative too.
-        if any(math.copysign(1.0, v) < 0.0 for v in span_values):
+        if any(math.copysign(1.0, v) < 0.0 for v in spans):
             raise ValueError("high - low < 0")
-        draw = lows + spans * rng.random(spans.shape)
-        pos, (speed, heading, offset, drift) = draw[:2], draw[2:]
-        direction = np.array([np.cos(heading), np.sin(heading)])
+        x, y, speed, heading, offset, drift = [
+            lo + span * u for lo, span, u in zip(lows, spans, rng.random(6).tolist())
+        ]
+        pos, vel = [x, y], [speed * np.cos(heading), speed * np.sin(heading)]
     else:
         pos = rng.uniform(center - half, center + half)
         speed = rng.uniform(0.0, vmax)
         direction = rng.normal(size=ndim)
         norm = np.linalg.norm(direction)
         direction = direction / norm if norm > 0.0 else np.eye(ndim)[0]
+        vel = speed * direction
         offset = rng.uniform(offset_lo, offset_hi)
         drift = rng.uniform(drift_lo, drift_hi)
-    return UdState(
-        pos, speed * direction, offset * SPEED_OF_LIGHT, drift * 1e-6 * SPEED_OF_LIGHT
-    )
+    return UdState(pos, vel, offset * SPEED_OF_LIGHT, drift * 1e-6 * SPEED_OF_LIGHT)
 
 
 def forward_model(ud: UdState, anchors: AnchorSet) -> MeasurementSet:

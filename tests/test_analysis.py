@@ -82,6 +82,23 @@ class TestJacobian:
             jacobian(state, ANCHORS)
 
 
+ANCHORS_3D = AnchorSet(
+    np.column_stack([ANCHORS.positions, 50.0 * np.arange(8)]), ANCHORS.schedule
+)
+
+
+@pytest.mark.parametrize("model", [predict_measurements, forward_model, jacobian])
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_state_of_another_dimension_rejected(model, ndim):
+    # A ConfigurationError naming both dimensions: a 2-D state on 3-D anchors
+    # reached a numpy IndexError (model) or broadcast ValueError (Jacobian),
+    # and a 3-D state on 2-D anchors was read as a wrong 2-D state.
+    state = UdState(np.full(ndim, 300.0), np.ones(ndim), 0.0, 0.0)
+    anchors = ANCHORS_3D if ndim == 2 else ANCHORS
+    with pytest.raises(ConfigurationError, match=f"{ndim}-D state and {5 - ndim}-D"):
+        model(state, anchors)
+
+
 class TestCrlb:
     def _state_noise(self, seed=1, snr=30.0):
         from cftwlas import noise_for_snr
@@ -94,11 +111,8 @@ class TestCrlb:
         # A 2-D state on 3-D anchors and request sigmas of another count
         # raise ConfigurationError naming both sizes, not a numpy error.
         ud, noise = self._state_noise()
-        anchors_3d = AnchorSet(
-            np.column_stack([ANCHORS.positions, 50.0 * np.arange(8)]), ANCHORS.schedule
-        )
         with pytest.raises(ConfigurationError, match="2-D state and 3-D anchors"):
-            crlb(ud, anchors_3d, noise)
+            crlb(ud, ANCHORS_3D, noise)
         short = NoiseSpec(noise.sigma_request[:-1], noise.sigma_response)
         with pytest.raises(ConfigurationError, match="8 anchors and 7 request sigmas"):
             crlb(ud, ANCHORS, short)

@@ -445,6 +445,18 @@ def test_batch_rows_equal_estimate_alone_bitwise(
                 _assert_row_is_estimate(part, k - lo, reports[k])
 
 
+@pytest.mark.parametrize(
+    "toas, weights",
+    [((3, 14), (3, 14)), ((3, 16), (3, 14)), ((16,), (16,)), ((3, 16), (2, 16))],
+)
+def test_batch_of_another_shape_rejected(toas, weights):
+    # (K, 2M) TOAs and weights on M = 8 anchors, or a ConfigurationError
+    # naming both shapes; (3, 14) TOAs reached a numpy IndexError and (3, 14)
+    # weights a broadcast ValueError.
+    with pytest.raises(ConfigurationError, match=r"both must be \(K, 16\)"):
+        estimator.estimate_batch(np.ones(toas), np.ones(weights), ANCHORS)
+
+
 def test_center_degenerate_row_flagged_in_batch():
     anchors, window = _window(4, 3, 3, noise_free=True, center=True)
     batch = _batch(anchors, window)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cftwlas import (
@@ -30,6 +30,7 @@ from cftwlas import (
 from cftwlas import montecarlo
 from cftwlas.cli import main as cli_main
 from cftwlas.montecarlo import (
+    _entropy,
     _gauss_newton,
     _join,
     _run_window,
@@ -520,7 +521,7 @@ def _crlb_failing_on_some_states(state, anchors, noise):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    seed=st.integers(0, 2**32 - 1),
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96)),
     cell=st.integers(0, 40),
     start=st.integers(0, 30),
     length=st.integers(1, 12),
@@ -529,6 +530,11 @@ def _crlb_failing_on_some_states(state, anchors, noise):
     rule=st.sampled_from(("mean", "min", "max")),
     prior=st.sampled_from(((500.0, 50.0), (0.0, 0.0))),
 )
+# Seeds on both sides of 2**32, where a seed takes a second entropy word, and
+# a window whose runs cross it too.
+@example(2**32 - 1, 3, 0, 4, 8, 30.0, "mean", (500.0, 50.0))
+@example(2**32, 3, 0, 4, 8, 30.0, "mean", (500.0, 50.0))
+@example(2**64 + 5, 3, 2**32 - 2, 4, 8, 30.0, "mean", (500.0, 50.0))
 def test_window_inputs_equal_per_run_calls(
     seed, cell, start, length, an_count, snr_db, rule, prior
 ):
@@ -567,6 +573,62 @@ def test_window_inputs_equal_per_run_calls(
             rows.append((truth.as_vector(), meas.stacked(), noise.weights(), bound))
     for stack, column in zip(stacks, zip(*rows)):
         assert stack.tobytes() == np.array(column).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**64 + 5])
+def test_entropy_words_seed_the_list_streams(seed):
+    # The uint32 words of (seed, cell, run, stream) are the entropy numpy
+    # makes of the list, for runs on both sides of 2**32 and the streams of
+    # the state draw and of two Gauss-Newton methods.
+    for cell in (0, 7, 2**32 + 1):
+        for run in (0, 1, 2**32 - 1, 2**32, 2**33 + 3):
+            for stream in (0, 1, 2):
+                words = _entropy(seed, cell, run, stream)
+                want = np.random.SeedSequence([seed, cell, run, stream])
+                assert words.dtype == np.uint32
+                got = np.random.SeedSequence(words).generate_state(8)
+                assert got.tobytes() == want.generate_state(8).tobytes()
+    with pytest.raises(ValueError):
+        _entropy(seed, 0, -1, 0)
+
+
+def test_gauss_newton_window_across_run_2_to_the_32_draws_the_list_streams():
+    # Runs 2**32 - 1 and 2**32 of one window, started by two Gauss-Newton
+    # methods from streams 1 and 2, equal gauss_newton on each run alone
+    # from the list-seeded streams.
+    methods = (
+        MethodSpec("gauss_newton", init_std_m=50.0),
+        MethodSpec("gauss_newton", init_std_m=200.0, max_iter=6),
+    )
+    cfg = CampaignConfig(snr_db=(20.0,), seed=11, methods=methods)
+    anchors = build_square_scenario(cfg.anchor_side_m, 8, cfg.response_step_s)
+    start, cell = 2**32 - 1, 2
+    truths, gamma, weights, _ = _window_inputs(cfg, anchors, cell, 20.0, start, start + 2)
+    for mi, spec in enumerate(methods):
+        record = _gauss_newton(
+            cfg, spec, mi, cell, start, truths, gamma, weights, anchors
+        )
+        for k, run in enumerate((start, start + 1)):
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, cell, run, 0]))
+            truth = sample_ud_state(
+                rng, cfg.region_side_m, cfg.vmax_mps, cfg.offset_range_s,
+                cfg.drift_range_ppm, center=anchors.center,
+            )
+            noise = noise_for_snr(truth, anchors, 20.0)
+            meas = add_noise(forward_model(truth, anchors), noise, rng)
+            assert truths[k].tobytes() == truth.as_vector().tobytes()
+            assert gamma[k].tobytes() == meas.stacked().tobytes()
+            method_rng = np.random.default_rng(
+                np.random.SeedSequence([cfg.seed, cell, run, mi + 1])
+            )
+            init = make_initializer(truth, spec.init_std_m, method_rng)
+            state, trace = gauss_newton(
+                meas, anchors, noise, init, max_iter=spec.max_iter, tol=spec.tol_m
+            )
+            err2 = _sq_errors(state.as_vector()[None], truths[k][None], 2)[0]
+            assert record.err2[k].tobytes() == err2.tobytes()
+            assert record.iterations[k] == trace.iterations_used
+            assert record.flagged[k] == (not trace.converged)
 
 
 def test_window_weights_equal_noise_spec_weights_over_many_runs():
