@@ -12,9 +12,9 @@ uses:
 - the rest of ``_window_inputs``: the whole call less the four pieces above
 - ``estimate_batch`` on the window, per row
 
-Every piece is timed ``--repeats`` times and the median of those timings,
-divided by K, is printed in microseconds. Compare two trees on the same host,
-one after the other:
+The pieces are timed in turn, ``--repeats`` rounds of one call each, and
+the median of each piece's timings, divided by K, is printed in
+microseconds. Compare two trees on the same host, one after the other:
 
     PYTHONPATH=src python3 scripts/per_run_costs.py
 """
@@ -34,17 +34,8 @@ from cftwlas.scenario import NoiseSpec, _sigmas, build_square_scenario, sample_u
 
 RUNS = 250
 SNR_DB = 30.0
-
-
-def _median_us(fn, repeats: int) -> float:
-    """Median over ``repeats`` calls of ``fn``'s wall time, per run, in µs."""
-    fn()  # warm caches and lazy set-up
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times) / RUNS * 1e6
+# The per-run pieces of ``_window_inputs`` that are timed alone.
+WINDOW_PIECES = ("generator", "sample_ud_state", "NoiseSpec list", "crlb")
 
 
 def main() -> None:
@@ -88,23 +79,34 @@ def main() -> None:
         return _window_inputs(cfg, anchors, 0, SNR_DB, 0, RUNS)
 
     _, gamma, weights, _ = window()
-    fresh = [generators() for _ in range(args.repeats + 1)]
-    costs = {
-        "generator": _median_us(generators, args.repeats),
-        "sample_ud_state": _median_us(lambda: states(fresh.pop()), args.repeats),
-        "NoiseSpec list": _median_us(noise_specs, args.repeats),
-        "crlb": _median_us(bounds, args.repeats),
+    pieces = {
+        "generator": lambda _: generators(),
+        "sample_ud_state": states,
+        "NoiseSpec list": lambda _: noise_specs(),
+        "crlb": lambda _: bounds(),
+        "_window_inputs": lambda _: window(),
+        "estimate_batch per row": lambda _: estimate_batch(gamma, weights, anchors),
     }
-    whole = _median_us(window, args.repeats)
-    costs["rest of _window_inputs"] = whole - sum(costs.values())
-    costs["estimate_batch per row"] = _median_us(
-        lambda: estimate_batch(gamma, weights, anchors), args.repeats
-    )
+    # Round-robin, so that a drift in the host's speed reaches every piece;
+    # the first round warms caches and is dropped.
+    times = {name: [] for name in pieces}
+    for _ in range(args.repeats + 1):
+        rngs = generators()  # fresh streams for the state draw
+        for name, piece in pieces.items():
+            start = time.perf_counter()
+            piece(rngs)
+            times[name].append((time.perf_counter() - start) / RUNS * 1e6)
+    times = {name: values[1:] for name, values in times.items()}
+    times["rest of _window_inputs"] = [
+        whole - sum(parts)
+        for whole, *parts in zip(times["_window_inputs"], *map(times.get, WINDOW_PIECES))
+    ]
+    order = (*WINDOW_PIECES, "rest of _window_inputs", "_window_inputs",
+             "estimate_batch per row")
     print(f"cf_8an_30db window, K={RUNS}, seed {cfg.seed}, {args.repeats} repeats")
     print(f"{'piece':<24} {'us/run':>8}")
-    for name, us in costs.items():
-        print(f"{name:<24} {us:8.2f}")
-    print(f"{'_window_inputs':<24} {whole:8.2f}")
+    for name in order:
+        print(f"{name:<24} {statistics.median(times[name]):8.2f}")
 
 
 if __name__ == "__main__":

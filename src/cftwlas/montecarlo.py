@@ -284,7 +284,8 @@ def _gauss_newton(
 def _entropy(*values: int) -> np.ndarray:
     """The uint32 words into which ``SeedSequence`` coerces the list
     ``values``: each value as little-endian 32-bit words, 0 as one word.
-    Passed as an array, they seed the same stream at less cost."""
+    Passed as an array, they seed the same stream at less cost. A negative
+    value raises ValueError, as it does in the list."""
     words = []
     for value in values:
         if value < 0:
