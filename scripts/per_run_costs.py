@@ -12,7 +12,7 @@ uses:
 - the rest of ``_window_inputs``: the whole call less the four pieces above
 - ``estimate_batch`` on the window, per row
 
-The pieces are timed in turn, ``--repeats`` rounds of one call each, and
+The pieces are timed in turn, ``REPEATS`` rounds of one call each, and
 the median of each piece's timings, divided by K, is printed in
 microseconds. Compare two trees on the same host, one after the other:
 
@@ -21,7 +21,6 @@ microseconds. Compare two trees on the same host, one after the other:
 
 from __future__ import annotations
 
-import argparse
 import statistics
 import time
 
@@ -34,20 +33,21 @@ from cftwlas.scenario import NoiseSpec, _sigmas, build_square_scenario, sample_u
 
 RUNS = 250
 SNR_DB = 30.0
+SEED = 1
+REPEATS = 40
 # The per-run pieces of ``_window_inputs`` that are timed alone.
 WINDOW_PIECES = ("generator", "sample_ud_state", "NoiseSpec list", "crlb")
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=40)
-    args = parser.parse_args()
-
-    cfg = CampaignConfig(snr_db=(SNR_DB,), runs=RUNS, seed=args.seed)
+    cfg = CampaignConfig(snr_db=(SNR_DB,), runs=RUNS, seed=SEED)
     anchors = build_square_scenario(cfg.anchor_side_m, 8, cfg.response_step_s)
     center, runs = anchors.center, range(RUNS)
 
+    # ``generators`` and ``states`` copy the per-run loop of
+    # ``montecarlo._window_inputs`` (its seeding and its ``sample_ud_state``
+    # arguments); they must track it, or they time code the campaign no
+    # longer runs.
     def generators():
         return [
             np.random.default_rng(np.random.SeedSequence(_entropy(cfg.seed, 0, run, 0)))
@@ -90,7 +90,7 @@ def main() -> None:
     # Round-robin, so that a drift in the host's speed reaches every piece;
     # the first round warms caches and is dropped.
     times = {name: [] for name in pieces}
-    for _ in range(args.repeats + 1):
+    for _ in range(REPEATS + 1):
         rngs = generators()  # fresh streams for the state draw
         for name, piece in pieces.items():
             start = time.perf_counter()
@@ -103,7 +103,7 @@ def main() -> None:
     ]
     order = (*WINDOW_PIECES, "rest of _window_inputs", "_window_inputs",
              "estimate_batch per row")
-    print(f"cf_8an_30db window, K={RUNS}, seed {cfg.seed}, {args.repeats} repeats")
+    print(f"cf_8an_30db window, K={RUNS}, seed {cfg.seed}, {REPEATS} repeats")
     print(f"{'piece':<24} {'us/run':>8}")
     for name in order:
         print(f"{name:<24} {statistics.median(times[name]):8.2f}")
