@@ -127,13 +127,10 @@ def crlb(state: UdState, anchors: AnchorSet, noise: NoiseSpec) -> CrlbResult:
         raise DegenerateGeometryError("singular information matrix") from exc
     if not np.isfinite(bound).all():
         raise DegenerateGeometryError("singular information matrix")
-    n, diag = anchors.ndim, bound.diagonal().tolist()
-    # Running sums: the order in which np.trace adds up to 8 entries.
-    pos, vel = diag[0], diag[n]
-    for i in range(1, n):
-        pos += diag[i]
-        vel += diag[n + i]
-    blocks = BlockValues(pos, vel, diag[2 * n], diag[2 * n + 1])
+    n, diag = anchors.ndim, bound.diagonal()
+    # numpy's sums, the bits of np.trace; sum() of floats compensates from 3.12.
+    pos, vel = diag[: 2 * n].reshape(2, n).sum(axis=1).tolist()
+    blocks = BlockValues(pos, vel, *diag[2 * n :].tolist())
     return CrlbResult(fisher=fisher, crlb=bound, blocks=blocks)
 
 

@@ -49,13 +49,7 @@ CSV_COLUMNS = [
 
 
 def _fmt(value: float) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf"
-        return format(value, ".9g")
-    return str(value)
+    return format(value, ".9g") if isinstance(value, float) else str(value)
 
 
 def _cell_dicts(stats: CampaignStats, include_timing: bool) -> list[dict]:
@@ -179,16 +173,16 @@ def _cmd_simulate(args) -> int:
         cfg = benchmark_config()
     else:
         raise ConfigurationError("simulate needs --config FILE or --preset benchmark")
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.runs is not None:
-        overrides["runs"] = args.runs
-    if args.workers is not None:
-        overrides["workers"] = args.workers
+    overrides = {
+        key: getattr(args, key) for key in ("seed", "runs", "workers")
+        if getattr(args, key) is not None
+    }
     if overrides:
         cfg = config_from_dict({**config_to_dict(cfg), **overrides})
 
+    # An output path that cannot be written fails now, not after the runs.
+    for path in (args.csv, args.summary):
+        open(path, "a").close()
     cells = _cell_dicts(run_campaign(cfg), args.timing)
     _write_csv(args.csv, cells)
     summary = {
@@ -197,9 +191,7 @@ def _cmd_simulate(args) -> int:
         "timing_included": args.timing,
         "cells": cells,
     }
-    with open(args.summary, "w") as handle:
-        json.dump(summary, handle, indent=2)
-        handle.write("\n")
+    _emit(summary, args.summary)
     print(f"wrote {len(cells)} rows to {args.csv} and summary to {args.summary}")
     return 0
 
@@ -313,10 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigurationError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

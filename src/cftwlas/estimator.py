@@ -100,8 +100,8 @@ def _score(row, thetas, gamma, weights, anchors: AnchorSet, rows: int):
     finite, sits on an anchor or has a non-finite cost is unusable. The
     lowest cost wins, the first of equal-cost candidates with the smallest
     parameter norm on a tie; a row without a usable candidate gets -1.
-    Returns the costs, the usable mask, the winners and the model ranges and
-    rows of the candidates.
+    Returns the costs, the usable mask, the (rows,) intp winners and the
+    model ranges and rows of the candidates.
     """
     with np.errstate(all="ignore"):
         ranges, model = _evaluate(thetas, anchors)
@@ -120,7 +120,7 @@ def _score(row, thetas, gamma, weights, anchors: AnchorSet, rows: int):
             winner[k] = i
         elif c == costs[best] and np.linalg.norm(thetas[i]) < np.linalg.norm(thetas[best]):
             winner[k] = i
-    return cost, usable, winner, ranges, model
+    return cost, usable, np.array(winner, dtype=np.intp), ranges, model
 
 
 def _check_steps(steps: int) -> None:
@@ -314,8 +314,8 @@ def estimate_batch(
     candidates = np.bincount(row[usable], minlength=rows)
     real = np.bincount(row[usable & ~from_complex], minlength=rows)
 
-    won = np.array([k for k in range(rows) if winner[k] >= 0], dtype=np.intp)
-    pick = np.array([winner[k] for k in won.tolist()], dtype=np.intp)
+    won = np.flatnonzero(winner >= 0)
+    pick = winner[won]
     raw = np.full((rows, p), np.nan)
     raw[won] = thetas[pick]
     jac = _jacobians(*(r[pick] for r in ranges[:4]), anchors)
@@ -324,8 +324,7 @@ def estimate_batch(
     )
     refined = np.full((rows, p), np.nan)
     refined[won] = refined_won
-    degenerate = np.ones(rows, dtype=bool)
-    degenerate[won] = False
+    degenerate = winner < 0
     refine_singular = np.zeros(rows, dtype=bool)
     refine_singular[won] = ~ok
     return BatchEstimate(

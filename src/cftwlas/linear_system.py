@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateGeometryError
-from .scenario import AnchorSet, MeasurementSet
+from .scenario import AnchorSet, MeasurementSet, _check_sizes
 
 # A smallest-to-largest singular value ratio of A below this is rank loss.
 _RANK_RTOL = 1e-9
@@ -191,9 +191,8 @@ def build_system(
     center of a 4-anchor square with zero velocity) or the TOAs are not
     finite.
     """
+    _check_sizes(anchors, meas)
     m, n = anchors.count, anchors.ndim
-    if meas.count != m:
-        raise ConfigurationError("measurement and anchor counts differ")
     if m < n + 2:
         raise ConfigurationError(
             f"need at least {n + 2} anchors for {n}-D estimation, got {m}"

@@ -226,10 +226,7 @@ def _sq_errors(states: np.ndarray, truths: np.ndarray, ndim: int) -> np.ndarray:
     """(K, 4) per-block squared errors of K (K, 2N+2) states, NaN in a row
     whose state is not finite."""
     sq = (states - truths) ** 2
-    pos, vel = sq[:, 0], sq[:, ndim]
-    for i in range(1, ndim):
-        pos = pos + sq[:, i]
-        vel = vel + sq[:, ndim + i]
+    pos, vel = sq[:, :ndim].sum(axis=1), sq[:, ndim : 2 * ndim].sum(axis=1)
     blocks = np.stack([pos, vel, sq[:, 2 * ndim], sq[:, 2 * ndim + 1]], axis=1)
     blocks[~np.isfinite(states).all(axis=1)] = np.nan
     return blocks

@@ -240,12 +240,7 @@ def build_square_scenario(
     s = float(side_len)
     corners = [(0.0, 0.0), (s, 0.0), (s, s), (0.0, s)]
     midpoints = [(s / 2, 0.0), (s, s / 2), (s / 2, s), (0.0, s / 2)]
-    if an_count == 4:
-        points = corners
-    elif an_count == 5:
-        points = corners + midpoints[:1]
-    else:
-        points = corners + midpoints
+    points = corners + midpoints[: an_count - 4]
     schedule = response_step * np.arange(1, an_count + 1)
     return AnchorSet(np.array(points), schedule)
 
@@ -264,11 +259,14 @@ def sample_ud_state(
     Position is uniform in a square (cube) of side ``region_side`` around
     ``center``; speed is uniform up to ``vmax`` with an isotropic heading;
     clock offset and drift are uniform over the given ranges (seconds and ppm,
-    converted to meters and meters/second internally).
+    converted to meters and meters/second internally). A ``center`` whose
+    length is not ``ndim`` raises ConfigurationError.
     """
     if center is None:
         center = np.zeros(ndim)
     center = np.asarray(center, dtype=float).ravel()
+    if len(center) != ndim:
+        raise ConfigurationError(f"a {len(center)}-D center for a {ndim}-D state")
     half = region_side / 2.0
     (offset_lo, offset_hi), (drift_lo, drift_hi) = offset_range_s, drift_range_ppm
     if ndim == 2:

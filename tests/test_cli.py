@@ -167,6 +167,41 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
+    @pytest.mark.parametrize("option", ["--csv", "--summary"])
+    def test_unwritable_output_reported_before_any_run(
+        self, tmp_path, capsys, monkeypatch, option
+    ):
+        def no_campaign(cfg):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr("cftwlas.cli.run_campaign", no_campaign)
+        paths = {"--csv": tmp_path / "o.csv", "--summary": tmp_path / "o.json"}
+        paths[option] = tmp_path / "absent" / "out"
+        assert main([
+            "simulate", "--preset", "benchmark", "--runs", "200",
+            "--csv", str(paths["--csv"]), "--summary", str(paths["--summary"]),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent" in err
+
+    def test_failed_cells_write_nan_and_inf(self, tmp_path):
+        # At rest in the center of the 4-anchor square the closed form fails
+        # every run, so its RMSE fields are NaN; a noise-free cell's SNR is inf.
+        cfg_path = write_json(tmp_path / "cfg.json", {
+            "an_counts": [4], "noise_free": True, "region_side_m": 0.0,
+            "vmax_mps": 0.0, "runs": 3, "seed": 1, "methods": [{"kind": "cftwlas"}],
+        })
+        csv_path = tmp_path / "o.csv"
+        assert main([
+            "simulate", "--config", cfg_path,
+            "--csv", str(csv_path), "--summary", str(tmp_path / "o.json"),
+        ]) == 0
+        header, row = csv_path.read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["snr_db"] == "inf"
+        for key in ("rmse_pos_m", "rmse_vel_mps", "rmse_b_m", "rmse_w_mps"):
+            assert fields[key] == "nan"
+
     def test_negative_seed_reported(self, tmp_path, capsys):
         assert main([
             "simulate", "--preset", "benchmark", "--runs", "2", "--seed", "-1",

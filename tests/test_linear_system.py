@@ -125,6 +125,12 @@ class TestBuildSystem:
         with pytest.raises(ConfigurationError):
             build_system(forward_model(ud, anchors), anchors)
 
+    def test_measurement_count_mismatch_names_both_counts(self):
+        ud = UdState([300.0, 200.0], [1.0, 2.0], 10.0, 1.0)
+        meas = forward_model(ud, build_square_scenario(800.0, 5))
+        with pytest.raises(ConfigurationError, match="4 anchors and 5 measurement pairs"):
+            build_system(meas, build_square_scenario(800.0, 4))
+
     def test_rank_never_drops_when_anchors_added(self):
         rng = np.random.default_rng(3)
         full = build_square_scenario(800.0, 8)

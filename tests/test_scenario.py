@@ -164,6 +164,12 @@ class TestSampleUdState:
         assert ud.pos.shape == (3,)
         assert ud.vel.shape == (3,)
 
+    @pytest.mark.parametrize("ndim, length", [(2, 1), (2, 3), (3, 2), (3, 4)])
+    def test_center_of_another_dimension_rejected(self, ndim, length):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ConfigurationError, match=f"a {length}-D center for a {ndim}-D"):
+            sample_ud_state(rng, 500.0, center=np.zeros(length), ndim=ndim)
+
 
 class TestAddNoise:
     def _clean(self):
