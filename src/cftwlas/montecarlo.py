@@ -13,7 +13,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, is_dataclass
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -44,8 +44,9 @@ from .scenario import (  # noqa: F401
 )
 
 _METHOD_KINDS = ("cftwlas", "gauss_newton")
-# Most runs in one window, which each method solves as one stacked batch;
-# bounds its memory.
+# Most runs in one window, which the closed form solves as one stacked batch
+# and each group of Gauss-Newton methods with one stop rule as another, of
+# the window's runs once per method in the group; bounds their memory.
 _BATCH_ROWS = 256
 
 
@@ -181,8 +182,10 @@ class CellStats:
     failure_rate: float
     flops_per_call: int
     mean_iterations: float | None
-    # Volatile: measured solver time, not reproducible. The method's time on
-    # each window of the cell, summed; no run has a time of its own.
+    # Volatile: measured solver time, not reproducible. The cell's share, by
+    # rows, of each batch of the method that its runs were in, summed: a
+    # batch holds runs of several cells, and a Gauss-Newton batch the runs of
+    # every method that shares its stop rule. No run has a time of its own.
     wall_s: float
 
 
@@ -205,7 +208,8 @@ class _MethodRecord(NamedTuple):
     fallback (closed form) or non-converged (Gauss-Newton) flags, the (R, 4)
     squared block errors of the final states (a NaN row is a run without a
     finite state) and of the closed form's raw states, the (R,) Gauss-Newton
-    iterations and the method's seconds on these runs."""
+    iterations and the method's seconds on these runs: their share, by rows,
+    of the batches that solved them."""
 
     flagged: np.ndarray
     err2: np.ndarray
@@ -245,37 +249,56 @@ def _closed_form(spec: MethodSpec, truths, gamma, weights, anchors) -> _MethodRe
     return _MethodRecord(batch.no_real_root, err2, raw_err2, None, seconds)
 
 
-def _gauss_newton(
-    cfg, spec, mi, cell_index, start, truths, gamma, weights, anchors
-) -> _MethodRecord:
-    """The record of one Gauss-Newton method on a window's stacked runs,
-    from run ``start`` on, iterated as one batch.
+def _rows(record: _MethodRecord, lo: int, hi: int) -> _MethodRecord:
+    """Rows ``lo`` to ``hi`` of a record, with their share of its seconds."""
+    *stacks, seconds = record
+    share = seconds * (hi - lo) / len(record.err2)
+    return _MethodRecord(*(None if s is None else s[lo:hi] for s in stacks), share)
 
-    Run ``r`` starts where ``make_initializer`` puts it from its own stream
-    ``SeedSequence([seed, cell, r, mi + 1])``, seeded from the ``_entropy``
-    words of those values: N standard normals, scaled and
-    added to the true position on the stack as ``Generator.normal`` computes
+
+def _gauss_newton(
+    cfg, group, window, truths, gamma, weights, anchors
+) -> list[_MethodRecord]:
+    """The records of the Gauss-Newton methods ``group``, ``(mi, spec)``
+    pairs that share one ``(max_iter, tol_m)``, on a window's stacked runs,
+    iterated as one batch that holds the window's runs once per method.
+
+    Run ``r`` of cell ``c`` starts, for method ``mi``, where
+    ``make_initializer`` puts it from its own stream
+    ``SeedSequence([seed, c, r, mi + 1])``, seeded from the ``_entropy``
+    words of those values: N standard normals, scaled and added to the true
+    position on the stack as ``Generator.normal`` computes
     ``loc + scale * z``, with zero dynamics. A batch's rows equal, bit for
     bit, what ``gauss_newton`` reports for each run alone. A run whose
-    iterate sits on an anchor has no state and counts as failed.
+    iterate sits on an anchor has no state and counts as failed. Each
+    method's seconds are its share of the batch.
     """
-    n = anchors.ndim
+    n, rows = anchors.ndim, len(truths)
     clock = time.perf_counter()
-    draws = np.array([
-        np.random.default_rng(
-            np.random.SeedSequence(_entropy(cfg.seed, cell_index, run, mi + 1))
-        ).standard_normal(n)
-        for run in range(start, start + len(truths))
-    ])
-    inits = np.zeros_like(truths)
-    inits[:, :n] = truths[:, :n] + (0.0 + spec.init_std_m * draws)
+    inits = np.zeros((len(group) * rows, truths.shape[1]))
+    for g, (mi, spec) in enumerate(group):
+        draws = np.array([
+            np.random.default_rng(
+                np.random.SeedSequence(_entropy(cfg.seed, cell_index, run, mi + 1))
+            ).standard_normal(n)
+            for cell_index, _, _, start, stop in window
+            for run in range(start, stop)
+        ])
+        inits[g * rows : (g + 1) * rows, :n] = (
+            truths[:, :n] + (0.0 + spec.init_std_m * draws)
+        )
+    truths, gamma, weights = (
+        np.tile(x, (len(group), 1)) for x in (truths, gamma, weights)
+    )
+    rule = group[0][1]
     states, _, iterations, converged, _, _ = _gauss_newton_batch(
-        gamma, weights, inits, anchors, spec.max_iter, spec.tol_m
+        gamma, weights, inits, anchors, rule.max_iter, rule.tol_m
     )
     seconds = time.perf_counter() - clock
     err2 = _sq_errors(states, truths, n)
     flagged, iterations = ~np.array(converged), np.array(iterations)
-    return _MethodRecord(flagged, err2, None, iterations, seconds)
+    record = _MethodRecord(flagged, err2, None, iterations, seconds)
+    return [_rows(record, g * rows, (g + 1) * rows) for g in range(len(group))]
 
 
 def _entropy(*values: int) -> np.ndarray:
@@ -354,23 +377,37 @@ def _window_inputs(cfg, anchors, cell_index, snr_db, start, stop):
 
 
 def _run_window(cfg, window):
-    """Results of one window ``(cell_index, an_count, snr_db, start, stop)``,
-    runs ``start`` to ``stop`` of one cell, stacked once: the (K, 4)
-    square-rooted bound blocks and one ``_MethodRecord`` per method."""
-    cell_index, an_count, snr_db, start, stop = window
-    anchors = build_square_scenario(cfg.anchor_side_m, an_count, cfg.response_step_s)
-    truths, gamma, weights, crlb_sqrt = _window_inputs(
-        cfg, anchors, cell_index, snr_db, start, stop
+    """Results of one window: a tuple of segments ``(cell_index, an_count,
+    snr_db, start, stop)``, runs ``start`` to ``stop`` of cells of one anchor
+    layout, in cell order. The segments' runs are stacked once; the closed
+    form solves them as one batch, and each group of Gauss-Newton methods
+    with one ``(max_iter, tol_m)`` as another. Returns, per segment, the
+    (k, 4) square-rooted bound blocks and one ``_MethodRecord`` per method.
+    """
+    anchors = build_square_scenario(
+        cfg.anchor_side_m, window[0][1], cfg.response_step_s
     )
-    records = [
-        _closed_form(spec, truths, gamma, weights, anchors)
-        if spec.kind == "cftwlas"
-        else _gauss_newton(
-            cfg, spec, mi, cell_index, start, truths, gamma, weights, anchors
-        )
-        for mi, spec in enumerate(cfg.methods)
-    ]
-    return crlb_sqrt, records
+    truths, gamma, weights, crlb_sqrt = map(np.concatenate, zip(*(
+        _window_inputs(cfg, anchors, cell_index, snr_db, start, stop)
+        for cell_index, _, snr_db, start, stop in window
+    )))
+    records = [None] * len(cfg.methods)
+    groups = {}
+    for mi, spec in enumerate(cfg.methods):
+        if spec.kind == "cftwlas":
+            records[mi] = _closed_form(spec, truths, gamma, weights, anchors)
+        else:
+            groups.setdefault((spec.max_iter, spec.tol_m), []).append((mi, spec))
+    for group in groups.values():
+        gn = _gauss_newton(cfg, group, window, truths, gamma, weights, anchors)
+        for (mi, _), record in zip(group, gn):
+            records[mi] = record
+    results, lo = [], 0
+    for *_, start, stop in window:
+        hi = lo + stop - start
+        results.append((crlb_sqrt[lo:hi], [_rows(r, lo, hi) for r in records]))
+        lo = hi
+    return results
 
 
 def _mean(stack: np.ndarray) -> np.ndarray:
@@ -428,10 +465,10 @@ def _aggregate_cell(cfg, an_count, snr_db, crlb_sqrt, records) -> list[CellStats
 
 
 def _reduce(cfg, windows, results) -> list[CellStats]:
-    """Aggregate each cell once the results of its windows, which arrive in
+    """Aggregate each cell once the results of its segments, which arrive in
     window order, are in."""
     cells = []
-    pairs = zip(windows, results)
+    pairs = zip(chain.from_iterable(windows), chain.from_iterable(results))
     for (_, an_count, snr_db), group in groupby(pairs, key=lambda p: p[0][:3]):
         crlb_parts, method_parts = zip(*(result for _, result in group))
         records = [_join(parts) for parts in zip(*method_parts)]
@@ -443,22 +480,28 @@ def _reduce(cfg, windows, results) -> list[CellStats]:
 def run_campaign(cfg: CampaignConfig) -> CampaignStats:
     """Execute all (anchor-count, SNR) cells and aggregate per method.
 
-    Each cell splits into windows of ``ceil(runs / workers)`` runs, at most
-    ``_BATCH_ROWS``; the windows of all cells go through one process pool of
-    at most ``workers`` processes, and no more than there are windows or CPUs
-    (or run in this process when that is one).
+    Each anchor layout's rows are its cells in order (SNR points as given),
+    with each cell's runs in run order. They split into windows of
+    ``ceil(rows / workers)`` rows, at most ``_BATCH_ROWS``, so a window may
+    hold the tail of one cell and the head of the next; each method solves
+    a window as one batch. The windows of all layouts go through one process
+    pool of at most ``workers`` processes, and no more than there are
+    windows or CPUs (or run in this process when that is one).
     Per-run estimator failures are recorded in the statistics and never abort
     the campaign. Reduction order is fixed by run index, so results do not
     depend on the worker count.
     """
-    exec_cells = [
-        (an, snr) for an in cfg.an_counts for snr in cfg.snr_points
-    ]
-    chunk = min(math.ceil(cfg.runs / cfg.workers), _BATCH_ROWS)
+    snrs, runs = cfg.snr_points, cfg.runs
+    chunk = min(math.ceil(len(snrs) * runs / cfg.workers), _BATCH_ROWS)
     windows = [
-        (cell_index, an_count, snr_db, lo, min(lo + chunk, cfg.runs))
-        for cell_index, (an_count, snr_db) in enumerate(exec_cells)
-        for lo in range(0, cfg.runs, chunk)
+        tuple(
+            (li * len(snrs) + si, an_count, snr_db,
+             max(lo - si * runs, 0), min(lo + chunk - si * runs, runs))
+            for si, snr_db in enumerate(snrs)
+            if si * runs < lo + chunk and lo < (si + 1) * runs
+        )
+        for li, an_count in enumerate(cfg.an_counts)
+        for lo in range(0, len(snrs) * runs, chunk)
     ]
     processes = min(cfg.workers, len(windows), os.cpu_count() or 1)
     if processes == 1:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -67,17 +68,20 @@ class TestRunCampaign:
             assert deterministic_fields(a) == deterministic_fields(b)
 
     @pytest.mark.parametrize(
-        "workers, runs, cpus, pool",
+        "workers, runs, snr_db, cpus, pool",
         [
-            (100_000, 6, 4, 4),  # six one-run windows on four CPUs
-            (8, 3, 64, 3),  # three windows on many CPUs
-            (4, 40, 2, 2),  # four windows on two CPUs
-            (100_000, 6, None, None),  # CPU count unknown: in this process
-            (2, 1, 8, None),  # one window: in this process
+            (100_000, 6, (30.0,), 4, 4),  # six one-run windows on four CPUs
+            (8, 3, (30.0,), 64, 3),  # three windows on many CPUs
+            (4, 40, (30.0,), 2, 2),  # four windows on two CPUs
+            (100_000, 6, (30.0,), None, None),  # CPU count unknown: in this process
+            (2, 1, (30.0,), 8, None),  # one window: in this process
+            # The layout's six rows, two cells of three runs, in three
+            # two-row windows, the middle one across the cells.
+            (4, 3, (30.0, 10.0), 64, 3),
         ],
     )
     def test_pool_never_larger_than_windows_or_cpus(
-        self, monkeypatch, workers, runs, cpus, pool
+        self, monkeypatch, workers, runs, snr_db, cpus, pool
     ):
         # The pool is a stand-in that records its size and maps in this
         # process, so no large pool is ever started.
@@ -98,7 +102,7 @@ class TestRunCampaign:
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        cfg = CampaignConfig(snr_db=(30.0,), runs=runs, seed=9, workers=workers)
+        cfg = CampaignConfig(snr_db=snr_db, runs=runs, seed=9, workers=workers)
         stats = run_campaign(cfg)
         assert sizes == ([] if pool is None else [pool])
         assert stats.config.workers == workers
@@ -371,8 +375,11 @@ class TestBatchedCampaign:
         assert cf[8]["failure_rate"] == 0.0
 
     def test_window_cap_does_not_change_csv_or_summary(self, tmp_path, monkeypatch):
-        # _BATCH_ROWS caps the window: 8 splits each 40-run cell into five
-        # windows, 256 leaves one. The outputs are the same bytes.
+        # _BATCH_ROWS caps the window over each layout's 80 rows, two cells
+        # of 40 runs: 8 cuts every cell into five windows, 48 cuts a window
+        # across the two cells, 256 leaves one window of both. Two of the
+        # Gauss-Newton methods share a stop rule, and so one batch. The
+        # outputs are the same bytes.
         config = {
             "an_counts": [5, 8],
             "snr_db": [10.0, 30.0],
@@ -381,12 +388,14 @@ class TestBatchedCampaign:
             "methods": [
                 {"kind": "cftwlas"},
                 {"kind": "gauss_newton", "init_std_m": 200.0, "max_iter": 6},
+                {"kind": "gauss_newton", "init_std_m": 50.0},
+                {"kind": "gauss_newton", "init_std_m": 100.0, "max_iter": 6},
             ],
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         outputs = []
-        for batch_rows in (256, 8):
+        for batch_rows in (256, 48, 8):
             monkeypatch.setattr(montecarlo, "_BATCH_ROWS", batch_rows)
             csv_path = tmp_path / f"b{batch_rows}.csv"
             summary_path = tmp_path / f"b{batch_rows}.json"
@@ -395,16 +404,18 @@ class TestBatchedCampaign:
                 "--csv", str(csv_path), "--summary", str(summary_path),
             ]) == 0
             outputs.append((csv_path.read_bytes(), summary_path.read_bytes()))
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_records_equal_per_call_estimates(self):
+        # The last two Gauss-Newton methods share a stop rule, and so a batch.
         methods = (
             MethodSpec("cftwlas"),
             MethodSpec("gauss_newton", init_std_m=50.0),
             MethodSpec("gauss_newton", init_std_m=200.0, max_iter=6),
+            MethodSpec("gauss_newton", init_std_m=100.0, max_iter=6),
         )
         noisy = CampaignConfig(
-            an_counts=(8,), snr_db=(12.0,), runs=40, seed=17, methods=methods
+            an_counts=(8,), snr_db=(12.0, 30.0), runs=40, seed=17, methods=methods
         )
         # At rest in the center of the 4-anchor square every closed-form run
         # fails, and a failed row keeps the record estimate() gives alone.
@@ -412,23 +423,39 @@ class TestBatchedCampaign:
             an_counts=(4,), noise_free=True, region_side_m=0.0, vmax_mps=0.0,
             runs=40, seed=17, methods=methods,
         )
-        start, stop, cell = 5, 40, 0
-        for cfg, an_count, snr_db in ((noisy, 8, 12.0), (degenerate, 4, math.inf)):
+        start, stop = 5, 40
+        for cfg, an_count in ((noisy, 8), (degenerate, 4)):
             anchors = build_square_scenario(
                 cfg.anchor_side_m, an_count, cfg.response_step_s
             )
-            # A window of 35 runs, and the same runs as windows of up to 8
-            # runs joined in run order.
-            for width in (stop - start, 8):
-                crlb_parts, method_parts = zip(*(
-                    _run_window(cfg, (cell, an_count, snr_db, lo, min(lo + width, stop)))
-                    for lo in range(start, stop, width)
-                ))
+            # Runs 5 to 40 of each cell, in cell order: as one window (of
+            # both noisy cells), and as windows of up to 8 runs, one of them
+            # across the noisy cells, joined in run order.
+            rows = [
+                (cell, snr_db, run)
+                for cell, snr_db in enumerate(cfg.snr_points)
+                for run in range(start, stop)
+            ]
+            for width in (len(rows), 8):
+                windows = [
+                    tuple(
+                        (cell, an_count, snr_db, runs[0][2], runs[-1][2] + 1)
+                        for (cell, snr_db), runs in (
+                            (key, list(group)) for key, group in
+                            groupby(rows[lo : lo + width], key=lambda r: r[:2])
+                        )
+                    )
+                    for lo in range(0, len(rows), width)
+                ]
+                parts = [part for w in windows for part in _run_window(cfg, w)]
+                assert len(parts) == sum(map(len, windows))
+                crlb_parts, method_parts = zip(*parts)
                 crlb_sqrt = np.concatenate(crlb_parts)
                 cf, *gns = map(_join, zip(*method_parts))
-                assert crlb_sqrt.shape == (stop - start, 4)
-                for k, run in enumerate(range(start, stop)):
+                assert crlb_sqrt.shape == (len(rows), 4)
+                for k, (cell, snr_db, run) in enumerate(rows):
                     self._check_run(cfg, anchors, snr_db, cell, run, k, cf, gns)
+            assert any(len(w) == 2 for w in windows) == (not cfg.noise_free)
             assert np.isnan(cf.err2).all() == cfg.noise_free
 
     @staticmethod
@@ -492,10 +519,11 @@ class TestBatchedCampaign:
 
         def runs(lo, hi):
             rows = slice(lo, hi)
-            return _gauss_newton(
-                cfg, spec, 0, 0, lo, truths[rows], gamma[rows],
-                weights[rows], anchors,
+            (record,) = _gauss_newton(
+                cfg, [(0, spec)], ((0, 8, 30.0, lo, hi),), truths[rows],
+                gamma[rows], weights[rows], anchors,
             )
+            return record
 
         window = runs(0, 3)
         assert window.flagged[1] and np.isnan(window.err2[1]).all()
@@ -604,9 +632,10 @@ def test_gauss_newton_window_across_run_2_to_the_32_draws_the_list_streams():
     anchors = build_square_scenario(cfg.anchor_side_m, 8, cfg.response_step_s)
     start, cell = 2**32 - 1, 2
     truths, gamma, weights, _ = _window_inputs(cfg, anchors, cell, 20.0, start, start + 2)
+    window = ((cell, 8, 20.0, start, start + 2),)
     for mi, spec in enumerate(methods):
-        record = _gauss_newton(
-            cfg, spec, mi, cell, start, truths, gamma, weights, anchors
+        (record,) = _gauss_newton(
+            cfg, [(mi, spec)], window, truths, gamma, weights, anchors
         )
         for k, run in enumerate((start, start + 1)):
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, cell, run, 0]))
