@@ -12,10 +12,11 @@ Runs are grouped by workload, seed and tracing. Within a group the i-th
 parent run pairs with the i-th change run. For every metric the entry holds
 each side's values, median and quartiles, the number of pairs, how many of
 them the change won (ties count for neither side, the direction comes from
-``BENCHMARK.json``) and the change/parent ratio of the medians. Traced runs
-carry the per-layer figures, ``estimator.achieved_mflops`` and
-``baseline.achieved_mflops`` among them. Machine metadata comes from the
-runs, which must all agree on it.
+``BENCHMARK.json``) and the change/parent ratio of the medians, and each
+run's ``attempted`` and ``failed`` counts, whose quotient is the run's
+failed share. Traced runs carry the per-layer figures,
+``estimator.achieved_mflops`` and ``baseline.achieved_mflops`` among them.
+Machine metadata comes from the runs, which must all agree on it.
 """
 
 from __future__ import annotations
@@ -78,6 +79,9 @@ def _summarize(runs: dict, better: dict) -> dict:
     return {
         "pairs": pairs,
         "correct": all(r["correct"] for side in SIDES for r in runs[side][:pairs]),
+        "attempted": {
+            side: [r["attempted"] for r in runs[side][:pairs]] for side in SIDES
+        },
         "failed": {side: [r["failed"] for r in runs[side][:pairs]] for side in SIDES},
         "metrics": metrics,
     }

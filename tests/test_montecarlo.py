@@ -70,14 +70,19 @@ class TestRunCampaign:
     @pytest.mark.parametrize(
         "workers, runs, snr_db, cpus, pool",
         [
-            (100_000, 6, (30.0,), 4, 4),  # six one-run windows on four CPUs
-            (8, 3, (30.0,), 64, 3),  # three windows on many CPUs
-            (4, 40, (30.0,), 2, 2),  # four windows on two CPUs
-            (100_000, 6, (30.0,), None, None),  # CPU count unknown: in this process
-            (2, 1, (30.0,), 8, None),  # one window: in this process
+            # Six one-run windows on four CPUs.
+            pytest.param(100_000, 6, (30.0,), 4, 4, id="100000-6-4-4"),
+            # Three windows on many CPUs.
+            pytest.param(8, 3, (30.0,), 64, 3, id="8-3-64-3"),
+            # Four windows on two CPUs.
+            pytest.param(4, 40, (30.0,), 2, 2, id="4-40-2-2"),
+            # CPU count unknown: in this process.
+            pytest.param(100_000, 6, (30.0,), None, None, id="100000-6-None-None"),
+            # One window: in this process.
+            pytest.param(2, 1, (30.0,), 8, None, id="2-1-8-None"),
             # The layout's six rows, two cells of three runs, in three
             # two-row windows, the middle one across the cells.
-            (4, 3, (30.0, 10.0), 64, 3),
+            pytest.param(4, 3, (30.0, 10.0), 64, 3, id="4-3-64-3-two_snrs"),
         ],
     )
     def test_pool_never_larger_than_windows_or_cpus(
@@ -438,13 +443,7 @@ class TestBatchedCampaign:
             ]
             for width in (len(rows), 8):
                 windows = [
-                    tuple(
-                        (cell, an_count, snr_db, runs[0][2], runs[-1][2] + 1)
-                        for (cell, snr_db), runs in (
-                            (key, list(group)) for key, group in
-                            groupby(rows[lo : lo + width], key=lambda r: r[:2])
-                        )
-                    )
+                    self._window(rows[lo : lo + width], an_count)
                     for lo in range(0, len(rows), width)
                 ]
                 parts = [part for w in windows for part in _run_window(cfg, w)]
@@ -457,6 +456,16 @@ class TestBatchedCampaign:
                     self._check_run(cfg, anchors, snr_db, cell, run, k, cf, gns)
             assert any(len(w) == 2 for w in windows) == (not cfg.noise_free)
             assert np.isnan(cf.err2).all() == cfg.noise_free
+
+    @staticmethod
+    def _window(rows, an_count):
+        """The window of consecutive ``(cell, snr_db, run)`` rows: one
+        segment per cell."""
+        window = []
+        for (cell, snr_db), group in groupby(rows, key=lambda row: row[:2]):
+            runs = [run for *_, run in group]
+            window.append((cell, an_count, snr_db, runs[0], runs[-1] + 1))
+        return tuple(window)
 
     @staticmethod
     def _check_run(cfg, anchors, snr_db, cell, run, k, cf, gns):
