@@ -226,7 +226,7 @@ def solve_pair_detailed(
     pairs: list = []
     projections: list = []
     for k in _cluster([z.real for z, r in zip(roots, real) if r]):
-        values, ok, c_re, c_im, cplx = _kept_root(m, t1, t2, k)
+        values, ok, c_re, c_rel, cplx = _kept_root(m, t1, t2, k)
         for c, (y, valid) in enumerate(zip(values, ok)):
             if valid:
                 px, py, res = _polish_seed(m, k, y)
@@ -234,9 +234,9 @@ def solve_pair_detailed(
                     _insert_pair(pairs, (px, py), res)
                     if c == 0:
                         break
-        for re, im, is_complex in zip(c_re, c_im, cplx):
+        for re, rel, is_complex in zip(c_re, c_rel, cplx):
             if is_complex:
-                _add_projection(projections, k, re, abs(im) / max(1.0, abs(re)), True)
+                _add_projection(projections, k, re, rel, True)
     upper = [z for z, r in zip(roots, real) if not r and z.imag > 0]
     if upper:
         count = len(upper)
@@ -332,7 +332,7 @@ def solve_pairs(coef: np.ndarray):
         values, keep = _cluster_rows(np.where(real, re, np.nan))
         kr, kc = np.nonzero(keep)
         kv = values[kr, kc]
-        seed, ok, cplx_re, cplx_im, cplx = _kept_roots(m[kr], t1[kr], t2[kr], kv)
+        seed, ok, cplx_re, cplx_rel, cplx = _kept_roots(m[kr], t1[kr], t2[kr], kv)
         tx, ty, res = (np.full(seed.shape, np.nan) for _ in range(3))
         for columns in (np.arange(5) == 0, np.arange(5) > 0):
             at = ok & columns & ~(res[:, :1] <= _RESIDUAL_RTOL)
@@ -346,40 +346,29 @@ def solve_pairs(coef: np.ndarray):
             kr[np.nonzero(passed)[0]], tx[passed], ty[passed], res[passed], rows
         )
 
-        # Projections (row, x, y, rel_imag): where an equation's y went
-        # complex at a kept value, deduplicated as they are added, and one
-        # per conjugate pair of the resultant's own roots (roots of real
-        # polynomials come in exact conjugate pairs).
+        # Projections as (4, P) tables [row, x, y, rel_imag] of their finite
+        # pairs: where an equation's y went complex at a kept value,
+        # deduplicated as they are added, and one per conjugate pair of the
+        # resultant's own roots (roots of real polynomials come in exact
+        # conjugate pairs). Rows are exact as floats.
         ck, ce = np.nonzero(cplx)
-        o_re = cplx_re[ck, ce]
-        o_rel = np.abs(cplx_im[ck, ce]) / np.maximum(1.0, np.abs(o_re))
-        at_kept = kr[ck], kv[ck], o_re, o_rel
         zj, zc = np.nonzero(~real & (im > 0))
-        conjugate = zj, *_conjugate_projections(m[zj], t1[zj], t2[zj], roots[zj, zc])
-        at_kept, conjugate = (
-            tuple(v[np.isfinite(p[1]) & np.isfinite(p[2])] for v in p)
-            for p in (at_kept, conjugate)
-        )
-        at_kept = tuple(v[_distinct(*at_kept[:3], rows)] for v in at_kept)
-        joined = [np.concatenate(parts) for parts in zip(at_kept, conjugate)]
+        at_kept = np.stack([kr[ck], kv[ck], cplx_re[ck, ce], cplx_rel[ck, ce]])
+        conjugate = np.stack([zj, *_conjugate_projections(m[zj], t1[zj], t2[zj], roots[zj, zc])])
+        at_kept, conjugate = (p[:, np.isfinite(p[1:3]).all(axis=0)] for p in (at_kept, conjugate))
+        at_kept = at_kept[:, _distinct(at_kept[0].astype(np.intp), *at_kept[1:3], rows)]
         # Each row's projections nearest-to-real first; the sort is stable.
-        order = np.lexsort((joined[3], joined[0]))
-        joined = [v[order] for v in joined]
-        keep = _distinct(*joined[:3], rows)
-        pr, px, py, prel = (v[keep] for v in joined)
+        joined = np.concatenate([at_kept, conjugate], axis=1)
+        joined = joined[:, np.lexsort((joined[3], joined[0]))]
+        joined = joined[:, _distinct(joined[0].astype(np.intp), *joined[1:3], rows)]
 
         # Each row's real pairs, then its projections, scaled back.
         real_count = real_pairs[0].size
-        row = np.concatenate([real_pairs[0], pr])
-        order = np.argsort(row, kind="stable")
-        row = row[order]
-        lam = np.stack([
-            np.concatenate([real_pairs[1], px])[order] * sx[row],
-            np.concatenate([real_pairs[2], py])[order] * sy[row],
-        ], axis=1)
-        from_complex = (np.arange(row.size) >= real_count)[order]
-        rel = np.concatenate([np.zeros(real_count), prel])[order]
-        return row, lam, from_complex, rel
+        table = np.concatenate([[*real_pairs, np.zeros(real_count)], joined], axis=1)
+        order = np.argsort(table[0], kind="stable")
+        row, x, y, rel = table[:, order]
+        row = row.astype(np.intp)
+        return row, np.stack([x * sx[row], y * sy[row]], axis=1), order >= real_count, rel
 
 
 def _variable_scales(n: np.ndarray):
@@ -598,13 +587,13 @@ def _kept_roots(q: np.ndarray, t1: np.ndarray, t2: np.ndarray, kept: np.ndarray)
     ``q`` is (F, 2, 6) (both equations), ``t1`` (F, 3) and ``t2`` (F, 2).
     Returns the real candidates as (F, 5) values [-t1/t2, eq1 r1, eq1 r2,
     eq2 r1, eq2 r2] with their validity mask, and each equation's complex
-    root of positive imaginary part as (F, 2) real and imaginary parts with
-    a validity mask. -t1/t2 is valid where |t2| > 1e-10 max(1, |x|); it is
-    the one seed of its kept value unless its polished pair fails, and only
-    then are the equation candidates polished (``solve_pairs``). A real
-    pair takes the larger-magnitude root first and its companion via the
-    product (stable pairing); a conjugate pair within _IMAG_RTOL of the real
-    axis counts as one real root.
+    root of positive imaginary part as (F, 2) real parts and relative
+    imaginary magnitudes with a validity mask. -t1/t2 is valid where
+    |t2| > 1e-10 max(1, |x|); it is the one seed of its kept value unless
+    its polished pair fails, and only then are the equation candidates
+    polished (``solve_pairs``). A real pair takes the larger-magnitude root
+    first and its companion via the product (stable pairing); a conjugate
+    pair within _IMAG_RTOL of the real axis counts as one real root.
     """
     out = np.empty((kept.shape[0], 5))
     ok = np.empty(out.shape, dtype=bool)
@@ -636,14 +625,15 @@ def _kept_roots(q: np.ndarray, t1: np.ndarray, t2: np.ndarray, kept: np.ndarray)
     out[:, 2::2] = cc / (aa * r1)
     ok[:, 1::2] = linear | real_pair | (quadratic & near)
     ok[:, 2::2] = real_pair & (denom != 0.0)
-    return out, ok, re, im, quadratic & ~real_pair & ~near
+    rel = np.abs(im) / np.maximum(1.0, np.abs(re))
+    return out, ok, re, rel, quadratic & ~real_pair & ~near
 
 
 def _kept_root(eqs, t1, t2, k):
     """``_kept_roots`` of one kept value ``k`` on Python floats, ``eqs``
     holding both equations' [a, b, c, d, e, f]: the five candidate values
-    and their validity flags, and per equation the real and imaginary part
-    of its complex root and whether that counts.
+    and their validity flags, and per equation the real part and relative
+    imaginary magnitude of its complex root and whether that counts.
 
     Each valid entry is computed with the arithmetic of ``_kept_roots`` in
     the same order, so it has the same bits; the others are NaN.
@@ -655,11 +645,11 @@ def _kept_root(eqs, t1, t2, k):
     t2v = b0 + b1 * k
     valid = abs(t2v) > 1e-10 * max(1.0, abs(k))
     values, flags = [-t1v / t2v if valid else nan], [valid]
-    re_part, im_part, cplx = [], [], []
+    re_part, rel_part, cplx = [], [], []
     for a, b, c, d, e, f in eqs:
         aa, bb, cc = c, b * k + e, (a * k + d) * k + f
         tiny = _COEFF_ZERO_RTOL * max(max(abs(aa), abs(bb)), abs(cc))
-        re = im = nan
+        re = rel = nan
         near = True
         if abs(aa) > tiny:
             two_a = 2.0 * aa
@@ -673,6 +663,7 @@ def _kept_root(eqs, t1, t2, k):
                 flags += [True, denom != 0.0]
             else:
                 near = im <= _IMAG_RTOL * max(1.0, abs(re))
+                rel = abs(im) / max(1.0, abs(re))
                 values += [re if near else nan, nan]
                 flags += [near, False]
         elif abs(bb) > tiny:
@@ -682,9 +673,9 @@ def _kept_root(eqs, t1, t2, k):
             values += [nan, nan]
             flags += [False, False]
         re_part.append(re)
-        im_part.append(im)
+        rel_part.append(rel)
         cplx.append(not near)
-    return values, flags, re_part, im_part, cplx
+    return values, flags, re_part, rel_part, cplx
 
 
 def _divide(a: float, b: float) -> float:

@@ -186,10 +186,19 @@ class NoiseSpec:
         object.__setattr__(self, "sigma_request", sig)
         object.__setattr__(self, "sigma_response", float(self.sigma_response))
         # Checked as Python floats: cheaper than array tests for a few values.
-        if not all(0.0 < v < math.inf for v in sig.tolist()):
-            raise ConfigurationError("request sigmas must be positive and finite")
-        if not 0.0 < self.sigma_response < math.inf:
-            raise ConfigurationError("response sigma must be positive and finite")
+        # A sigma's weight 1/sigma^2 must be a positive finite double too: it
+        # is 0 once sigma^2 overflows and infinite once sigma^2 falls below
+        # the inverse of the largest double.
+        if not all(v > 0.0 and v * v > 0.0 and 0.0 < 1.0 / (v * v) < math.inf
+                   for v in sig.tolist()):
+            raise ConfigurationError(
+                "request sigmas must be positive, with positive finite weights 1/sigma^2"
+            )
+        s = self.sigma_response
+        if not (s > 0.0 and s * s > 0.0 and 0.0 < 1.0 / (s * s) < math.inf):
+            raise ConfigurationError(
+                "response sigma must be positive, with a positive finite weight 1/sigma^2"
+            )
 
     @property
     def count(self) -> int:

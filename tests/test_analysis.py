@@ -195,6 +195,14 @@ class TestCrlb:
             assert result.blocks.offset == bound[2 * n, 2 * n]
             assert result.blocks.drift == bound[2 * n + 1, 2 * n + 1]
 
+    def test_collinear_anchors_and_motion_along_them_are_singular(self):
+        # Anchors on one line and a device on it moving along it: nothing
+        # measures the position and velocity across the line.
+        anchors = AnchorSet([[100.0 * i, 0.0] for i in range(5)], 0.01 * np.arange(1, 6))
+        ud = UdState([150.0, 0.0], [3.0, 0.0], 0.0, 0.0)
+        with pytest.raises(DegenerateGeometryError, match="singular information matrix"):
+            crlb(ud, anchors, NoiseSpec(np.ones(5), 1.0))
+
     def test_center_of_square_fisher_is_usable_or_degenerate(self):
         # At the 4-anchor center the linearized builder degenerates, but the
         # information matrix itself can stay invertible; this only checks the

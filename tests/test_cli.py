@@ -441,3 +441,72 @@ class TestCrlbCommand:
         assert main(["crlb", "--input", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "8 anchors and 7 request sigmas" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "crlb"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("sigma_request_m", 1e-200),
+        ("sigma_request_m", 1e200),
+        ("sigma_response_m", 1e-200),
+        ("sigma_response_m", 1e200),
+    ],
+)
+def test_sigma_without_finite_weight_reported(tmp_path, capsys, command, key, value):
+    # A sigma whose weight 1/sigma^2 is not a positive finite double ends in
+    # exit 2 with an error naming the request or response sigma: not in an
+    # OverflowError or a ZeroDivisionError, an estimate without candidates
+    # or a singular bound.
+    if command == "estimate":
+        case_path, _ = estimate_case(tmp_path)
+        payload = json.loads(Path(case_path).read_text())
+    else:
+        payload = crlb_scene()
+        del payload["snr_db"]
+        payload.update(sigma_request_m=[1.0] * 8, sigma_response_m=1.0)
+    payload[key] = [value] * 8 if key == "sigma_request_m" else value
+    path = write_json(tmp_path / "sigma.json", payload)
+    assert main([command, "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key.split("_")[1] in err
+
+
+def test_scalar_request_sigma_equals_the_list(tmp_path):
+    # A scalar sigma_request_m stands for that sigma at every anchor.
+    case_path, _ = estimate_case(tmp_path)
+    payload = json.loads(Path(case_path).read_text())
+    payload["request_toa_m"][0] += 0.3
+    outputs = []
+    for sigma in (0.7, [0.7] * 8):
+        payload["sigma_request_m"] = sigma
+        path = write_json(tmp_path / "case.json", payload)
+        out = tmp_path / f"out_{len(outputs)}.json"
+        assert main(["estimate", "--input", path, "--output", str(out)]) == 0
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+
+
+def test_singular_information_reported(tmp_path, capsys):
+    # Collinear anchors and a device moving along their line leave the
+    # information matrix singular.
+    scene = crlb_scene()
+    scene.update(
+        anchors=[[100.0 * i, 0.0] for i in range(5)],
+        schedule_s=[0.01 * (i + 1) for i in range(5)],
+    )
+    scene["ud"].update(pos_m=[150.0, 0.0], vel_mps=[3.0, 0.0])
+    path = write_json(tmp_path / "line.json", scene)
+    assert main(["crlb", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "singular information matrix" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "crlb", "simulate"])
+def test_input_file_that_is_not_json_reported(tmp_path, capsys, command):
+    path = tmp_path / "broken.json"
+    path.write_text('{"anchors": [[0.0, 0.0],')
+    option = "--config" if command == "simulate" else "--input"
+    assert main([command, option, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid JSON")

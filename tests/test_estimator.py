@@ -20,7 +20,7 @@ from cftwlas import (
     predict_measurements,
     sample_ud_state,
 )
-from cftwlas import estimator
+from cftwlas import estimator, linear_system
 from cftwlas.analysis import _evaluate, _jacobians
 from cftwlas.estimator import compute_residuals, raw_estimate, wls_refine
 from cftwlas.polysolve import (
@@ -492,3 +492,78 @@ def test_wls_step_singular_row_is_nan_and_leaves_the_others_bitwise():
         assert one[0] and np.isfinite(alone).all()
         assert _bits(delta[k]) == _bits(alone[0])
         assert _bits(normal[k]) == _bits(alone_normal[0])
+
+
+def test_singular_refinement_keeps_the_raw_state(monkeypatch):
+    # A zero Jacobian makes the normal matrix singular: estimate() keeps the
+    # raw state, sets refinement_singular and reports neither a refined
+    # state nor a covariance.
+    ud = UdState([300.0, 500.0], [20.0, -30.0], 2000.0, -500.0)
+    meas = forward_model(ud, ANCHORS)
+    raw = estimate(meas, ANCHORS, UNIT_NOISE).raw
+    monkeypatch.setattr(estimator, "jacobian", lambda state, anchors: np.zeros((16, 6)))
+    report = estimate(meas, ANCHORS, UNIT_NOISE)
+    assert report.flags == estimator.EstimateFlags(refinement_singular=True)
+    assert _bits(report.raw.as_vector()) == _bits(raw.as_vector())
+    assert report.refined is None and report.refinement_cov is None
+    assert report.candidates
+
+
+def test_all_zero_weight_row_takes_the_smallest_norm_tie_and_fails_refinement():
+    # Zero weights make every candidate of a row cost 0: the tie goes to the
+    # first candidate of smallest parameter norm, and its refinement's
+    # normal matrix is zero, so the row is refine_singular with a NaN
+    # refined state. Every other row is what estimate() reports for it.
+    anchors, window = _window(8, 5, 4, noise_free=False, center=False)
+    gamma = np.array([meas.stacked() for meas, _ in window])
+    weights = np.array([noise.weights() for _, noise in window])
+    weights[1] = 0.0
+    batch = estimator.estimate_batch(gamma, weights, anchors)
+    assert batch.refine_singular.tolist() == [False, True, False, False]
+    assert np.isnan(batch.refined[1]).all()
+    meas, noise = window[1]
+    _, candidates = raw_estimate(meas, anchors, noise)
+    assert batch.candidates[1] == len(candidates) > 1
+    states = [c.state.as_vector() for c in candidates]
+    smallest = min(states, key=np.linalg.norm)
+    assert _bits(batch.raw[1]) == _bits(smallest)
+    for k in (0, 2, 3):
+        _assert_row_is_estimate(batch, k, estimate(window[k][0], anchors, window[k][1]))
+
+
+@pytest.mark.parametrize(
+    "at, value, fallback",
+    [
+        (3, np.nan, True),
+        (slice(None), np.inf, True),
+        (3, np.inf, False),
+        (12, -np.inf, False),
+    ],
+    ids=["nan", "all_inf", "one_inf", "one_minus_inf"],
+)
+def test_non_finite_toa_row_is_degenerate_and_leaves_the_others_bitwise(
+    monkeypatch, at, value, fallback
+):
+    # A NaN TOA, or a row of infinite TOAs (inf - inf is NaN), makes the
+    # stacked SVD raise, and every row is then solved alone; one infinite
+    # TOA does not, and its row fails the rank test. Either way only that
+    # row is degenerate, and every other row is what estimate() reports.
+    anchors, window = _window(8, 7, 5, noise_free=False, center=False)
+    gamma = np.array([meas.stacked() for meas, _ in window])
+    weights = np.array([noise.weights() for _, noise in window])
+    gamma[2, at] = value
+    calls = []
+
+    def counted(A, rhs):
+        calls.append(A.shape[0])
+        return solve(A, rhs)
+
+    solve = linear_system._solve
+    monkeypatch.setattr(linear_system, "_solve", counted)
+    with np.errstate(invalid="ignore"):
+        batch = estimator.estimate_batch(gamma, weights, anchors)
+    assert calls == ([5] + [1] * 5 if fallback else [5])
+    assert batch.degenerate.tolist() == [False, False, True, False, False]
+    assert np.isnan(batch.raw[2]).all() and np.isnan(batch.refined[2]).all()
+    for k in (0, 1, 3, 4):
+        _assert_row_is_estimate(batch, k, estimate(window[k][0], anchors, window[k][1]))

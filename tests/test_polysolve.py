@@ -380,14 +380,14 @@ def test_kept_roots_loop_matches_array_pass_bitwise(cases):
     # time, laid out as the array pass returns it.
     per_kept = zip(q.tolist(), t[:, :3].tolist(), t[:, 3:].tolist(), kept.tolist())
     found = [_kept_root(*args) for args in per_kept]
-    l_out, l_ok, l_re, l_im, l_cplx = (np.array(part) for part in zip(*found))
-    out, ok, re, im, cplx = array
+    l_out, l_ok, l_re, l_rel, l_cplx = (np.array(part) for part in zip(*found))
+    out, ok, re, rel, cplx = array
     np.testing.assert_array_equal(ok, l_ok)
     assert np.isnan(l_out[~l_ok]).all()
     np.testing.assert_array_equal(cplx, l_cplx)
     assert out[ok].tobytes() == l_out[ok].tobytes()
     assert re[cplx].tobytes() == l_re[cplx].tobytes()
-    assert im[cplx].tobytes() == l_im[cplx].tobytes()
+    assert rel[cplx].tobytes() == l_rel[cplx].tobytes()
 
 
 def _seeds_over(coef):
@@ -816,3 +816,31 @@ def test_batch_merge_equals_rows_alone(monkeypatch):
     together = solve_rows(coef)
     assert merges
     assert repr(together) == repr(alone)
+
+
+def test_one_row_call_dedupes_each_projection_set_once(monkeypatch):
+    # A one-row call walks its rows by position once in the merge, once in
+    # the dedupe of the projections at kept values and once in the dedupe of
+    # both projection sets joined: at most 3 layouts and 2 dedupe passes,
+    # whatever the row holds.
+    calls = {"_distinct": 0, "_by_position": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(polysolve, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(polysolve, name, counted)
+    rng = np.random.default_rng(23)
+    coef = np.concatenate([
+        _complex_meeting_rows(rng, 3),
+        rng.normal(size=(6, 2, 6)),
+        np.array([[_terms(q) for q in noise_free_pair(seed)[:2]] for seed in range(3)]),
+        _edge_rows()[0],
+    ])
+    projections = 0
+    for k in range(len(coef)):
+        before = dict(calls)
+        projections += int(solve_pairs(coef[k : k + 1])[2].sum())
+        assert calls["_distinct"] - before["_distinct"] <= 2, k
+        assert calls["_by_position"] - before["_by_position"] <= 3, k
+    assert projections

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,10 @@ from cftwlas import (
     sample_ud_state,
 )
 from cftwlas.scenario import SPEED_OF_LIGHT
+
+# The smallest and largest sigmas whose weights 1/sigma^2 are finite.
+_SMALLEST_SIGMA = math.nextafter(2.0**-512, math.inf)
+_LARGEST_SIGMA = math.sqrt(sys.float_info.max)
 
 
 class TestBuildSquareScenario:
@@ -314,8 +319,22 @@ class TestDomainTypes:
             NoiseSpec([1.0, 2.0], bad)
 
     def test_noise_spec_accepts_positive_finite_and_empty(self):
-        NoiseSpec([5e-324, 1e308], 5e-324)
+        # The extremes whose weights 1/sigma^2 are positive finite doubles.
+        noise = NoiseSpec([_SMALLEST_SIGMA, _LARGEST_SIGMA], _SMALLEST_SIGMA)
+        assert np.isfinite(noise.weights()).all() and (noise.weights() > 0.0).all()
         assert NoiseSpec(np.empty(0), 2.0).count == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [5e-324, 1e-200, 2.0**-512, math.nextafter(_LARGEST_SIGMA, math.inf), 1e200, 1e308],
+    )
+    def test_noise_spec_rejects_sigma_without_finite_weight(self, bad):
+        # sigma^2 underflows to 0 or below the inverse of the largest double
+        # (an infinite weight), or overflows (a zero weight).
+        with pytest.raises(ConfigurationError, match="request"):
+            NoiseSpec([1.0, bad, 2.0], 1.0)
+        with pytest.raises(ConfigurationError, match="response"):
+            NoiseSpec([1.0, 2.0], bad)
 
 
 def _uniform_call_state(rng, region_side, vmax, offset_range_s, drift_range_ppm, center):
