@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +30,11 @@ MIN_RANGE = 1e-9
 # response distance.
 _SIGMA_REDUCERS = {"mean": np.mean, "min": np.min, "max": np.max}
 _SQUARE_AN_COUNTS = (4, 5, 8)  # the layouts of build_square_scenario
+# The sigmas whose weights 1/sigma^2 are positive finite doubles. Above the
+# upper end sigma^2 overflows (a zero weight); at 2^-512 and below, sigma^2
+# is 0 or its inverse overflows (an infinite weight). Both ends are exact, as
+# sigma^2 and its inverse are monotonic.
+_SIGMA_RANGE = (math.nextafter(2.0**-512, math.inf), math.sqrt(sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -186,19 +192,11 @@ class NoiseSpec:
         object.__setattr__(self, "sigma_request", sig)
         object.__setattr__(self, "sigma_response", float(self.sigma_response))
         # Checked as Python floats: cheaper than array tests for a few values.
-        # A sigma's weight 1/sigma^2 must be a positive finite double too: it
-        # is 0 once sigma^2 overflows and infinite once sigma^2 falls below
-        # the inverse of the largest double.
-        if not all(v > 0.0 and v * v > 0.0 and 0.0 < 1.0 / (v * v) < math.inf
-                   for v in sig.tolist()):
-            raise ConfigurationError(
-                "request sigmas must be positive, with positive finite weights 1/sigma^2"
-            )
-        s = self.sigma_response
-        if not (s > 0.0 and s * s > 0.0 and 0.0 < 1.0 / (s * s) < math.inf):
-            raise ConfigurationError(
-                "response sigma must be positive, with a positive finite weight 1/sigma^2"
-            )
+        lo, hi = _SIGMA_RANGE
+        if not all(lo <= v <= hi for v in sig.tolist()):
+            raise ConfigurationError(f"request sigmas must lie in [{lo:.3g}, {hi:.3g}] m")
+        if not lo <= self.sigma_response <= hi:
+            raise ConfigurationError(f"response sigma must lie in [{lo:.3g}, {hi:.3g}] m")
 
     @property
     def count(self) -> int:

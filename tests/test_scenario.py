@@ -320,8 +320,9 @@ class TestDomainTypes:
 
     def test_noise_spec_accepts_positive_finite_and_empty(self):
         # The extremes whose weights 1/sigma^2 are positive finite doubles.
-        noise = NoiseSpec([_SMALLEST_SIGMA, _LARGEST_SIGMA], _SMALLEST_SIGMA)
-        assert np.isfinite(noise.weights()).all() and (noise.weights() > 0.0).all()
+        for response in (_SMALLEST_SIGMA, _LARGEST_SIGMA):
+            weights = NoiseSpec([_SMALLEST_SIGMA, _LARGEST_SIGMA], response).weights()
+            assert np.isfinite(weights).all() and (weights > 0.0).all()
         assert NoiseSpec(np.empty(0), 2.0).count == 0
 
     @pytest.mark.parametrize(
