@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import _evaluate, _jacobians, jacobian, predict_measurements
 from .errors import ConfigurationError, GeometryError
-from .linear_system import build_system, build_systems
+from .linear_system import _solve_stack, build_system, build_systems
 from .polysolve import (
     AuxiliaryPair,
     coefficients_from_system,
@@ -147,7 +147,7 @@ def _refine(thetas, jac, model, gamma, weights, steps: int, anchors: AnchorSet):
                 jac = _jacobians(*ranges[:4], anchors)
             delta, normal = _wls_step(jac, gamma - model, weights, ok)
             state = state + delta
-        cov = _solve_rows(normal, None, ok)
+        cov = _solve_stack(np.linalg.inv, (normal,), ok)
         # A state that went non-finite stays so through later steps.
         ok &= np.isfinite(state).all(axis=1) & np.isfinite(cov).all(axis=(1, 2))
     if not ok.all():
@@ -167,29 +167,7 @@ def _wls_step(jac, residual, weights, ok):
     jt_w = (jac * weights[:, :, None]).transpose(0, 2, 1)
     normal = np.matmul(jt_w, jac)
     rhs = np.matmul(jt_w, residual[:, :, None])
-    return _solve_rows(normal, rhs, ok)[:, :, 0], normal
-
-
-def _solve_rows(normal, rhs, ok):
-    """``solve(normal, rhs)``, or ``inv(normal)`` when ``rhs`` is None, on
-    the rows in ``ok``: the whole stack when every row is ok and none is
-    singular, else row by row. A singular row gives NaN and leaves ``ok``."""
-    if rhs is None:
-        solve, args = np.linalg.inv, (normal,)
-    else:
-        solve, args = np.linalg.solve, (normal, rhs)
-    if False not in ok.tolist():
-        try:
-            return solve(*args)
-        except np.linalg.LinAlgError:
-            pass
-    out = np.full(args[-1].shape, np.nan)
-    for i in np.flatnonzero(ok).tolist():
-        try:
-            out[i] = solve(*(a[i] for a in args))
-        except np.linalg.LinAlgError:
-            ok[i] = False
-    return out
+    return _solve_stack(np.linalg.solve, (normal, rhs), ok)[:, :, 0], normal
 
 
 def raw_estimate(

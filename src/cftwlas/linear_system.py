@@ -15,7 +15,7 @@ auxiliary pair consistent with the measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .scenario import AnchorSet, MeasurementSet, _check_sizes
 
 # A smallest-to-largest singular value ratio of A below this is rank loss.
 _RANK_RTOL = 1e-9
+# The thin singular value decomposition that solves the stacked systems.
+_svd = partial(np.linalg.svd, full_matrices=False)
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,9 @@ def build_systems(
     2N+2) matrices A, the (K, 2(M-1), 3) right-hand sides [y, G], their
     (K, 2N+2, 3) least squares images [g, U] and a (K,) mask of the rows
     whose A keeps full column rank; the images of the other rows carry no
-    meaning. Each row is solved through its own singular value
-    decomposition, so a row's output does not depend on the other rows.
-    Inputs are not validated here (``build_system`` does that).
+    meaning. Each row is its own singular value decomposition (NaN where it
+    fails), so a row's output does not depend on the other rows. Inputs are
+    not validated here (``build_system`` does that).
     """
     rows = request.shape[0]
     geo = _geometry(
@@ -102,23 +104,19 @@ def build_systems(
     # The measurement columns: request rows on top of response rows.
     rho, rhoi = request[:, r, None], request[:, idx]
     tau, taui = response[:, r, None], response[:, idx]
-    A[:, :k, 2 * n] = rhoi - rho
-    A[:, k:, 2 * n] = tau - taui
-    A[:, k:, 2 * n + 1] = geo.dt * tau - geo.dti * taui
-    rhs[:, :k, 0] = 0.5 * (geo.q_diff - (rhoi**2 - rho**2))
-    rhs[:, k:, 0] = 0.5 * (geo.q_diff - (taui**2 - tau**2))
-
-    try:
-        solution, full_rank = _solve(A, rhs)
-    except np.linalg.LinAlgError:
-        # A row whose decomposition fails (non-finite TOAs) has no solution.
-        solution = np.full((rows, 2 * n + 2, 3), np.nan)
-        full_rank = np.zeros(rows, dtype=bool)
-        for row in range(rows):
-            try:
-                solution[row], full_rank[row] = _solve(A[row : row + 1], rhs[row : row + 1])
-            except np.linalg.LinAlgError:
-                pass
+    # Huge finite TOAs overflow here; such a row fails the rank test.
+    with np.errstate(all="ignore"):
+        A[:, :k, 2 * n] = rhoi - rho
+        A[:, k:, 2 * n] = tau - taui
+        A[:, k:, 2 * n + 1] = geo.dt * tau - geo.dti * taui
+        rhs[:, :k, 0] = 0.5 * (geo.q_diff - (rhoi**2 - rho**2))
+        rhs[:, k:, 0] = 0.5 * (geo.q_diff - (taui**2 - tau**2))
+        # A = W diag(s) V', so the least squares images are V diag(1/s) W' rhs.
+        w, s, vt = _solve_stack(_svd, (A,), np.ones(rows, dtype=bool))
+        scaled = np.matmul(w.transpose(0, 2, 1), rhs) / s[:, :, None]
+        solution = np.matmul(vt.transpose(0, 2, 1), scaled)
+    # A NaN row (a failed decomposition) fails both tests.
+    full_rank = (s[:, 0] > 0.0) & (s[:, -1] >= _RANK_RTOL * s[:, 0])
     return A, rhs, solution, full_rank
 
 
@@ -163,17 +161,40 @@ def _geometry(positions: bytes, schedule: bytes, ndim: int, ref_index: int) -> _
     return _Geometry(k, idx, A, rhs, float(dt), dti, q_diff)
 
 
-def _solve(A: np.ndarray, rhs: np.ndarray):
-    """Least squares images of stacked right-hand sides and the rank mask.
-
-    A = W diag(s) V', so the images are V diag(1/s) W' rhs; the singular
-    values decide the rank check.
+def _solve_stack(solve, args, ok):
+    """``solve(*args)`` on the rows of the (K, ...) stacks ``args`` that the
+    (K,) mask ``ok`` keeps. ``solve`` takes each row as its own LAPACK
+    problem and returns an array (``np.linalg.solve``, ``np.linalg.inv``) or
+    a tuple of them (``_svd``). One stacked call takes the kept rows; where
+    LAPACK rejects a stack, each half goes alone, down to single rows, so
+    one rejected row among K costs at most 1 + 2 ceil(log2 K) calls. A
+    rejected row leaves ``ok``, and every row outside ``ok`` comes back NaN.
     """
-    w, s, vt = np.linalg.svd(A, full_matrices=False)
-    with np.errstate(all="ignore"):
-        scaled = np.matmul(w.transpose(0, 2, 1), rhs) / s[:, :, None]
-    full_rank = (s[:, 0] > 0.0) & (s[:, -1] >= _RANK_RTOL * s[:, 0])
-    return np.matmul(vt.transpose(0, 2, 1), scaled), full_rank
+    # None stands for every row as given; a stack LAPACK rejects is split.
+    stacks, parts = [None if False not in ok.tolist() else np.flatnonzero(ok)], []
+    while stacks:
+        rows = stacks.pop()
+        try:
+            out = solve(*(args if rows is None else (a[rows] for a in args)))
+        except np.linalg.LinAlgError:
+            rows = np.arange(ok.size) if rows is None else rows
+            if rows.size == 1:
+                ok[rows] = False
+            else:
+                stacks += np.array_split(rows, 2)[::-1]
+            continue
+        if rows is None:
+            return out
+        parts.append((rows, out))
+    if not parts:  # every row rejected: a stack of none gives the shapes
+        parts.append((np.arange(0), solve(*(a[:0] for a in args))))
+    single = not isinstance(parts[0][1], tuple)
+    parts = [(rows, (out,) if single else out) for rows, out in parts]
+    outs = [np.full((ok.size, *o.shape[1:]), np.nan) for o in parts[0][1]]
+    for rows, out in parts:
+        for full, o in zip(outs, out):
+            full[rows] = o
+    return outs[0] if single else tuple(outs)
 
 
 def build_system(

@@ -59,6 +59,8 @@ _IMAG_RTOL = 1e-6
 _DEDUPE_RTOL = 1e-7
 # A polished pair is a solution when its normalized residual is at most this.
 _RESIDUAL_RTOL = 1e-8
+# Newton steps that polish each seed, in both the float loop and the array pass.
+_POLISH_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -714,7 +716,7 @@ def _cluster(values: list[float]) -> list[float]:
     return out
 
 
-def _polish_seed(q: list, x: float, y: float, steps: int = 2):
+def _polish_seed(q: list, x: float, y: float):
     """Newton polish and normalized residual of one seed on Python floats.
 
     ``q`` holds both equations' [a, b, c, d, e, f]. The arithmetic is the
@@ -722,7 +724,7 @@ def _polish_seed(q: list, x: float, y: float, steps: int = 2):
     """
     (a1, b1, c1, d1, e1, f1), (a2, b2, c2, d2, e2, f2) = q
     a1_2, c1_2, a2_2, c2_2 = 2.0 * a1, 2.0 * c1, 2.0 * a2, 2.0 * c2
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         g1 = a1 * x * x + b1 * x * y + c1 * y * y + d1 * x + e1 * y + f1
         g2 = a2 * x * x + b2 * x * y + c2 * y * y + d2 * x + e2 * y + f2
         j11 = a1_2 * x + b1 * y + d1
@@ -759,9 +761,7 @@ def _polish_seed(q: list, x: float, y: float, steps: int = 2):
 # cannot be NaN.
 
 
-def _newton_polish(
-    coef: np.ndarray, x: np.ndarray, y: np.ndarray, steps: int = 2
-) -> tuple[np.ndarray, np.ndarray]:
+def _newton_polish(coef: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     """Newton steps on the 2x2 system from each seed (x[i], y[i]).
 
     ``coef`` is (6, 2, S): a..f of both equations for each seed. A seed stops
@@ -772,7 +772,7 @@ def _newton_polish(
     a2, c2 = 2.0 * a, 2.0 * c
     active = np.ones(x.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        for _ in range(steps):
+        for _ in range(_POLISH_STEPS):
             (f1, f2) = a * x * x + b * x * y + c * y * y + d * x + e * y + f
             (j11, j21) = a2 * x + b * y + d
             (j12, j22) = b * x + c2 * y + e

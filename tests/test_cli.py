@@ -472,6 +472,21 @@ def test_sigma_without_finite_weight_reported(tmp_path, capsys, command, key, va
     assert err.startswith("error: ") and key.split("_")[1] in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_finite_toa_is_degenerate_without_warnings(tmp_path, capsys):
+    # A request TOA of 1e200 m is finite, so the input passes; its squares
+    # overflow, and the estimate reports degenerate geometry with exit 0 and
+    # nothing on stderr.
+    case_path, _ = estimate_case(tmp_path)
+    payload = json.loads(Path(case_path).read_text())
+    payload["request_toa_m"][3] = 1e200
+    path = write_json(tmp_path / "huge.json", payload)
+    assert main(["estimate", "--input", path]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["flags"]["degenerate_geometry"]
+
+
 def test_scalar_request_sigma_equals_the_list(tmp_path):
     # A scalar sigma_request_m stands for that sigma at every anchor.
     case_path, _ = estimate_case(tmp_path)

@@ -545,25 +545,90 @@ def test_non_finite_toa_row_is_degenerate_and_leaves_the_others_bitwise(
     monkeypatch, at, value, fallback
 ):
     # A NaN TOA, or a row of infinite TOAs (inf - inf is NaN), makes the
-    # stacked SVD raise, and every row is then solved alone; one infinite
-    # TOA does not, and its row fails the rank test. Either way only that
-    # row is degenerate, and every other row is what estimate() reports.
+    # stacked SVD raise, and the stack is then split in halves until the
+    # row stands alone; one infinite TOA does not, and its row fails the
+    # rank test. Either way only that row is degenerate, and every other row
+    # is what estimate() reports.
     anchors, window = _window(8, 7, 5, noise_free=False, center=False)
     gamma = np.array([meas.stacked() for meas, _ in window])
     weights = np.array([noise.weights() for _, noise in window])
     gamma[2, at] = value
     calls = []
 
-    def counted(A, rhs):
+    def counted(A):
         calls.append(A.shape[0])
-        return solve(A, rhs)
+        return svd(A)
 
-    solve = linear_system._solve
-    monkeypatch.setattr(linear_system, "_solve", counted)
+    svd = linear_system._svd
+    monkeypatch.setattr(linear_system, "_svd", counted)
     with np.errstate(invalid="ignore"):
         batch = estimator.estimate_batch(gamma, weights, anchors)
-    assert calls == ([5] + [1] * 5 if fallback else [5])
+    # Halves of [0, 1, 2, 3, 4]: [0, 1, 2] fails, then [0, 1], [2] and [3, 4].
+    assert calls == ([5, 3, 2, 1, 2] if fallback else [5])
     assert batch.degenerate.tolist() == [False, False, True, False, False]
     assert np.isnan(batch.raw[2]).all() and np.isnan(batch.refined[2]).all()
     for k in (0, 1, 3, 4):
         _assert_row_is_estimate(batch, k, estimate(window[k][0], anchors, window[k][1]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_finite_toa_row_is_degenerate_without_warnings():
+    # A request TOA of 1e200 m overflows the squared TOAs of the right-hand
+    # side; the row fails the rank test, no RuntimeWarning escapes, and every
+    # other row is what estimate() reports.
+    anchors, window = _window(8, 7, 5, noise_free=False, center=False)
+    gamma = np.array([meas.stacked() for meas, _ in window])
+    weights = np.array([noise.weights() for _, noise in window])
+    gamma[2, 3] = 1e200
+    batch = estimator.estimate_batch(gamma, weights, anchors)
+    assert batch.degenerate.tolist() == [False, False, True, False, False]
+    assert np.isnan(batch.raw[2]).all() and np.isnan(batch.refined[2]).all()
+    for k in (0, 1, 3, 4):
+        _assert_row_is_estimate(batch, k, estimate(window[k][0], anchors, window[k][1]))
+
+
+@pytest.mark.parametrize("rows, at", [(16, 0), (16, 9), (20, 13), (20, 19)])
+def test_singular_row_costs_log_many_stacked_calls(monkeypatch, rows, at):
+    # One singular normal matrix among K rows: the refinement's step makes
+    # at most 1 + 2 ceil(log2 K) stacked solves, and its covariance, whose
+    # mask already excludes that row, one stacked inv. The singular row is
+    # NaN and leaves the mask; every other row has the bits of its batch of
+    # one.
+    anchors, window = _window("3d", 11, rows, noise_free=False, center=False)
+    rng = np.random.default_rng(12)
+    thetas = np.array([
+        sample_ud_state(rng, 500.0, center=anchors.center, ndim=3).as_vector()
+        for _ in window
+    ])
+    ranges, model = _evaluate(thetas, anchors)
+    jac = _jacobians(*ranges[:4], anchors)
+    jac[at, :, 1] = 0.0
+    gamma = np.array([meas.stacked() for meas, _ in window])
+    weights = np.array([noise.weights() for _, noise in window])
+    calls = {"solve": [], "inv": []}
+
+    def counted(name):
+        lapack = getattr(np.linalg, name)
+
+        def call(*args):
+            calls[name].append(args[0].shape[0])
+            return lapack(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    state, cov, ok = estimator._refine(thetas, jac, model, gamma, weights, 1, anchors)
+    bound = 1 + 2 * int(np.ceil(np.log2(rows)))
+    assert calls["solve"][0] == rows and len(calls["solve"]) <= bound
+    assert calls["inv"] == [rows - 1]
+    assert np.flatnonzero(~ok).tolist() == [at]
+    assert np.isnan(state[at]).all() and np.isnan(cov[at]).all()
+    for k in sorted(set(range(rows)) - {at}):
+        one = slice(k, k + 1)
+        alone = estimator._refine(
+            thetas[one], jac[one], model[one], gamma[one], weights[one], 1, anchors
+        )
+        assert alone[2][0]
+        assert _bits(state[k]) == _bits(alone[0][0])
+        assert _bits(cov[k]) == _bits(alone[1][0])
