@@ -90,9 +90,9 @@ def _gauss_newton_batch(
             live, theta, gamma, weights, residual, *ranges = (
                 x[keep] for x in (live, theta, gamma, weights, residual, *ranges)
             )
-        # No row left is on an anchor: every row is ok for the step.
+        # No row left is on an anchor: every row takes the step.
         jac = _jacobians(*ranges[:4], anchors)
-        delta = _wls_step(jac, residual, weights, ~ranges[4])[0]
+        delta = _wls_step(jac, residual, weights, None)[0]
         nxt = theta + delta
         finite = np.isfinite(nxt).all(axis=1)
         if False in finite.tolist():

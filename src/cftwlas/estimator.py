@@ -161,8 +161,8 @@ def _wls_step(jac, residual, weights, ok):
     their (K, 2M, P) Jacobians, (K, 2M) residuals and weights.
 
     Returns the (K, P) corrections and the (K, P, P) normal matrices; a
-    singular row's correction is NaN and the row leaves ``ok``. Refinement
-    and Gauss-Newton both step through it.
+    singular row's correction is NaN and the row leaves ``ok`` (None keeps
+    every row). Refinement and Gauss-Newton both step through it.
     """
     jt_w = (jac * weights[:, :, None]).transpose(0, 2, 1)
     normal = np.matmul(jt_w, jac)

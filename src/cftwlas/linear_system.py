@@ -112,7 +112,7 @@ def build_systems(
         rhs[:, :k, 0] = 0.5 * (geo.q_diff - (rhoi**2 - rho**2))
         rhs[:, k:, 0] = 0.5 * (geo.q_diff - (taui**2 - tau**2))
         # A = W diag(s) V', so the least squares images are V diag(1/s) W' rhs.
-        w, s, vt = _solve_stack(_svd, (A,), np.ones(rows, dtype=bool))
+        w, s, vt = _solve_stack(_svd, (A,))
         scaled = np.matmul(w.transpose(0, 2, 1), rhs) / s[:, :, None]
         solution = np.matmul(vt.transpose(0, 2, 1), scaled)
     # A NaN row (a failed decomposition) fails both tests.
@@ -161,36 +161,36 @@ def _geometry(positions: bytes, schedule: bytes, ndim: int, ref_index: int) -> _
     return _Geometry(k, idx, A, rhs, float(dt), dti, q_diff)
 
 
-def _solve_stack(solve, args, ok):
+def _solve_stack(solve, args, ok=None):
     """``solve(*args)`` on the rows of the (K, ...) stacks ``args`` that the
-    (K,) mask ``ok`` keeps. ``solve`` takes each row as its own LAPACK
-    problem and returns an array (``np.linalg.solve``, ``np.linalg.inv``) or
-    a tuple of them (``_svd``). One stacked call takes the kept rows; where
-    LAPACK rejects a stack, each half goes alone, down to single rows, so
-    one rejected row among K costs at most 1 + 2 ceil(log2 K) calls. A
-    rejected row leaves ``ok``, and every row outside ``ok`` comes back NaN.
-    """
+    (K,) mask ``ok`` keeps, every row when ``ok`` is None. ``solve`` takes
+    each row as its own LAPACK problem and returns an array
+    (``np.linalg.solve``, ``np.linalg.inv``) or a tuple of them (``_svd``).
+    One stacked call takes the kept rows; where LAPACK rejects a stack, each
+    half goes alone, down to single rows, so one rejected row among K > 1
+    costs at most 1 + 2 ceil(log2 K) calls. A rejected row leaves ``ok``,
+    and every row outside ``ok`` comes back NaN."""
     # None stands for every row as given; a stack LAPACK rejects is split.
-    stacks, parts = [None if False not in ok.tolist() else np.flatnonzero(ok)], []
+    stacks, parts = [None if ok is None or False not in ok.tolist() else np.flatnonzero(ok)], []
     while stacks:
         rows = stacks.pop()
         try:
             out = solve(*(args if rows is None else (a[rows] for a in args)))
         except np.linalg.LinAlgError:
-            rows = np.arange(ok.size) if rows is None else rows
-            if rows.size == 1:
-                ok[rows] = False
-            else:
-                stacks += np.array_split(rows, 2)[::-1]
+            rows = np.arange(len(args[0])) if rows is None else rows
+            stacks += np.array_split(rows, 2)[::-1] if rows.size > 1 else []
             continue
         if rows is None:
             return out
         parts.append((rows, out))
     if not parts:  # every row rejected: a stack of none gives the shapes
         parts.append((np.arange(0), solve(*(a[:0] for a in args))))
+    if ok is not None:  # the rows LAPACK rejected leave the mask
+        ok[:] = False
+        ok[np.concatenate([rows for rows, _ in parts])] = True
     single = not isinstance(parts[0][1], tuple)
     parts = [(rows, (out,) if single else out) for rows, out in parts]
-    outs = [np.full((ok.size, *o.shape[1:]), np.nan) for o in parts[0][1]]
+    outs = [np.full((len(args[0]), *o.shape[1:]), np.nan) for o in parts[0][1]]
     for rows, out in parts:
         for full, o in zip(outs, out):
             full[rows] = o

@@ -468,7 +468,8 @@ def test_center_degenerate_row_flagged_in_batch():
 def test_wls_step_singular_row_is_nan_and_leaves_the_others_bitwise():
     # The step refinement and Gauss-Newton share: a row whose normal matrix
     # is singular gets a NaN correction and leaves ``ok``; every other row
-    # gets the bits it gets in a batch of one.
+    # gets the bits it gets in a batch of one. Gauss-Newton passes no mask
+    # and gets the same corrections.
     anchors, window = _window("3d", 11, 5, noise_free=False, center=False)
     rng = np.random.default_rng(12)
     thetas = np.array([
@@ -484,6 +485,7 @@ def test_wls_step_singular_row_is_nan_and_leaves_the_others_bitwise():
     delta, normal = estimator._wls_step(jac, residual, weights, ok)
     assert np.isnan(delta[2]).all()
     assert ok.tolist() == [True, True, False, True, True]
+    assert _bits(estimator._wls_step(jac, residual, weights, None)[0]) == _bits(delta)
     for k in (0, 1, 3, 4):
         one = np.ones(1, dtype=bool)
         alone, alone_normal = estimator._wls_step(
