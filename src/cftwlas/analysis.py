@@ -13,15 +13,16 @@ from .scenario import MIN_RANGE, AnchorSet, NoiseSpec, UdState, _check_sizes
 def _ranges(pos: np.ndarray, vel: np.ndarray, anchors: AnchorSet):
     """Device-to-anchor vectors and ranges of K states.
 
-    ``pos`` and ``vel`` are (K, N). Returns the (K, M, N) vectors and (K, M)
-    ranges at the request and reception instants, and a (K,) mask of the
-    states that sit on an anchor, where direction vectors are undefined.
+    ``pos`` and ``vel`` are (K, N). Returns the (K, N, M) vectors, one
+    coordinate per middle index, and (K, M) ranges at the request and
+    reception instants, and a (K,) mask of the states that sit on an anchor,
+    where direction vectors are undefined.
     """
-    diff0 = anchors.positions - pos[:, None, :]
-    # sqrt of the summed squares is what np.linalg.norm(axis=-1) computes.
-    d0 = np.sqrt(np.add.reduce(diff0 * diff0, axis=-1))
-    diff1 = diff0 - anchors.schedule[:, None] * vel[:, None, :]
-    d1 = np.sqrt(np.add.reduce(diff1 * diff1, axis=-1))
+    diff0 = anchors._positions_t - pos[:, :, None]
+    # The summed squares, in the order np.linalg.norm(axis=-1) adds them.
+    d0 = np.sqrt(np.add.reduce(diff0 * diff0, axis=1))
+    diff1 = diff0 - anchors.schedule * vel[:, :, None]
+    d1 = np.sqrt(np.add.reduce(diff1 * diff1, axis=1))
     on_anchor = np.minimum(d0, d1).min(axis=1) < MIN_RANGE
     return diff0, d0, diff1, d1, on_anchor
 
@@ -55,9 +56,10 @@ def _jacobians(diff0, d0, diff1, d1, anchors: AnchorSet) -> np.ndarray:
     jac = np.empty((d0.shape[0], *template.shape))
     jac[...] = template
     # -(a / b) and a / -b are the same double, so -e and -l are written in
-    # place from the negated ranges.
-    np.divide(diff0, -d0[:, :, None], out=jac[:, :m, :n])
-    np.divide(diff1, -d1[:, :, None], out=jac[:, m:, :n])
+    # place from the negated ranges, through views with the (K, N, M) layout
+    # of the vectors.
+    np.divide(diff0, -d0[:, None, :], out=jac[:, :m, :n].transpose(0, 2, 1))
+    np.divide(diff1, -d1[:, None, :], out=jac[:, m:, :n].transpose(0, 2, 1))
     np.multiply(jac[:, m:, :n], anchors.schedule[:, None], out=jac[:, m:, n : 2 * n])
     return jac
 

@@ -85,6 +85,12 @@ class AnchorSet:
         return 0.5 * (self.positions.min(axis=0) + self.positions.max(axis=0))
 
     @cached_property
+    def _positions_t(self) -> np.ndarray:
+        """The (N, M) transposed positions, contiguous, from which
+        ``analysis._ranges`` builds its device-to-anchor vectors."""
+        return np.ascontiguousarray(self.positions.T)
+
+    @cached_property
     def _jacobian_template(self) -> np.ndarray:
         """The (2M, 2N+2) measurement Jacobian's state-independent entries,
         which ``analysis._jacobians`` copies before writing the direction
