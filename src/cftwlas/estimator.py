@@ -12,7 +12,10 @@ Every stage is a stacked kernel over K measurement rows that share one anchor
 geometry, and a row's output does not depend on the other rows of its batch.
 ``estimate_batch`` runs them on many rows at once; ``estimate`` and the
 functions it calls through this module (``raw_estimate``, ``wls_refine`` and
-the solver stages) are their one-row case and build the report objects.
+the solver stages) are their one-row case and build the report objects. The
+kernels leave floating-point warnings to their caller: ``estimate_batch``
+turns them off once for its whole chain, and each one-row stage once for its
+own kernels.
 """
 
 from __future__ import annotations
@@ -89,8 +92,7 @@ def compute_residuals(
 def _candidate_states(g: np.ndarray, U: np.ndarray, row: np.ndarray, lam: np.ndarray):
     """Parameter vectors ``g + U lam`` (C, 2N+2) of the flat candidates of
     ``solve_pairs``: (C, 2) pairs ``lam`` of the rows ``row``."""
-    with np.errstate(all="ignore"):
-        return g[row] + np.matmul(U[row], lam[:, :, None])[:, :, 0]
+    return g[row] + np.matmul(U[row], lam[:, :, None])[:, :, 0]
 
 
 def _score(row, thetas, gamma, weights, anchors: AnchorSet, rows: int):
@@ -103,13 +105,12 @@ def _score(row, thetas, gamma, weights, anchors: AnchorSet, rows: int):
     Returns the costs, the usable mask, the (rows,) intp winners and the
     model ranges and rows of the candidates.
     """
-    with np.errstate(all="ignore"):
-        ranges, model = _evaluate(thetas, anchors)
-        residuals = gamma[row] - model
-        weighted = weights[row] * residuals
-        # r @ (w * r) per candidate, as compute_residuals evaluates it.
-        cost = np.matmul(residuals[:, None, :], weighted[:, :, None])[:, 0, 0]
-        usable = np.isfinite(thetas).all(axis=1) & ~ranges[4] & np.isfinite(cost)
+    ranges, model = _evaluate(thetas, anchors)
+    residuals = gamma[row] - model
+    weighted = weights[row] * residuals
+    # r @ (w * r) per candidate, as compute_residuals evaluates it.
+    cost = np.matmul(residuals[:, None, :], weighted[:, :, None])[:, 0, 0]
+    usable = np.isfinite(thetas).all(axis=1) & ~ranges[4] & np.isfinite(cost)
     winner = [-1] * rows
     costs = cost.tolist()
     for i, (k, c, keep) in enumerate(zip(row.tolist(), costs, usable.tolist())):
@@ -139,17 +140,16 @@ def _refine(thetas, jac, model, gamma, weights, steps: int, anchors: AnchorSet):
     """
     ok = np.ones(thetas.shape[0], dtype=bool)
     state = thetas
-    with np.errstate(all="ignore"):
-        for step in range(steps):
-            if step:
-                ranges, model = _evaluate(state, anchors)
-                ok &= ~ranges[4]
-                jac = _jacobians(*ranges[:4], anchors)
-            delta, normal = _wls_step(jac, gamma - model, weights, ok)
-            state = state + delta
-        cov = _solve_stack(np.linalg.inv, (normal,), ok)
-        # A state that went non-finite stays so through later steps.
-        ok &= np.isfinite(state).all(axis=1) & np.isfinite(cov).all(axis=(1, 2))
+    for step in range(steps):
+        if step:
+            ranges, model = _evaluate(state, anchors)
+            ok &= ~ranges[4]
+            jac = _jacobians(*ranges[:4], anchors)
+        delta, normal = _wls_step(jac, gamma - model, weights, ok)
+        state = state + delta
+    cov = _solve_stack(np.linalg.inv, (normal,), ok)
+    # A state that went non-finite stays so through later steps.
+    ok &= np.isfinite(state).all(axis=1) & np.isfinite(cov).all(axis=(1, 2))
     if not ok.all():
         state[~ok] = np.nan
         cov[~ok] = np.nan
@@ -195,10 +195,11 @@ def raw_estimate(
     roots.extend((seed.pair, True) for seed in solution.complex_pairs)
     row = np.zeros(len(roots), dtype=np.intp)
     lam = np.array([(p.lam1, p.lam2) for p, _ in roots], dtype=float).reshape(-1, 2)
-    thetas = _candidate_states(system.g[None], system.U[None], row, lam)
-    cost, usable, (winner,), _, _ = _score(
-        row, thetas, meas.stacked()[None], noise.weights()[None], anchors, 1
-    )
+    with np.errstate(all="ignore"):
+        thetas = _candidate_states(system.g[None], system.U[None], row, lam)
+        cost, usable, (winner,), _, _ = _score(
+            row, thetas, meas.stacked()[None], noise.weights()[None], anchors, 1
+        )
     candidates = []
     best = None
     for i, ((pair, fallback), keep) in enumerate(zip(roots, usable.tolist())):
@@ -234,15 +235,16 @@ def wls_refine(
         model = predict_measurements(raw, anchors)
     except GeometryError:
         return raw, None
-    refined, cov, ok = _refine(
-        raw.as_vector()[None],
-        jac[None],
-        model[None],
-        meas.stacked()[None],
-        noise.weights()[None],
-        steps,
-        anchors,
-    )
+    with np.errstate(all="ignore"):
+        refined, cov, ok = _refine(
+            raw.as_vector()[None],
+            jac[None],
+            model[None],
+            meas.stacked()[None],
+            noise.weights()[None],
+            steps,
+            anchors,
+        )
     if not ok[0]:
         return raw, None
     return UdState.from_vector(refined[0]), cov[0]
@@ -282,24 +284,24 @@ def estimate_batch(
             f"{gamma.shape} TOAs and {weights.shape} weights on {m} anchors: "
             f"both must be (K, {2 * m})"
         )
-    _, _, solution, full_rank = build_systems(gamma[:, :m], gamma[:, m:], anchors)
-    solved = np.flatnonzero(full_rank)
-    g, U = solution[solved, :, 0], solution[solved, :, 1:]
-    local, lam, from_complex, _ = solve_pairs(quadratic_coefficients(g, U, anchors.ndim))
-    thetas = _candidate_states(g, U, local, lam)
-    row = solved[local]
-    _, usable, winner, ranges, model = _score(row, thetas, gamma, weights, anchors, rows)
+    with np.errstate(all="ignore"):
+        _, _, solution, full_rank = build_systems(gamma[:, :m], gamma[:, m:], anchors)
+        solved = np.flatnonzero(full_rank)
+        g, U = solution[solved, :, 0], solution[solved, :, 1:]
+        local, lam, from_complex, _ = solve_pairs(quadratic_coefficients(g, U, anchors.ndim))
+        thetas = _candidate_states(g, U, local, lam)
+        row = solved[local]
+        _, usable, winner, ranges, model = _score(row, thetas, gamma, weights, anchors, rows)
+        won = np.flatnonzero(winner >= 0)
+        pick = winner[won]
+        jac = _jacobians(*(r[pick] for r in ranges[:4]), anchors)
+        refined_won, _, ok = _refine(
+            thetas[pick], jac, model[pick], gamma[won], weights[won], refine_steps, anchors
+        )
     candidates = np.bincount(row[usable], minlength=rows)
     real = np.bincount(row[usable & ~from_complex], minlength=rows)
-
-    won = np.flatnonzero(winner >= 0)
-    pick = winner[won]
     raw = np.full((rows, p), np.nan)
     raw[won] = thetas[pick]
-    jac = _jacobians(*(r[pick] for r in ranges[:4]), anchors)
-    refined_won, _, ok = _refine(
-        thetas[pick], jac, model[pick], gamma[won], weights[won], refine_steps, anchors
-    )
     refined = np.full((rows, p), np.nan)
     refined[won] = refined_won
     degenerate = winner < 0

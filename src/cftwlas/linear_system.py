@@ -10,6 +10,11 @@ The system reads ``A @ theta = y + G @ [lam1, lam2]`` with one request row and
 one response row per non-reference anchor. ``g`` and ``U`` are the least
 squares images of ``y`` and ``G``, so that ``theta = g + U @ lam`` for any
 auxiliary pair consistent with the measurements.
+
+Only the offset and drift columns of A and y depend on the measurements. The
+other 2N columns are fixed by the anchor layout, which is factored once;
+each measurement row then costs a projection and a 2-column factorization,
+and a singular value decomposition only when a bound cannot settle its rank.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from .scenario import AnchorSet, MeasurementSet, _check_sizes
 
 # A smallest-to-largest singular value ratio of A below this is rank loss.
 _RANK_RTOL = 1e-9
-# The thin singular value decomposition that solves the stacked systems.
-_svd = partial(np.linalg.svd, full_matrices=False)
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,9 @@ class LinearSystem:
             the request block is identically zero.
         g: (2N+2,) least squares solution of ``A g = y``.
         U: (2N+2, 2) least squares solution of ``A U = G``.
+
+    ``build_system`` solves both through the QR factorization of A that
+    ``build_systems`` assembles, and tests A's rank on its singular values.
     """
 
     A: np.ndarray
@@ -90,49 +96,88 @@ def build_systems(
     2N+2) matrices A, the (K, 2(M-1), 3) right-hand sides [y, G], their
     (K, 2N+2, 3) least squares images [g, U] and a (K,) mask of the rows
     whose A keeps full column rank; the images of the other rows carry no
-    meaning. Each row is its own singular value decomposition (NaN where it
-    fails), so a row's output does not depend on the other rows. Inputs are
-    not validated here (``build_system`` does that).
+    meaning. Only the offset and drift columns of A and y depend on the
+    measurements: the thin QR of the other 2N columns comes with the layout
+    (``_geometry``), so each row projects its measurement columns and
+    right-hand sides off that factor, factors the 2-column rest by modified
+    Gram-Schmidt and back-substitutes. The rank test reads s_min / s_max of
+    A. 1 / (|A|_F |R^-1|_F), R the assembled triangular factor, bounds it
+    from below and clears a row without LAPACK; a row it cannot clear takes
+    a values-only singular value decomposition of A, and a row whose A is
+    not finite fails. Every step is per row, so a row's output does not
+    depend on the other rows. Inputs are not validated here (``build_system``
+    does that), and floating-point errors are left to the caller's
+    ``np.errstate``: a huge finite TOA overflows, and its row fails the rank
+    test.
     """
     rows = request.shape[0]
     geo = _geometry(
         anchors.positions.tobytes(), anchors.schedule.tobytes(), anchors.ndim, ref_index
     )
-    k, n, r, idx = geo.k, anchors.ndim, ref_index, geo.others
-    A = np.repeat(geo.A[None], rows, axis=0)
-    rhs = np.repeat(geo.rhs[None], rows, axis=0)
-    # The measurement columns: request rows on top of response rows.
-    rho, rhoi = request[:, r, None], request[:, idx]
-    tau, taui = response[:, r, None], response[:, idx]
-    # Huge finite TOAs overflow here; such a row fails the rank test.
-    with np.errstate(all="ignore"):
-        A[:, :k, 2 * n] = rhoi - rho
-        A[:, k:, 2 * n] = tau - taui
-        A[:, k:, 2 * n + 1] = geo.dt * tau - geo.dti * taui
-        rhs[:, :k, 0] = 0.5 * (geo.q_diff - (rhoi**2 - rho**2))
-        rhs[:, k:, 0] = 0.5 * (geo.q_diff - (taui**2 - tau**2))
-        # A = W diag(s) V', so the least squares images are V diag(1/s) W' rhs.
-        w, s, vt = _solve_stack(_svd, (A,))
-        scaled = np.matmul(w.transpose(0, 2, 1), rhs) / s[:, :, None]
-        solution = np.matmul(vt.transpose(0, 2, 1), scaled)
-    # A NaN row (a failed decomposition) fails both tests.
-    full_rank = (s[:, 0] > 0.0) & (s[:, -1] >= _RANK_RTOL * s[:, 0])
-    return A, rhs, solution, full_rank
+    k2, n = 2 * geo.k, anchors.ndim
+    p = 2 * n + 2
+    # [A | y, G] of every row over two constant rows; A and the right-hand
+    # sides are views of it. The offset and drift columns are linear in the
+    # TOAs and y in their squares: request rows on top of response rows.
+    toa = np.concatenate((request, response), axis=1)[:, None]
+    ext = np.repeat(geo.ext[None], rows, axis=0)
+    ext[:, :k2, 2 * n : p] = np.matmul(toa, geo.linear).reshape(rows, k2, 2)
+    ext[:, :k2, p] = geo.half_q + np.matmul(toa * toa, geo.square)[:, 0]
+    # For x = ext[:, :, 2N:] = [c0, c1, y, G], z stacks the projection
+    # (I - Q1 Q1') x off the fixed columns (2k rows) on F^+ x with -I under
+    # c0 and c1 (2N + 2 rows). Modified Gram-Schmidt on the projected c0 and
+    # c1, carried through every row of z, leaves the least squares images of
+    # y and G in those last 2N + 2 rows.
+    z = np.matmul(geo.project, ext[:, :, 2 * n :])
+    t = np.matmul(z[:, :k2, :1].transpose(0, 2, 1), z[:, :k2])
+    z1 = z[:, :, 1:] - z[:, :, :1] * (t[:, :, 1:] / t[:, :, :1])
+    v = np.matmul(z1[:, :k2, :1].transpose(0, 2, 1), z1[:, :k2])
+    solution = z1[:, k2:, 1:] - z1[:, k2:, :1] * (v[:, :, 1:] / v[:, :, :1])
+    # |R^-1|_F^2 is |R1^-1|_F^2 plus that of the measurement columns of
+    # R^-1: the last rows of z's c0 over r11 and of z1's c1 over r22, with
+    # r11^2 = t0 and r22^2 = v0.
+    w0, w1 = z[:, k2:, 0], z1[:, k2:, 0]
+    inv_sq = geo.r1_inv_sq + (
+        np.add.reduce(w0 * w0, axis=1) / t[:, 0, 0] + np.add.reduce(w1 * w1, axis=1) / v[:, 0, 0]
+    )
+    cols = ext[:, :k2, 2 * n : p]
+    a_sq = geo.f_sq + np.add.reduce((cols * cols).reshape(rows, -1), axis=1)
+    # A NaN bound (a zero or non-finite pivot) never clears a row.
+    full_rank = a_sq * inv_sq <= _RANK_RTOL**-2
+    A = ext[:, :k2, :p]
+    if False in full_rank.tolist():
+        exact = np.flatnonzero(~full_rank)
+        exact = exact[np.isfinite(A[exact]).all(axis=(1, 2))]
+        if exact.size:
+            s = _solve_stack(partial(np.linalg.svd, compute_uv=False), (A[exact],))
+            # A NaN row (a failed decomposition) fails both tests.
+            full_rank[exact] = (s[:, 0] > 0.0) & (s[:, -1] >= _RANK_RTOL * s[:, 0])
+    return A, ext[:, :k2, p:], solution, full_rank
 
 
 @dataclass(frozen=True)
 class _Geometry:
-    """The measurement-free part of the stacked system for one anchor layout
-    and reference: A without its offset and drift columns, the right-hand
-    side without y, and what the measurement columns need."""
+    """The measurement-free part of the stacked systems of one anchor layout
+    and reference.
+
+    ``ext`` is [A | y, G] without the offset and drift columns and y, over
+    two rows that hold the 2x2 identity under those two columns. ``linear`` (2M, 4k) maps
+    the TOAs [requests, responses] to the offset and drift columns (row by
+    row), and ``square`` (2M, 2k) their squares to y less ``half_q``. With
+    F = Q1 R1 the thin QR of the 2N fixed columns of A, ``project`` is
+    [[I - Q1 Q1', 0], [R1^-1 Q1', 0], [0, -I]], and ``f_sq`` and
+    ``r1_inv_sq`` are |F|_F^2 and |R1^-1|_F^2. Where LAPACK cannot invert
+    R1 they are NaN, and every row takes the exact rank test.
+    """
 
     k: int
-    others: np.ndarray
-    A: np.ndarray
-    rhs: np.ndarray
-    dt: float
-    dti: np.ndarray
-    q_diff: np.ndarray
+    ext: np.ndarray
+    linear: np.ndarray
+    square: np.ndarray
+    half_q: np.ndarray
+    project: np.ndarray
+    f_sq: float
+    r1_inv_sq: float
 
 
 @lru_cache(maxsize=16)
@@ -147,25 +192,48 @@ def _geometry(positions: bytes, schedule: bytes, ndim: int, ref_index: int) -> _
     q, qi = pos[r], pos[idx]
     dt, dti = sched[r], sched[idx]
     q_sq = np.sum(pos**2, axis=1)
-    A = np.zeros((2 * k, 2 * n + 2))
-    rhs = np.zeros((2 * k, 3))
+    ext = np.zeros((2 * k + 2, 2 * n + 5))
     dq = qi - q
-    A[:k, :n] = dq
-    A[k:, :n] = dq
-    A[k:, n : 2 * n] = dti[:, None] * qi - dt * q
-    rhs[k:, 1] = 0.5 * (dt**2 - dti**2)
-    rhs[k:, 2] = dt - dti
-    q_diff = q_sq[idx] - q_sq[r]
-    for shared in (idx, A, rhs, dti, q_diff):
+    ext[:k, :n] = dq
+    ext[k : 2 * k, :n] = dq
+    ext[k : 2 * k, n : 2 * n] = dti[:, None] * qi - dt * q
+    ext[k : 2 * k, 2 * n + 3] = 0.5 * (dt**2 - dti**2)
+    ext[k : 2 * k, 2 * n + 4] = dt - dti
+    ext[2 * k :, 2 * n : 2 * n + 2] = np.eye(2)
+    rows = np.arange(k)
+    # c0 = [rho_i - rho, tau - tau_i], c1 = [0, dt tau - dt_i tau_i] and
+    # y = [q_diff - (rho_i^2 - rho^2), q_diff - (tau_i^2 - tau^2)] / 2.
+    linear = np.zeros((2 * m, 2 * k, 2))
+    linear[idx, rows, 0], linear[r, :k, 0] = 1.0, -1.0
+    linear[m + r, k:, 0], linear[m + idx, k + rows, 0] = 1.0, -1.0
+    linear[m + r, k:, 1], linear[m + idx, k + rows, 1] = dt, -dti
+    square = np.zeros((2 * m, 2 * k))
+    square[idx, rows], square[r, :k] = -0.5, 0.5
+    square[m + idx, k + rows], square[m + r, k:] = -0.5, 0.5
+    half_q = 0.5 * np.tile(q_sq[idx] - q_sq[r], 2)
+    fixed = ext[: 2 * k, : 2 * n]
+    q1, r1 = np.linalg.qr(fixed)
+    try:
+        r1_inv = np.linalg.inv(r1)
+    except np.linalg.LinAlgError:
+        r1_inv = np.full(r1.shape, np.nan)
+    project = np.zeros((2 * k + 2 * n + 2, 2 * k + 2))
+    project[: 2 * k, : 2 * k] = np.eye(2 * k) - q1 @ q1.T
+    project[2 * k : 2 * k + 2 * n, : 2 * k] = r1_inv @ q1.T
+    project[-2:, -2:] = -np.eye(2)
+    linear = linear.reshape(2 * m, 4 * k)
+    for shared in (ext, linear, square, half_q, project):
         shared.setflags(write=False)
-    return _Geometry(k, idx, A, rhs, float(dt), dti, q_diff)
+    return _Geometry(
+        k, ext, linear, square, half_q, project, float(np.sum(fixed**2)), float(np.sum(r1_inv**2))
+    )
 
 
 def _solve_stack(solve, args, ok=None):
     """``solve(*args)`` on the rows of the (K, ...) stacks ``args`` that the
     (K,) mask ``ok`` keeps, every row when ``ok`` is None. ``solve`` takes
     each row as its own LAPACK problem and returns an array
-    (``np.linalg.solve``, ``np.linalg.inv``) or a tuple of them (``_svd``).
+    (``np.linalg.solve``, ``np.linalg.inv``, ``np.linalg.svd`` of values).
     One stacked call takes the kept rows; where LAPACK rejects a stack, each
     half goes alone, down to single rows, so one rejected row among K > 1
     costs at most 1 + 2 ceil(log2 K) calls. A rejected row leaves ``ok``,
@@ -183,18 +251,15 @@ def _solve_stack(solve, args, ok=None):
         if rows is None:
             return out
         parts.append((rows, out))
-    if not parts:  # every row rejected: a stack of none gives the shapes
+    if not parts:  # every row rejected: a stack of none gives the shape
         parts.append((np.arange(0), solve(*(a[:0] for a in args))))
     if ok is not None:  # the rows LAPACK rejected leave the mask
         ok[:] = False
         ok[np.concatenate([rows for rows, _ in parts])] = True
-    single = not isinstance(parts[0][1], tuple)
-    parts = [(rows, (out,) if single else out) for rows, out in parts]
-    outs = [np.full((len(args[0]), *o.shape[1:]), np.nan) for o in parts[0][1]]
+    full = np.full((len(args[0]), *parts[0][1].shape[1:]), np.nan)
     for rows, out in parts:
-        for full, o in zip(outs, out):
-            full[rows] = o
-    return outs[0] if single else tuple(outs)
+        full[rows] = out
+    return full
 
 
 def build_system(
@@ -220,9 +285,10 @@ def build_system(
         )
     if not 0 <= ref_index < m:
         raise ConfigurationError(f"reference index {ref_index} out of range")
-    A, rhs, solution, full_rank = build_systems(
-        meas.request_toa[None], meas.response_toa[None], anchors, ref_index
-    )
+    with np.errstate(all="ignore"):
+        A, rhs, solution, full_rank = build_systems(
+            meas.request_toa[None], meas.response_toa[None], anchors, ref_index
+        )
     if not full_rank[0]:
         raise DegenerateGeometryError(
             "linearized system is rank deficient for this geometry"

@@ -290,7 +290,8 @@ def solve_pairs(coef: np.ndarray):
     a row lists its real solutions in ascending (lam1, lam2) order, then its
     projections nearest-to-real first (see BivariateSolution).
 
-    One pass over stacked arrays, with floating-point warnings off: the
+    One pass over stacked arrays, under the caller's ``np.errstate``
+    (``estimate_batch`` turns floating-point warnings off): the
     normalized and scaled equations, their y-resultants, one companion
     eigenvalue call per resultant degree, the distinct real roots (kept
     values), one seed table of the kept values' y candidates, one Newton
@@ -303,74 +304,73 @@ def solve_pairs(coef: np.ndarray):
     neither contains y, and the pair has no isolated solution.
     """
     rows = coef.shape[0]
-    with np.errstate(all="ignore"):
-        s = np.abs(coef).max(axis=2)
-        usable = (np.isfinite(s) & (s > 0.0)).all(axis=1)
-        n = coef / s[:, :, None]
-        sx, sy = _variable_scales(n)
-        m = n.copy()
-        m[:, :, :5] *= np.array([sx * sx, sx * sy, sy * sy, sx, sy]).T[:, None]
-        m /= np.abs(m).max(axis=2)[:, :, None]
+    s = np.abs(coef).max(axis=2)
+    usable = (np.isfinite(s) & (s > 0.0)).all(axis=1)
+    n = coef / s[:, :, None]
+    sx, sy = _variable_scales(n)
+    m = n.copy()
+    m[:, :, :5] *= np.array([sx * sx, sx * sy, sy * sy, sx, sy]).T[:, None]
+    m /= np.abs(m).max(axis=2)[:, :, None]
 
-        t1, t2, resultant = _y_resultants(m)
-        magnitude = np.abs(resultant).max(axis=1)
-        resultant = resultant / magnitude[:, None]
-        solvable = usable & (magnitude > 1e-14)
-        # The degree left once negligible leading coefficients are dropped.
-        degree = 4 - np.argmax(np.abs(resultant[:, ::-1]) > 1e-13, axis=1)
-        roots = np.full((rows, 4), np.nan, dtype=complex)
-        for d in sorted(set(degree[solvable].tolist()) - {0}):
-            at = np.flatnonzero(solvable & (degree == d))
-            roots[at, :d] = _companion_roots(resultant[at, : d + 1])
-        re, im = roots.real, roots.imag
-        real = np.abs(im) <= _IMAG_RTOL * np.maximum(1.0, np.abs(re))
+    t1, t2, resultant = _y_resultants(m)
+    magnitude = np.abs(resultant).max(axis=1)
+    resultant = resultant / magnitude[:, None]
+    solvable = usable & (magnitude > 1e-14)
+    # The degree left once negligible leading coefficients are dropped.
+    degree = 4 - np.argmax(np.abs(resultant[:, ::-1]) > 1e-13, axis=1)
+    roots = np.full((rows, 4), np.nan, dtype=complex)
+    for d in sorted(set(degree[solvable].tolist()) - {0}):
+        at = np.flatnonzero(solvable & (degree == d))
+        roots[at, :d] = _companion_roots(resultant[at, : d + 1])
+    re, im = roots.real, roots.imag
+    real = np.abs(im) <= _IMAG_RTOL * np.maximum(1.0, np.abs(re))
 
-        # The seed table (F, 5) of the F kept values (``_kept_roots``), row
-        # by row. Column 0, the -t1/t2 seed, is polished first; the equation
-        # seeds of columns 1-4 only where the kept value's column-0 residual
-        # did not pass: t2 vanishes there, or -t1/t2 is too inaccurate, as
-        # at a double root where two solutions share one x. A cell not
-        # polished keeps a NaN residual, which fails.
-        values, keep = _cluster_rows(np.where(real, re, np.nan))
-        kr, kc = np.nonzero(keep)
-        kv = values[kr, kc]
-        seed, ok, cplx_re, cplx_rel, cplx = _kept_roots(m[kr], t1[kr], t2[kr], kv)
-        tx, ty, res = (np.full(seed.shape, np.nan) for _ in range(3))
-        for columns in (np.arange(5) == 0, np.arange(5) > 0):
-            at = ok & columns & ~(res[:, :1] <= _RESIDUAL_RTOL)
-            k = np.nonzero(at)[0]
-            q = m[kr[k]].transpose(2, 1, 0)
-            x, y = _newton_polish(q, kv[k], seed[at])
-            tx[at], ty[at], res[at] = x, y, _normalized_residual(q, x, y)
-        # Each row's passing cells merged in seed order, as ``_insert_pair``.
-        passed = res <= _RESIDUAL_RTOL
-        real_pairs = _merge_pairs(
-            kr[np.nonzero(passed)[0]], tx[passed], ty[passed], res[passed], rows
-        )
+    # The seed table (F, 5) of the F kept values (``_kept_roots``), row
+    # by row. Column 0, the -t1/t2 seed, is polished first; the equation
+    # seeds of columns 1-4 only where the kept value's column-0 residual
+    # did not pass: t2 vanishes there, or -t1/t2 is too inaccurate, as
+    # at a double root where two solutions share one x. A cell not
+    # polished keeps a NaN residual, which fails.
+    values, keep = _cluster_rows(np.where(real, re, np.nan))
+    kr, kc = np.nonzero(keep)
+    kv = values[kr, kc]
+    seed, ok, cplx_re, cplx_rel, cplx = _kept_roots(m[kr], t1[kr], t2[kr], kv)
+    tx, ty, res = (np.full(seed.shape, np.nan) for _ in range(3))
+    for columns in (np.arange(5) == 0, np.arange(5) > 0):
+        at = ok & columns & ~(res[:, :1] <= _RESIDUAL_RTOL)
+        k = np.nonzero(at)[0]
+        q = m[kr[k]].transpose(2, 1, 0)
+        x, y = _newton_polish(q, kv[k], seed[at])
+        tx[at], ty[at], res[at] = x, y, _normalized_residual(q, x, y)
+    # Each row's passing cells merged in seed order, as ``_insert_pair``.
+    passed = res <= _RESIDUAL_RTOL
+    real_pairs = _merge_pairs(
+        kr[np.nonzero(passed)[0]], tx[passed], ty[passed], res[passed], rows
+    )
 
-        # Projections as (4, P) tables [row, x, y, rel_imag] of their finite
-        # pairs: where an equation's y went complex at a kept value,
-        # deduplicated as they are added, and one per conjugate pair of the
-        # resultant's own roots (roots of real polynomials come in exact
-        # conjugate pairs). Rows are exact as floats.
-        ck, ce = np.nonzero(cplx)
-        zj, zc = np.nonzero(~real & (im > 0))
-        at_kept = np.stack([kr[ck], kv[ck], cplx_re[ck, ce], cplx_rel[ck, ce]])
-        conjugate = np.stack([zj, *_conjugate_projections(m[zj], t1[zj], t2[zj], roots[zj, zc])])
-        at_kept, conjugate = (p[:, np.isfinite(p[1:3]).all(axis=0)] for p in (at_kept, conjugate))
-        at_kept = at_kept[:, _distinct(at_kept[0].astype(np.intp), *at_kept[1:3], rows)]
-        # Each row's projections nearest-to-real first; the sort is stable.
-        joined = np.concatenate([at_kept, conjugate], axis=1)
-        joined = joined[:, np.lexsort((joined[3], joined[0]))]
-        joined = joined[:, _distinct(joined[0].astype(np.intp), *joined[1:3], rows)]
+    # Projections as (4, P) tables [row, x, y, rel_imag] of their finite
+    # pairs: where an equation's y went complex at a kept value,
+    # deduplicated as they are added, and one per conjugate pair of the
+    # resultant's own roots (roots of real polynomials come in exact
+    # conjugate pairs). Rows are exact as floats.
+    ck, ce = np.nonzero(cplx)
+    zj, zc = np.nonzero(~real & (im > 0))
+    at_kept = np.stack([kr[ck], kv[ck], cplx_re[ck, ce], cplx_rel[ck, ce]])
+    conjugate = np.stack([zj, *_conjugate_projections(m[zj], t1[zj], t2[zj], roots[zj, zc])])
+    at_kept, conjugate = (p[:, np.isfinite(p[1:3]).all(axis=0)] for p in (at_kept, conjugate))
+    at_kept = at_kept[:, _distinct(at_kept[0].astype(np.intp), *at_kept[1:3], rows)]
+    # Each row's projections nearest-to-real first; the sort is stable.
+    joined = np.concatenate([at_kept, conjugate], axis=1)
+    joined = joined[:, np.lexsort((joined[3], joined[0]))]
+    joined = joined[:, _distinct(joined[0].astype(np.intp), *joined[1:3], rows)]
 
-        # Each row's real pairs, then its projections, scaled back.
-        real_count = real_pairs[0].size
-        table = np.concatenate([[*real_pairs, np.zeros(real_count)], joined], axis=1)
-        order = np.argsort(table[0], kind="stable")
-        row, x, y, rel = table[:, order]
-        row = row.astype(np.intp)
-        return row, np.stack([x * sx[row], y * sy[row]], axis=1), order >= real_count, rel
+    # Each row's real pairs, then its projections, scaled back.
+    real_count = real_pairs[0].size
+    table = np.concatenate([[*real_pairs, np.zeros(real_count)], joined], axis=1)
+    order = np.argsort(table[0], kind="stable")
+    row, x, y, rel = table[:, order]
+    row = row.astype(np.intp)
+    return row, np.stack([x * sx[row], y * sy[row]], axis=1), order >= real_count, rel
 
 
 def _variable_scales(n: np.ndarray):
@@ -758,7 +758,8 @@ def _polish_seed(q: list, x: float, y: float):
 # keeps that loop as the reference), so every expression keeps the scalar
 # evaluation order. np.fmax stands in for Python's max(), which skips a NaN
 # that is not its first argument; it is used only where that first argument
-# cannot be NaN.
+# cannot be NaN. Floating-point warnings are left to the caller's
+# ``np.errstate``.
 
 
 def _newton_polish(coef: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -771,20 +772,19 @@ def _newton_polish(coef: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.n
     a, b, c, d, e, f = coef
     a2, c2 = 2.0 * a, 2.0 * c
     active = np.ones(x.shape, dtype=bool)
-    with np.errstate(all="ignore"):
-        for _ in range(_POLISH_STEPS):
-            (f1, f2) = a * x * x + b * x * y + c * y * y + d * x + e * y + f
-            (j11, j21) = a2 * x + b * y + d
-            (j12, j22) = b * x + c2 * y + e
-            det = j11 * j22 - j12 * j21
-            bound = 1e-14 * np.fmax(np.fmax(1.0, np.abs(j11 * j22)), np.abs(j12 * j21))
-            active &= ~(np.abs(det) <= bound)
-            new_x = x - (f1 * j22 - f2 * j12) / det
-            new_y = y - (j11 * f2 - j21 * f1) / det
-            finite = np.isfinite(new_x) & np.isfinite(new_y)
-            x = np.where(active, np.where(finite, new_x, np.nan), x)
-            y = np.where(active, np.where(finite, new_y, np.nan), y)
-            active &= finite
+    for _ in range(_POLISH_STEPS):
+        (f1, f2) = a * x * x + b * x * y + c * y * y + d * x + e * y + f
+        (j11, j21) = a2 * x + b * y + d
+        (j12, j22) = b * x + c2 * y + e
+        det = j11 * j22 - j12 * j21
+        bound = 1e-14 * np.fmax(np.fmax(1.0, np.abs(j11 * j22)), np.abs(j12 * j21))
+        active &= ~(np.abs(det) <= bound)
+        new_x = x - (f1 * j22 - f2 * j12) / det
+        new_y = y - (j11 * f2 - j21 * f1) / det
+        finite = np.isfinite(new_x) & np.isfinite(new_y)
+        x = np.where(active, np.where(finite, new_x, np.nan), x)
+        y = np.where(active, np.where(finite, new_y, np.nan), y)
+        active &= finite
     return x, y
 
 
@@ -797,13 +797,12 @@ def _normalized_residual(coef: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.n
     that are not finite get inf.
     """
     a, b, c, d, e, f = coef
-    with np.errstate(all="ignore"):
-        value = a * x * x + b * x * y + c * y * y + d * x + e * y + f
-        # |a x x| is not NaN for finite x, the only points whose value is used.
-        scale = np.abs(a * x * x)
-        for term in (b * x * y, c * y * y, d * x, e * y, f):
-            scale = np.fmax(scale, np.abs(term))
-        (r1, r2) = np.abs(value) / np.fmax(scale, 1e-30)
+    value = a * x * x + b * x * y + c * y * y + d * x + e * y + f
+    # |a x x| is not NaN for finite x, the only points whose value is used.
+    scale = np.abs(a * x * x)
+    for term in (b * x * y, c * y * y, d * x, e * y, f):
+        scale = np.fmax(scale, np.abs(term))
+    (r1, r2) = np.abs(value) / np.fmax(scale, 1e-30)
     # max(r1, r2) keeps a NaN r1, so no fmax here.
     res = np.where(r2 > r1, r2, r1)
     return np.where(np.isfinite(x) & np.isfinite(y), res, np.inf)

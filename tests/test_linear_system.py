@@ -12,7 +12,7 @@ from cftwlas import (
     build_system,
     forward_model,
 )
-from cftwlas.linear_system import constraint_matrices
+from cftwlas.linear_system import _RANK_RTOL, build_systems, constraint_matrices
 
 
 def random_state(rng, ndim=2):
@@ -166,3 +166,178 @@ class TestBuildSystem:
         meas = forward_model(ud, anchors)
         with pytest.raises(ConfigurationError):
             build_system(meas, anchors, ref_index=4)
+
+
+def _toas(anchors, states, rng, sigma):
+    """(K, M) request and response TOAs of the states, with Gaussian noise."""
+    meas = [forward_model(ud, anchors) for ud in states]
+    request = np.array([m.request_toa for m in meas])
+    response = np.array([m.response_toa for m in meas])
+    return (
+        request + rng.normal(0.0, sigma, request.shape),
+        response + rng.normal(0.0, sigma, response.shape),
+    )
+
+
+def _build(request, response, anchors):
+    with np.errstate(all="ignore"):
+        return build_systems(request, response, anchors)
+
+
+def _svd_rank(A):
+    """The rank test on the singular values of each A of a stack."""
+    s = np.linalg.svd(A, compute_uv=False)
+    return (s[:, 0] > 0.0) & (s[:, -1] >= _RANK_RTOL * s[:, 0])
+
+
+def _straddling_rows():
+    """The criterion-10 row (the centre of the 4-anchor square, at rest),
+    then that row with its second request TOA moved so that s_min / s_max of
+    A falls just below, just at or above, further below and further above
+    _RANK_RTOL: bisection on the move brackets the crossing."""
+    anchors = build_square_scenario(800.0, 4)
+    ud = UdState([400.0, 400.0], [0.0, 0.0], 123.0, 45.0)
+    request, response = _toas(anchors, [ud], np.random.default_rng(0), 0.0)
+
+    def moved(eps):
+        r = request.repeat(len(eps), axis=0)
+        r[:, 1] += eps
+        return r, response.repeat(len(eps), axis=0)
+
+    def ratio(eps):
+        s = np.linalg.svd(_build(*moved([eps]), anchors)[0], compute_uv=False)[0]
+        return s[-1] / s[0]
+
+    lo, hi = 0.0, 1.0
+    assert ratio(hi) > _RANK_RTOL
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ratio(mid) < _RANK_RTOL else (lo, mid)
+    return anchors, *moved([0.0, lo, hi, lo * (1 - 1e-4), hi * (1 + 1e-4)])
+
+
+class TestStackedSolve:
+    """``build_systems`` against per-row LAPACK: least squares images, rank
+    decisions and which rows reach the singular value decomposition."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ndim=st.sampled_from([2, 3]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        log_sigma=st.floats(-3.0, 1.0),
+    )
+    def test_images_match_lstsq_and_rank_matches_svd(self, ndim, data, seed, log_sigma):
+        # Random layouts with N + 2 to 8 anchors. Each image column is
+        # within 64 eps cond(A) of lstsq's, relative to its largest entry;
+        # both solvers err by about eps cond(A).
+        m = data.draw(st.integers(ndim + 2, 8), label="anchors")
+        rng = np.random.default_rng(seed)
+        anchors = AnchorSet(
+            rng.uniform(0.0, 1000.0, (m, ndim)), np.cumsum(rng.uniform(1e-3, 2e-2, m))
+        )
+        states = [
+            UdState(
+                rng.uniform(0.0, 1000.0, ndim),
+                rng.uniform(-50.0, 50.0, ndim),
+                rng.uniform(0.0, 5000.0),
+                rng.uniform(-2500.0, 2500.0),
+            )
+            for _ in range(4)
+        ]
+        A, rhs, images, full_rank = _build(
+            *_toas(anchors, states, rng, 10.0**log_sigma), anchors
+        )
+        assert full_rank.tolist() == _svd_rank(A).tolist()
+        eps = np.finfo(float).eps
+        for k in np.flatnonzero(full_rank):
+            expected = np.linalg.lstsq(A[k], rhs[k], rcond=None)[0]
+            s = np.linalg.svd(A[k], compute_uv=False)
+            tol = 64 * eps * s[0] / s[-1] * np.abs(expected).max(axis=0)
+            assert (np.abs(images[k] - expected) <= tol).all(), k
+
+    def test_rank_decisions_straddling_the_threshold_equal_the_svd(self):
+        anchors, request, response = _straddling_rows()
+        A, _, _, full_rank = _build(request, response, anchors)
+        expected = [False, False, True, False, True]
+        assert _svd_rank(A).tolist() == expected
+        assert full_rank.tolist() == expected
+
+    def test_collinear_layout_is_degenerate_on_every_row(self):
+        # The fixed columns lose rank, so no row can keep it; every row takes
+        # the exact test.
+        anchors = AnchorSet(
+            [[0.0, 0.0], [300.0, 0.0], [600.0, 0.0], [900.0, 0.0], [1200.0, 0.0]],
+            [0.01, 0.02, 0.03, 0.04, 0.05],
+        )
+        rng = np.random.default_rng(4)
+        states = [random_state(rng) for _ in range(6)]
+        A, _, _, full_rank = _build(*_toas(anchors, states, rng, 0.1), anchors)
+        assert not _svd_rank(A).any()
+        assert not full_rank.any()
+
+
+class TestSvdCalls:
+    """The singular value decomposition runs only on the rows that the bound
+    cannot clear and whose A is finite, all of them in one stacked call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        svd = np.linalg.svd
+
+        def counted(A, *args, **kwargs):
+            seen.append(A.copy())
+            return svd(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return seen
+
+    def test_well_conditioned_stack_makes_no_call(self, calls):
+        anchors = build_square_scenario(800.0, 8)
+        rng = np.random.default_rng(5)
+        states = [random_state(rng) for _ in range(16)]
+        full_rank = _build(*_toas(anchors, states, rng, 0.3), anchors)[3]
+        assert full_rank.all()
+        assert calls == []
+
+    def test_only_rows_the_bound_cannot_clear_reach_the_exact_test(self, calls):
+        # Straddling rows (the criterion-10 row among them) and a huge finite
+        # TOA take the exact test; a NaN TOA fails without it, and the
+        # well-conditioned rows are cleared by the bound.
+        anchors, request, response = _straddling_rows()
+        calls.clear()
+        rng = np.random.default_rng(6)
+        states = [random_state(rng) for _ in range(3)]
+        good_request, good_response = _toas(anchors, states, rng, 0.3)
+        request = np.concatenate([good_request[:2], request, good_request[2:], request[:2]])
+        response = np.concatenate([good_response[:2], response, good_response[2:], response[:2]])
+        request[8, 1] = np.nan
+        request[9, 2] = 1e200
+        A, _, _, full_rank = _build(request, response, anchors)
+        exact = [2, 3, 4, 5, 6, 9]
+        assert full_rank.tolist() == [True, True, False, False, True, False, True, True] + [
+            False, False,
+        ]
+        assert len(calls) == 1
+        assert calls[0].tobytes() == A[exact].tobytes()
+
+    def test_rejected_exact_stack_is_split_and_only_its_culprit_fails(self, monkeypatch):
+        # LAPACK rejecting the stacks that hold the straddling row whose rank
+        # holds: the stack is halved down to that row, which fails, and the
+        # other rows keep their decisions.
+        anchors, request, response = _straddling_rows()
+        sizes = []
+        svd = np.linalg.svd
+        culprit = _build(request, response, anchors)[0][2].tobytes()
+
+        def rejecting(A, *args, **kwargs):
+            sizes.append(A.shape[0])
+            if any(a.tobytes() == culprit for a in A):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", rejecting)
+        full_rank = _build(request, response, anchors)[3]
+        assert sizes == [5, 3, 2, 1, 2]
+        assert full_rank.tolist() == [False, False, False, False, True]

@@ -328,8 +328,9 @@ def test_array_polish_matches_per_seed_loop_bitwise(cases):
     coef = _flat_coefficients(cases)
     xs = np.array([s[0] for _, _, s in seeds])
     ys = np.array([s[1] for _, _, s in seeds])
-    x, y = _newton_polish(coef, xs, ys)
-    res = _normalized_residual(coef, x, y)
+    with np.errstate(all="ignore"):
+        x, y = _newton_polish(coef, xs, ys)
+        res = _normalized_residual(coef, x, y)
     for i, (n1, n2, (sx, sy)) in enumerate(seeds):
         rx, ry = ref_newton_polish(n1, n2, sx, sy)
         rres = ref_normalized_residual(n1, n2, rx, ry)
@@ -348,11 +349,12 @@ def test_array_polish_covers_early_stop_and_nan_exit():
     xs = np.array([0.0, 1e200, 1.2, math.inf])
     ys = np.array([0.5, 1.0, 0.9, 1.0])
     coef = _flat_coefficients([(n1, n2, xs)])
-    x, y = _newton_polish(coef, xs, ys)
+    with np.errstate(all="ignore"):
+        x, y = _newton_polish(coef, xs, ys)
+        res = _normalized_residual(coef, x, y)
     assert x[0] == 0.0 and y[0] == 0.5  # stopped before the first step
     assert math.isnan(x[1]) and math.isnan(y[1])
     assert (x[2], y[2]) == ref_newton_polish(n1, n2, 1.2, 0.9)
-    res = _normalized_residual(coef, x, y)
     assert res[1] == math.inf and res[3] == math.inf
 
 
@@ -401,12 +403,11 @@ def _seeds_over(coef):
         calls.append((x, y))
         return _newton_polish(q, x, y)
 
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
         patch.setattr(polysolve, "_newton_polish", record)
         solve_pairs(coef)
-    (x0, y0), (x1, y1) = calls
-    with np.errstate(all="ignore"):
         sx, sy = polysolve._variable_scales(coef / np.abs(coef).max(axis=2)[:, :, None])
+    (x0, y0), (x1, y1) = calls
     first = np.arange(x0.size + x1.size) < x0.size
     return np.concatenate([x0, x1]) * sx[0], np.concatenate([y0, y1]) * sy[0], first
 
@@ -505,7 +506,8 @@ def per_row(solved, rows):
 
 
 def solve_rows(coef):
-    return per_row(solve_pairs(coef), len(coef))
+    with np.errstate(all="ignore"):
+        return per_row(solve_pairs(coef), len(coef))
 
 
 def loop_rows(coef):
@@ -840,7 +842,8 @@ def test_one_row_call_dedupes_each_projection_set_once(monkeypatch):
     projections = 0
     for k in range(len(coef)):
         before = dict(calls)
-        projections += int(solve_pairs(coef[k : k + 1])[2].sum())
+        with np.errstate(all="ignore"):
+            projections += int(solve_pairs(coef[k : k + 1])[2].sum())
         assert calls["_distinct"] - before["_distinct"] <= 2, k
         assert calls["_by_position"] - before["_by_position"] <= 3, k
     assert projections
