@@ -263,13 +263,13 @@ class TestStackedSolve:
         assert _svd_rank(A).tolist() == expected
         assert full_rank.tolist() == expected
 
-    def test_collinear_layout_is_degenerate_on_every_row(self):
+    @pytest.mark.parametrize("slope", [0.0, 1 / 3], ids=["on_axis", "tilted"])
+    def test_collinear_layout_is_degenerate_on_every_row(self, slope):
         # The fixed columns lose rank, so no row can keep it; every row takes
-        # the exact test.
-        anchors = AnchorSet(
-            [[0.0, 0.0], [300.0, 0.0], [600.0, 0.0], [900.0, 0.0], [1200.0, 0.0]],
-            [0.01, 0.02, 0.03, 0.04, 0.05],
-        )
+        # the exact test. On an axis the QR factor has exact zero pivots
+        # that LAPACK cannot invert, off it pivots at rounding level.
+        x = np.arange(5) * 300.0
+        anchors = AnchorSet(np.stack([x, 10.0 + slope * x], axis=1), 0.01 * np.arange(1, 6))
         rng = np.random.default_rng(4)
         states = [random_state(rng) for _ in range(6)]
         A, _, _, full_rank = _build(*_toas(anchors, states, rng, 0.1), anchors)
