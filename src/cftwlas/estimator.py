@@ -89,39 +89,36 @@ def compute_residuals(
     return Residuals(stacked[: meas.count], stacked[meas.count :], cost)
 
 
-def _candidate_states(g: np.ndarray, U: np.ndarray, row: np.ndarray, lam: np.ndarray):
-    """Parameter vectors ``g + U lam`` (C, 2N+2) of the flat candidates of
-    ``solve_pairs``: (C, 2) pairs ``lam`` of the rows ``row``."""
-    return g[row] + np.matmul(U[row], lam[:, :, None])[:, :, 0]
+def _candidate_states(g: np.ndarray, U: np.ndarray, lam: np.ndarray):
+    """Parameter vectors ``g + U lam`` (K, S, 2N+2) of a (K, S, 2) table of
+    pairs ``lam``."""
+    return g[:, None] + np.matmul(U[:, None], lam[:, :, :, None])[..., 0]
 
 
-def _score(row, thetas, gamma, weights, anchors: AnchorSet, rows: int):
-    """Weighted residual cost of every candidate and each row's winner.
+def _score(thetas, gamma, weights, anchors: AnchorSet):
+    """Weighted residual cost of every slot of K rows' (K, S, P) candidate
+    table and each row's winner.
 
-    One model evaluation scores all candidates; a candidate that is not
+    One model evaluation scores every slot; a slot that is empty (NaN), not
     finite, sits on an anchor or has a non-finite cost is unusable. The
-    lowest cost wins, the first of equal-cost candidates with the smallest
-    parameter norm on a tie; a row without a usable candidate gets -1.
-    Returns the costs, the usable mask, the (rows,) intp winners and the
-    model ranges and rows of the candidates.
+    lowest cost wins; among equal costs the smaller parameter norm, then the
+    lower slot. A row without a usable slot gets -1. Returns the (K, S)
+    costs (inf where unusable) and usable mask, the (K,) intp winners and
+    the model ranges and rows of the K S slots, flat in row order.
     """
-    ranges, model = _evaluate(thetas, anchors)
-    residuals = gamma[row] - model
-    weighted = weights[row] * residuals
-    # r @ (w * r) per candidate, as compute_residuals evaluates it.
-    cost = np.matmul(residuals[:, None, :], weighted[:, :, None])[:, 0, 0]
-    usable = np.isfinite(thetas).all(axis=1) & ~ranges[4] & np.isfinite(cost)
-    winner = [-1] * rows
-    costs = cost.tolist()
-    for i, (k, c, keep) in enumerate(zip(row.tolist(), costs, usable.tolist())):
-        if not keep:
-            continue
-        best = winner[k]
-        if best < 0 or c < costs[best]:
-            winner[k] = i
-        elif c == costs[best] and np.linalg.norm(thetas[i]) < np.linalg.norm(thetas[best]):
-            winner[k] = i
-    return cost, usable, np.array(winner, dtype=np.intp), ranges, model
+    rows, slots, p = thetas.shape
+    ranges, model = _evaluate(thetas.reshape(-1, p), anchors)
+    residuals = gamma[:, None] - model.reshape(rows, slots, gamma.shape[1])
+    weighted = weights[:, None] * residuals
+    # r @ (w * r) per slot, as compute_residuals evaluates it.
+    cost = np.matmul(residuals[..., None, :], weighted[..., None])[..., 0, 0]
+    on_anchor = ranges[4].reshape(rows, slots)
+    usable = np.isfinite(thetas).all(axis=2) & ~on_anchor & np.isfinite(cost)
+    cost = np.where(usable, cost, np.inf)
+    tied = cost == cost.min(axis=1, keepdims=True)
+    norm = np.where(tied, np.square(thetas).sum(axis=2), np.inf)
+    winner = np.where(usable.any(axis=1), norm.argmin(axis=1), -1)
+    return cost, usable, winner, ranges, model
 
 
 def _check_steps(steps: int) -> None:
@@ -177,12 +174,14 @@ def raw_estimate(
 ) -> tuple[UdState, list[Candidate]]:
     """Closed-form raw estimate with candidate selection.
 
-    Every real root of the auxiliary system yields a candidate state, as does
-    the real part of every complex conjugate root pair (noise routinely pushes
-    the meaningful intersection slightly off the real axis, leaving only
-    spurious real roots). The candidate minimizing the weighted residual cost
-    wins, ties broken by the smaller parameter norm; complex-seeded candidates
-    are marked ``from_fallback``.
+    Each root of the auxiliary system's resultant yields at most one
+    candidate state (``solve_pair_detailed``): a real root its solution, and
+    a complex conjugate pair, or a real root that no seed solves, the real
+    part of its projection (noise routinely pushes the meaningful
+    intersection slightly off the real axis, leaving only spurious real
+    roots). The candidate minimizing the weighted residual cost wins, ties
+    broken by the smaller parameter norm, then the earlier candidate;
+    projected candidates are marked ``from_fallback``.
 
     Raises DegenerateGeometryError for rank-deficient geometry and
     GeometryError when no usable candidate exists at all.
@@ -193,19 +192,20 @@ def raw_estimate(
 
     roots = [(pair, False) for pair in solution.pairs]
     roots.extend((seed.pair, True) for seed in solution.complex_pairs)
-    row = np.zeros(len(roots), dtype=np.intp)
-    lam = np.array([(p.lam1, p.lam2) for p, _ in roots], dtype=float).reshape(-1, 2)
+    if not roots:
+        raise GeometryError("no usable raw-estimate candidate")
+    lam = np.array([[(p.lam1, p.lam2) for p, _ in roots]], dtype=float)
     with np.errstate(all="ignore"):
-        thetas = _candidate_states(system.g[None], system.U[None], row, lam)
+        thetas = _candidate_states(system.g[None], system.U[None], lam)
         cost, usable, (winner,), _, _ = _score(
-            row, thetas, meas.stacked()[None], noise.weights()[None], anchors, 1
+            thetas, meas.stacked()[None], noise.weights()[None], anchors
         )
     candidates = []
     best = None
-    for i, ((pair, fallback), keep) in enumerate(zip(roots, usable.tolist())):
+    for i, ((pair, fallback), keep) in enumerate(zip(roots, usable[0].tolist())):
         if keep:
-            state = UdState.from_vector(thetas[i])
-            candidate = Candidate(pair, state, float(cost[i]), from_fallback=fallback)
+            state = UdState.from_vector(thetas[0, i])
+            candidate = Candidate(pair, state, float(cost[0, i]), from_fallback=fallback)
             candidates.append(candidate)
             if i == winner:
                 best = state
@@ -256,7 +256,10 @@ class BatchEstimate:
 
     ``raw`` and ``refined`` are (K, 2N+2) parameter vectors, NaN where
     ``estimate`` would report None. The (K,) flags mean what EstimateFlags
-    says and ``candidates`` counts each row's candidates.
+    says. ``candidates`` counts each row's usable slots of the ``solve_pairs``
+    table, at most four, as ``len(estimate(...).candidates)``: a real double
+    root counts twice, as its two solutions at one x, or as its one solution
+    and its projection.
     """
 
     raw: np.ndarray
@@ -288,25 +291,29 @@ def estimate_batch(
         _, _, solution, full_rank = build_systems(gamma[:, :m], gamma[:, m:], anchors)
         solved = np.flatnonzero(full_rank)
         g, U = solution[solved, :, 0], solution[solved, :, 1:]
-        local, lam, from_complex, _ = solve_pairs(quadratic_coefficients(g, U, anchors.ndim))
-        thetas = _candidate_states(g, U, local, lam)
-        row = solved[local]
-        _, usable, winner, ranges, model = _score(row, thetas, gamma, weights, anchors, rows)
+        lam, _, projected, _ = solve_pairs(quadratic_coefficients(g, U, anchors.ndim))
+        thetas = _candidate_states(g, U, lam)
+        _, usable, winner, ranges, model = _score(thetas, gamma[solved], weights[solved], anchors)
         won = np.flatnonzero(winner >= 0)
-        pick = winner[won]
+        pick = won * lam.shape[1] + winner[won]
+        raw_won = thetas.reshape(-1, p)[pick]
+        row = solved[won]
         jac = _jacobians(*(r[pick] for r in ranges[:4]), anchors)
         refined_won, _, ok = _refine(
-            thetas[pick], jac, model[pick], gamma[won], weights[won], refine_steps, anchors
+            raw_won, jac, model[pick], gamma[row], weights[row], refine_steps, anchors
         )
-    candidates = np.bincount(row[usable], minlength=rows)
-    real = np.bincount(row[usable & ~from_complex], minlength=rows)
+    candidates = np.zeros(rows, dtype=np.intp)
+    candidates[solved] = usable.sum(axis=1)
+    real = np.zeros(rows, dtype=np.intp)
+    real[solved] = (usable & ~projected).sum(axis=1)
     raw = np.full((rows, p), np.nan)
-    raw[won] = thetas[pick]
+    raw[row] = raw_won
     refined = np.full((rows, p), np.nan)
-    refined[won] = refined_won
-    degenerate = winner < 0
+    refined[row] = refined_won
+    degenerate = np.ones(rows, dtype=bool)
+    degenerate[row] = False
     refine_singular = np.zeros(rows, dtype=bool)
-    refine_singular[won] = ~ok
+    refine_singular[row] = ~ok
     return BatchEstimate(
         raw=raw,
         refined=refined,

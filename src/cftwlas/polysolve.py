@@ -7,31 +7,28 @@ quadratics
 
 in x = lam1, y = lam2. y is eliminated through the classical resultant of
 the two conics, giving a polynomial in x of degree at most four whose roots
-are found via companion-matrix eigenvalues; y is back-substituted. Two
-Newton steps on the 2x2 system and a normalized-residual test then polish
-and check the real candidate pairs; the singular-Jacobian early stop and
-the non-finite exit apply to each pair on its own. A real root's y seed is
--t1/t2; only where that is missing or fails the residual test do both
-equations' y roots seed it. The accepted pairs are merged in seed order,
-and by Bezout's bound at most four real pairs are kept.
+are found via companion-matrix eigenvalues. Each root fills one of four
+slots, in the sorted order of the roots, with at most one candidate:
 
-``solve_pairs`` does this for K pairs at once, in one pass over stacked
-arrays at every K: scale, eliminate, take the companion roots, keep the
-distinct real ones, back-substitute into one (F, 5) seed table of the F kept
-values, polish its cells, merge the passing ones and lay out the candidates
-flat. Each pair's result depends on that pair alone: every array operation
-is elementwise, acts on one pair's own matrix or, in the order-dependent
-passes (``_cluster_rows``, ``_merge_pairs``, ``_distinct``), takes one
-position at a time with each pair's own state. ``solve_pair_detailed`` is
-the one-pair case on Python floats, from the normalization to the
-projection dedupe; only the companion eigenvalues and the -t1/t2
-projections at complex roots stay numpy calls, on the pair's own small
+* a real root alone at its x seeds y = -t1/t2; two Newton steps on the 2x2
+  system and a normalized-residual test polish and check the seed;
+* where -t1/t2 is missing (t2 vanishes) or fails, and in a run of real roots
+  at one x (a double root, where two solutions may share one x and -t1/t2
+  is 0/0), the j-th slot of the run keeps the j-th passing root in y,
+  ascending, of the first equation that has one;
+* a real root that no seed solves, and the upper member of a complex
+  conjugate pair, hold the unpolished projection x = Re z, y = Re(-t1/t2)
+  at the root z (the first equation's root in y where t2 vanishes); a
+  conjugate pair's lower member leaves its slot empty.
+
+``solve_pairs`` does this for K pairs at once on stacked arrays; each row
+depends on that row alone. ``solve_pair_detailed`` is the one-pair case on
+Python floats, one loop over at most four roots; only the companion
+eigenvalues and the projections stay numpy calls, on the pair's own small
 arrays. The y-elimination (``_y_elimination``, ``_conv``) is one code for
-floats and arrays. Every other step has one array pass, which
-``solve_pairs`` runs, and one loop on Python floats (``_scaled_pair``,
-``_cluster``, ``_kept_root``, ``_polish_seed``, ``_insert_pair``), which
-``solve_pair_detailed`` runs; the loop repeats the arithmetic of its array
-pass in the same order, so both give the same bits.
+floats and arrays; every other step has an array pass and a loop on Python
+floats (``_scaled_pair``, ``_t_seed``, ``_equation_seeds``, ``_polish_seed``)
+that repeats its arithmetic in the same order, so both give the same bits.
 
 Solutions can be many orders of magnitude larger than unity (the auxiliary
 variables of the TOA problem reach 1e7) while the quadratic coefficients are
@@ -55,8 +52,9 @@ from .linear_system import constraint_matrices
 _COEFF_ZERO_RTOL = 1e-12
 # A univariate root counts as real when |imag| <= this times max(1, |real|).
 _IMAG_RTOL = 1e-6
-# Two pairs closer than this (relative) are the same solution.
-_DEDUPE_RTOL = 1e-7
+# Real roots this close (relative) are one x: the eigenvalues split a double
+# root by up to about this.
+_SAME_X_RTOL = 1e-5
 # A polished pair is a solution when its normalized residual is at most this.
 _RESIDUAL_RTOL = 1e-8
 # Newton steps that polish each seed, in both the float loop and the array pass.
@@ -117,12 +115,13 @@ class AuxiliaryPair:
 
 @dataclass(frozen=True)
 class ComplexSeed:
-    """Real projection of a complex conjugate root pair.
+    """Real projection of a complex conjugate root pair, or of a real root
+    that no seed solved.
 
     ``rel_imag`` is the imaginary magnitude of the eliminated-polynomial root
-    relative to max(1, |real part|): small values indicate a real root pushed
-    just off the axis by noise, large ones a genuinely complex pair whose
-    projection carries little meaning.
+    relative to max(1, |real part|): small values indicate a real root, or
+    one pushed just off the axis by noise, large ones a genuinely complex
+    pair whose projection carries little meaning.
     """
 
     pair: AuxiliaryPair
@@ -131,14 +130,18 @@ class ComplexSeed:
 
 @dataclass(frozen=True)
 class BivariateSolution:
-    """Full solver output.
+    """Full solver output: the usable slots of one ``solve_pairs`` row.
 
-    ``pairs`` holds the real solutions. ``complex_pairs`` holds the real
-    projections of the complex conjugate root pairs, ordered by increasing
-    relative imaginary magnitude; measurement noise routinely pushes the
-    physically meaningful intersection slightly off the real axis, so
-    callers may treat near-real projections as additional candidates.
-    Both are empty when the equations share a factor that contains y.
+    ``pairs`` holds the real solutions in slot order, so ascending in the
+    resultant root they came from; a real double root may give two equal
+    pairs, one per slot. ``complex_pairs`` holds the projections, one per
+    complex conjugate root pair and one per real root that no seed solved,
+    ordered by increasing relative imaginary magnitude (stable in slot
+    order); measurement noise routinely pushes the physically meaningful
+    intersection slightly off the real axis, so callers may treat near-real
+    projections as additional candidates. Together they hold at most four
+    entries. Both are empty when the equations share a factor that
+    contains y.
     """
 
     pairs: tuple[AuxiliaryPair, ...]
@@ -195,13 +198,10 @@ def solve_pair(q1: BivariateQuadratic, q2: BivariateQuadratic) -> list[Auxiliary
 def solve_pair_detailed(
     q1: BivariateQuadratic, q2: BivariateQuadratic
 ) -> BivariateSolution:
-    """Solve the quadratic pair, reporting real pairs and complex projections.
+    """Solve the quadratic pair, reporting real pairs and projections.
 
-    The one-pair case of ``solve_pairs``, on Python floats from start to
-    finish: every step repeats the arithmetic of the array pass in the same
-    order, so the result equals the pair's ``solve_pairs`` row bit for bit.
-    Only the companion eigenvalues and the projections of the resultant's
-    complex roots stay numpy calls, on the pair's own small arrays.
+    The one-pair case of ``solve_pairs`` on Python floats (see the module
+    docstring); the result equals the pair's ``solve_pairs`` row bit for bit.
     """
     if q1.scale() == 0.0 or q2.scale() == 0.0:
         raise ValueError("an equation is identically zero")
@@ -214,48 +214,47 @@ def solve_pair_detailed(
         return BivariateSolution((), ())
     resultant = [c / magnitude for c in resultant]
     degree = max(k for k, c in enumerate(resultant) if abs(c) > 1e-13)
-    roots = []
-    if degree:
-        companion = [[0.0] * (degree - 1) + [-(c / resultant[degree])] for c in resultant[:degree]]
-        for i in range(1, degree):
-            companion[i][i - 1] = 1.0
-        roots = np.linalg.eigvals(np.array(companion)).astype(complex).tolist()
-        roots.sort(key=lambda z: (z.real, z.imag))
+    roots = _companion_roots(np.array([resultant[: degree + 1]]))[0].tolist() if degree else []
     real = [abs(z.imag) <= _IMAG_RTOL * max(1.0, abs(z.real)) for z in roots]
 
-    # Each kept value's -t1/t2 seed, or its equation seeds where that is
-    # missing or fails, merged in seed order; then its equations' complex y.
+    # One slot per root, as in the pair's ``solve_pairs`` row; ``runs`` holds
+    # each root's position in its run of real roots at one x.
+    runs = [0]
+    for (w, r0), (z, r1) in zip(zip(roots, real), zip(roots[1:], real[1:])):
+        close = r0 and r1 and abs(z.real - w.real) <= _SAME_X_RTOL * max(1.0, abs(z.real))
+        runs.append(runs[-1] + 1 if close else 0)
     pairs: list = []
-    projections: list = []
-    for k in _cluster([z.real for z, r in zip(roots, real) if r]):
-        values, ok, c_re, c_rel, cplx = _kept_root(m, t1, t2, k)
-        for c, (y, valid) in enumerate(zip(values, ok)):
-            if valid:
-                px, py, res = _polish_seed(m, k, y)
-                if res <= _RESIDUAL_RTOL:
-                    _insert_pair(pairs, (px, py), res)
-                    if c == 0:
-                        break
-        for re, rel, is_complex in zip(c_re, c_rel, cplx):
-            if is_complex:
-                _add_projection(projections, k, re, rel, True)
-    upper = [z for z, r in zip(roots, real) if not r and z.imag > 0]
-    if upper:
-        count = len(upper)
+    projected = []
+    for i, (z, is_real) in enumerate(zip(roots, real)):
+        if not is_real:
+            if z.imag > 0:
+                projected.append(z)
+            continue
+        x = z.real
+        alone = runs[i] == 0 and runs[i + 1 : i + 2] != [1]
+        y, valid = _t_seed(t1, t2, x)
+        if alone and valid:
+            px, py, res = _polish_seed(m, x, y)
+            if res <= _RESIDUAL_RTOL:
+                pairs.append((px, py))
+                continue
+        polished = (_polish_seed(m, x, y) for y in _equation_seeds(m, x))
+        passing = [(px, py) for px, py, res in polished if res <= _RESIDUAL_RTOL]
+        if runs[i] < len(passing):
+            pairs.append(passing[runs[i]])
+        else:
+            projected.append(z)
+    projections = []
+    if projected:
         with np.errstate(all="ignore"):
-            conjugate = _conjugate_projections(
-                np.array([m] * count), np.array([t1] * count), np.array([t2] * count),
-                np.array(upper),
+            values = _conjugate_projections(
+                *(np.array([v] * len(projected)) for v in (m, t1, t2)), np.array(projected)
             )
-        for x, y, rel in zip(*(v.tolist() for v in conjugate)):
-            _add_projection(projections, x, y, rel)
-
-    deduped: list = []
-    for seed in sorted(projections, key=lambda s: s[2]):
-        _add_projection(deduped, *seed, True)
+        values = zip(*(v.tolist() for v in values))
+        projections = sorted((p for p in values if all(map(math.isfinite, p))), key=lambda s: s[2])
     return BivariateSolution(
-        tuple(AuxiliaryPair(x * sx, y * sy) for x, y in sorted(p for p, _ in pairs)),
-        tuple(ComplexSeed(AuxiliaryPair(x * sx, y * sy), rel) for x, y, rel in deduped),
+        tuple(AuxiliaryPair(x * sx, y * sy) for x, y in pairs),
+        tuple(ComplexSeed(AuxiliaryPair(x * sx, y * sy), rel) for x, y, rel in projections),
     )
 
 
@@ -280,28 +279,22 @@ def _scaled_pair(e1, e2):
 
 
 def solve_pairs(coef: np.ndarray):
-    """Solve K quadratic pairs at once.
+    """Solve K quadratic pairs at once, one slot per resultant root.
 
     ``coef`` is (K, 2, 6): [a, b, c, d, e, f] per row and equation. Returns
-    the candidates of all rows as flat arrays ``(row, lam, from_complex,
-    rel_imag)``: each candidate's row (C,), its (lam1, lam2) as (C, 2),
-    whether it is the real projection of a complex root (C,) and that root's
-    relative imaginary magnitude (C,), 0 for a real pair. Rows come in order;
-    a row lists its real solutions in ascending (lam1, lam2) order, then its
-    projections nearest-to-real first (see BivariateSolution).
+    the (K, 4) slot table ``(lam, solved, projected, rel_imag)``, one slot
+    per root as the module docstring says: each slot's (lam1, lam2) as
+    (K, 4, 2), NaN where the slot is not solved; the solved mask; whether
+    the slot holds a projection rather than a polished solution; and the
+    relative imaginary magnitude of a projection's root, 0 elsewhere.
 
-    One pass over stacked arrays, under the caller's ``np.errstate``
-    (``estimate_batch`` turns floating-point warnings off): the
-    normalized and scaled equations, their y-resultants, one companion
-    eigenvalue call per resultant degree, the distinct real roots (kept
-    values), one seed table of the kept values' y candidates, one Newton
-    polish and residual pass over its -t1/t2 column and one over the
-    equation seeds of the kept values where that fails, one merge of each
-    row's passing seeds, and the complex-root projections. Each row's result
-    depends on that row alone. A row has no solution when an equation is
-    identically zero or not finite, or when its y-resultant vanishes
-    identically: then both equations share a factor that contains y, or
-    neither contains y, and the pair has no isolated solution.
+    Runs under the caller's ``np.errstate`` (``estimate_batch`` turns
+    floating-point warnings off), with one companion eigenvalue call per
+    resultant degree and one polish pass each over the -t1/t2 seeds and the
+    equation seeds. A row has no solution when an equation is identically
+    zero or not finite, or when its y-resultant vanishes identically: then
+    both equations share a factor that contains y, or neither contains y,
+    and the pair has no isolated solution.
     """
     rows = coef.shape[0]
     s = np.abs(coef).max(axis=2)
@@ -324,53 +317,61 @@ def solve_pairs(coef: np.ndarray):
         roots[at, :d] = _companion_roots(resultant[at, : d + 1])
     re, im = roots.real, roots.imag
     real = np.abs(im) <= _IMAG_RTOL * np.maximum(1.0, np.abs(re))
+    x, y, rel = np.full((rows, 4), np.nan), np.full((rows, 4), np.nan), np.zeros((rows, 4))
 
-    # The seed table (F, 5) of the F kept values (``_kept_roots``), row
-    # by row. Column 0, the -t1/t2 seed, is polished first; the equation
-    # seeds of columns 1-4 only where the kept value's column-0 residual
-    # did not pass: t2 vanishes there, or -t1/t2 is too inaccurate, as
-    # at a double root where two solutions share one x. A cell not
-    # polished keeps a NaN residual, which fails.
-    values, keep = _cluster_rows(np.where(real, re, np.nan))
-    kr, kc = np.nonzero(keep)
-    kv = values[kr, kc]
-    seed, ok, cplx_re, cplx_rel, cplx = _kept_roots(m[kr], t1[kr], t2[kr], kv)
-    tx, ty, res = (np.full(seed.shape, np.nan) for _ in range(3))
-    for columns in (np.arange(5) == 0, np.arange(5) > 0):
-        at = ok & columns & ~(res[:, :1] <= _RESIDUAL_RTOL)
-        k = np.nonzero(at)[0]
-        q = m[kr[k]].transpose(2, 1, 0)
-        x, y = _newton_polish(q, kv[k], seed[at])
-        tx[at], ty[at], res[at] = x, y, _normalized_residual(q, x, y)
-    # Each row's passing cells merged in seed order, as ``_insert_pair``.
-    passed = res <= _RESIDUAL_RTOL
-    real_pairs = _merge_pairs(
-        kr[np.nonzero(passed)[0]], tx[passed], ty[passed], res[passed], rows
+    # Real slots: one alone at its x polishes its -t1/t2 seed; the j-th slot
+    # of a run at one x, or one whose -t1/t2 fails, keeps the j-th passing
+    # of its ascending equation seeds.
+    kr, kc = np.nonzero(real)
+    kx = re[kr, kc]
+    seed, ok = _kept_roots(m[kr], t1[kr], t2[kr], kx)
+    run, alone = (v[kr, kc] for v in _runs(real, re))
+    px, py, passed = np.full(kx.shape, np.nan), np.full(kx.shape, np.nan), ok[:, 0] & alone
+    px[passed], py[passed], passed[passed] = _polished(m[kr[passed]], kx[passed], seed[passed, 0])
+    f = np.flatnonzero(~passed)
+    if f.size:
+        j, q, n = run[f], m[kr[f]], f.size
+        fx, fy, fpass = _polished(np.concatenate([q, q]), np.tile(kx[f], 2), seed[f, 1:].T.ravel())
+        pass_lo, pass_hi = fpass[:n] & ok[f, 1], fpass[n:] & ok[f, 2]
+        take_lo = (j == 0) & pass_lo
+        take_hi = ((j == 0) & ~pass_lo | (j == 1) & pass_lo) & pass_hi
+        px[f], py[f] = np.where(take_lo, fx[:n], fx[n:]), np.where(take_lo, fy[:n], fy[n:])
+        passed[f] = take_lo | take_hi
+    x[kr, kc], y[kr, kc] = px, py
+
+    # Projections: the upper member of a conjugate pair (roots of real
+    # polynomials come in exact conjugate pairs) and an unsolved real root.
+    projected = ~real & (im > 0)
+    projected[kr, kc] = ~passed
+    zj, zc = np.nonzero(projected)
+    x[zj, zc], y[zj, zc], rel[zj, zc] = _conjugate_projections(
+        m[zj], t1[zj], t2[zj], roots[zj, zc]
     )
+    solved = (real | projected) & np.isfinite(x) & np.isfinite(y)
+    lam = np.stack([x * sx[:, None], y * sy[:, None]], axis=2)
+    lam[~solved] = np.nan
+    return lam, solved, projected, rel
 
-    # Projections as (4, P) tables [row, x, y, rel_imag] of their finite
-    # pairs: where an equation's y went complex at a kept value,
-    # deduplicated as they are added, and one per conjugate pair of the
-    # resultant's own roots (roots of real polynomials come in exact
-    # conjugate pairs). Rows are exact as floats.
-    ck, ce = np.nonzero(cplx)
-    zj, zc = np.nonzero(~real & (im > 0))
-    at_kept = np.stack([kr[ck], kv[ck], cplx_re[ck, ce], cplx_rel[ck, ce]])
-    conjugate = np.stack([zj, *_conjugate_projections(m[zj], t1[zj], t2[zj], roots[zj, zc])])
-    at_kept, conjugate = (p[:, np.isfinite(p[1:3]).all(axis=0)] for p in (at_kept, conjugate))
-    at_kept = at_kept[:, _distinct(at_kept[0].astype(np.intp), *at_kept[1:3], rows)]
-    # Each row's projections nearest-to-real first; the sort is stable.
-    joined = np.concatenate([at_kept, conjugate], axis=1)
-    joined = joined[:, np.lexsort((joined[3], joined[0]))]
-    joined = joined[:, _distinct(joined[0].astype(np.intp), *joined[1:3], rows)]
 
-    # Each row's real pairs, then its projections, scaled back.
-    real_count = real_pairs[0].size
-    table = np.concatenate([[*real_pairs, np.zeros(real_count)], joined], axis=1)
-    order = np.argsort(table[0], kind="stable")
-    row, x, y, rel = table[:, order]
-    row = row.astype(np.intp)
-    return row, np.stack([x * sx[row], y * sy[row]], axis=1), order >= real_count, rel
+def _polished(q: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Newton-polished seeds (x[i], y[i]) of the equations ``q`` (S, 2, 6)
+    and whether each passes the residual test."""
+    coef = q.transpose(2, 1, 0)
+    x, y = _newton_polish(coef, x, y)
+    return x, y, _normalized_residual(coef, x, y) <= _RESIDUAL_RTOL
+
+
+def _runs(real: np.ndarray, x: np.ndarray):
+    """Each real slot's position in its run, the consecutive real slots of a
+    row whose x agree within _SAME_X_RTOL, and whether it is alone in its run.
+    (K, 4) in, two (K, 4) out."""
+    run = np.zeros(real.shape, dtype=np.intp)
+    for c in range(1, real.shape[1]):
+        close = np.abs(x[:, c] - x[:, c - 1]) <= _SAME_X_RTOL * np.maximum(1.0, np.abs(x[:, c]))
+        run[:, c] = np.where(real[:, c] & real[:, c - 1] & close, run[:, c - 1] + 1, 0)
+    alone = run == 0
+    alone[:, :-1] &= run[:, 1:] == 0
+    return run, alone
 
 
 def _variable_scales(n: np.ndarray):
@@ -488,116 +489,19 @@ def _conjugate_projections(m, t1, t2, z):
     return z.real, other, np.abs(z.imag) / np.maximum(1.0, np.abs(z.real))
 
 
-def _by_position(row, rows, *values):
-    """Entries of nondecreasing rows laid out by their position in the row:
-    each (C,) value array as (width, rows), NaN-padded. Returns the per-row
-    counts, the entries' (position, row) index and the layouts."""
-    counts = np.bincount(row, minlength=rows)
-    at = np.arange(row.size) - (np.cumsum(counts) - counts)[row], row
-    laid = []
-    for v in values:
-        out = np.full((counts.max(initial=0), rows), np.nan)
-        out[at] = v
-        laid.append(out)
-    return counts, at, laid
-
-
-def _tolerance(v: np.ndarray) -> np.ndarray:
-    """The _same_pair tolerance of each component value."""
-    return _DEDUPE_RTOL * np.maximum(1.0, np.abs(v))
-
-
-def _merge_pairs(row, x, y, res, rows):
-    """``_insert_pair`` of each row's accepted seeds in order, then each
-    row's pairs in ascending order, for all rows at once.
-
-    ``row`` holds the seeds' nondecreasing row indices and ``res`` their
-    residuals. The merge takes one seed position at a time, over every row
-    at once; a row holds up to five slots, NaN when empty, and a row without
-    a seed at that position keeps its slots. Returns the kept pairs as flat
-    (row, x, y) arrays.
-    """
-    counts, _, (new_x, new_y, new_res) = _by_position(row, rows, x, y, res)
-    tol_x, tol_y = _tolerance(new_x), _tolerance(new_y)
-    kx, ky, kres = (np.full((5, rows), np.nan) for _ in range(3))
-    n = np.zeros(rows, dtype=np.intp)
-    slots, every = np.arange(5)[:, None], np.arange(rows)
-    for p in range(new_x.shape[0]):
-        nx, ny, nres = new_x[p], new_y[p], new_res[p]
-        # The first same-pair slot, else a new one at the end.
-        same = (np.abs(nx - kx) <= tol_x[p]) & (np.abs(ny - ky) <= tol_y[p])
-        found = same.any(axis=0)
-        slot = np.where(found, same.argmax(axis=0), n)
-        has = counts > p
-        put = (slots == slot) & (has & (~found | (nres < kres[slot, every])))
-        kx, ky, kres = np.where(put, nx, kx), np.where(put, ny, ky), np.where(put, nres, kres)
-        n += has & ~found
-        if n.max(initial=0) > 4:
-            # Bezout bound: keep the four best-fitting pairs.
-            full = np.flatnonzero(n > 4)
-            order = np.argsort(kres[:, full], axis=0, kind="stable")
-            for kept in (kx, ky, kres):
-                kept[:, full] = np.take_along_axis(kept[:, full], order, axis=0)
-                kept[4, full] = np.nan
-            n[full] = 4
-    kept_slot, kept_row = np.nonzero(slots < n)
-    fx, fy = kx[kept_slot, kept_row], ky[kept_slot, kept_row]
-    order = np.lexsort((fy, fx, kept_row))
-    return kept_row[order], fx[order], fy[order]
-
-
-def _distinct(row, x, y, rows):
-    """Mask of the finite pairs that are not ``_same_pair`` as an earlier
-    kept pair of their row, the rows nondecreasing; one position at a time
-    over every row at once."""
-    _, at, (px, py) = _by_position(row, rows, x, y)
-    tol_x, tol_y = _tolerance(px), _tolerance(py)
-    keep = ~np.isnan(px)
-    for p in range(1, px.shape[0]):
-        same = (np.abs(px[p] - px[:p]) <= tol_x[p]) & (np.abs(py[p] - py[:p]) <= tol_y[p])
-        keep[p] &= ~(same & keep[:p]).any(axis=0)
-    return keep[at]
-
-
-def _cluster_rows(values: np.ndarray):
-    """``_cluster`` of every row of (J, R) values at once, NaN where a row
-    has no value: each row sorted and its kept mask, one position at a
-    time."""
-    values = np.sort(values, axis=1, kind="stable")
-    keep = ~np.isnan(values)
-    last = values[:, 0]
-    for c in range(1, values.shape[1]):
-        v = values[:, c]
-        keep[:, c] &= np.abs(v - last) > 1e-9 * np.maximum(1.0, np.abs(v))
-        last = np.where(keep[:, c], v, last)
-    return values, keep
-
-
-def _add_projection(projections, x, y, rel, dedupe=False):
-    """Append the projection (x, y, rel_imag) of a complex candidate when its
-    coordinates are finite (and, with ``dedupe``, new)."""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        return
-    seed = (x, y, rel)
-    if not (dedupe and any(_same_pair(seed, s) for s in projections)):
-        projections.append(seed)
-
-
 def _kept_roots(q: np.ndarray, t1: np.ndarray, t2: np.ndarray, kept: np.ndarray):
-    """Candidates for y at F kept values, the real resultant roots in x.
+    """The y seeds at F real resultant roots ``kept`` in x.
 
     ``q`` is (F, 2, 6) (both equations), ``t1`` (F, 3) and ``t2`` (F, 2).
-    Returns the real candidates as (F, 5) values [-t1/t2, eq1 r1, eq1 r2,
-    eq2 r1, eq2 r2] with their validity mask, and each equation's complex
-    root of positive imaginary part as (F, 2) real parts and relative
-    imaginary magnitudes with a validity mask. -t1/t2 is valid where
-    |t2| > 1e-10 max(1, |x|); it is the one seed of its kept value unless
-    its polished pair fails, and only then are the equation candidates
-    polished (``solve_pairs``). A real pair takes the larger-magnitude root
-    first and its companion via the product (stable pairing); a conjugate
-    pair within _IMAG_RTOL of the real axis counts as one real root.
+    Returns (F, 3) seeds [-t1/t2, lo, hi] with their validity mask: -t1/t2,
+    valid where |t2| > 1e-10 max(1, |x|), and the y roots, ascending, of the
+    first equation that has one. A real pair takes the larger-magnitude root
+    first and its companion via the product, where that is not zero (stable
+    pairing); a conjugate pair within _IMAG_RTOL of the real axis counts as
+    one real root.
     """
-    out = np.empty((kept.shape[0], 5))
+    rows = np.arange(kept.shape[0])
+    out = np.empty((kept.shape[0], 3))
     ok = np.empty(out.shape, dtype=bool)
     t1v = t1[:, 0] + (t1[:, 1] + t1[:, 2] * kept) * kept
     t2v = t2[:, 0] + t2[:, 1] * kept
@@ -615,78 +519,54 @@ def _kept_roots(q: np.ndarray, t1: np.ndarray, t2: np.ndarray, kept: np.ndarray)
     two_a = 2.0 * aa
     disc = bb * bb - 2.0 * two_a * cc
     root = np.sqrt(np.abs(disc))
-    # The root of larger magnitude, then its companion through the product;
-    # a zero denominator leaves the single root 0.
-    denom = -bb - np.copysign(root, bb)
-    r1 = denom / two_a
+    r1 = (-bb - np.copysign(root, bb)) / two_a
     re = -bb / two_a
-    im = root / np.abs(two_a)
-    near = im <= _IMAG_RTOL * np.maximum(1.0, np.abs(re))
+    near = root / np.abs(two_a) <= _IMAG_RTOL * np.maximum(1.0, np.abs(re))
     real_pair = quadratic & (disc >= 0.0)
-    out[:, 1::2] = np.where(linear, -cc / bb, np.where(real_pair, r1, re))
-    out[:, 2::2] = cc / (aa * r1)
-    ok[:, 1::2] = linear | real_pair | (quadratic & near)
-    ok[:, 2::2] = real_pair & (denom != 0.0)
-    rel = np.abs(im) / np.maximum(1.0, np.abs(re))
-    return out, ok, re, rel, quadratic & ~real_pair & ~near
+    first = np.where(linear, -cc / bb, np.where(real_pair, r1, re))
+    has = linear | real_pair | (quadratic & near)
+    eq = np.where(has[:, 0], 0, 1)
+    product = (aa * r1)[rows, eq]
+    one, two = first[rows, eq], cc[rows, eq] / product
+    both = real_pair[rows, eq] & (product != 0.0)
+    swap = both & (two < one)
+    out[:, 1], out[:, 2] = np.where(swap, two, one), np.where(swap, one, two)
+    ok[:, 1], ok[:, 2] = has[rows, eq], both
+    return out, ok
 
 
-def _kept_root(eqs, t1, t2, k):
-    """``_kept_roots`` of one kept value ``k`` on Python floats, ``eqs``
-    holding both equations' [a, b, c, d, e, f]: the five candidate values
-    and their validity flags, and per equation the real part and relative
-    imaginary magnitude of its complex root and whether that counts.
-
-    Each valid entry is computed with the arithmetic of ``_kept_roots`` in
-    the same order, so it has the same bits; the others are NaN.
-    """
-    a0, a1, a2 = t1
-    b0, b1 = t2
-    nan = math.nan
-    t1v = a0 + (a1 + a2 * k) * k
-    t2v = b0 + b1 * k
+def _t_seed(t1, t2, k):
+    """-t1/t2 at a real root ``k`` on Python floats and whether it is valid:
+    column 0 of ``_kept_roots``, NaN where invalid."""
+    t1v = t1[0] + (t1[1] + t1[2] * k) * k
+    t2v = t2[0] + t2[1] * k
     valid = abs(t2v) > 1e-10 * max(1.0, abs(k))
-    values, flags = [-t1v / t2v if valid else nan], [valid]
-    re_part, rel_part, cplx = [], [], []
+    return (-t1v / t2v if valid else math.nan), valid
+
+
+def _equation_seeds(eqs, k) -> list:
+    """The valid entries of columns 1 and 2 of ``_kept_roots`` for one real
+    root ``k`` on Python floats, ``eqs`` holding both equations' [a, b, c,
+    d, e, f]; the same arithmetic in the same order, so the same bits."""
     for a, b, c, d, e, f in eqs:
         aa, bb, cc = c, b * k + e, (a * k + d) * k + f
         tiny = _COEFF_ZERO_RTOL * max(max(abs(aa), abs(bb)), abs(cc))
-        re = rel = nan
-        near = True
         if abs(aa) > tiny:
             two_a = 2.0 * aa
             disc = bb * bb - 2.0 * two_a * cc
             root = math.sqrt(abs(disc))
-            re, im = -bb / two_a, root / abs(two_a)
             if disc >= 0.0:
-                denom = -bb - math.copysign(root, bb)
-                r1 = denom / two_a
-                values += [r1, _divide(cc, aa * r1) if denom != 0.0 else nan]
-                flags += [True, denom != 0.0]
-            else:
-                near = im <= _IMAG_RTOL * max(1.0, abs(re))
-                rel = abs(im) / max(1.0, abs(re))
-                values += [re if near else nan, nan]
-                flags += [near, False]
+                r1 = (-bb - math.copysign(root, bb)) / two_a
+                if aa * r1 == 0.0:
+                    return [r1]
+                r2 = cc / (aa * r1)
+                return [r2, r1] if r2 < r1 else [r1, r2]
+            re = -bb / two_a
+            if root / abs(two_a) <= _IMAG_RTOL * max(1.0, abs(re)):
+                return [re]
         elif abs(bb) > tiny:
-            values += [-cc / bb, nan]
-            flags += [True, False]
-        else:
-            values += [nan, nan]
-            flags += [False, False]
-        re_part.append(re)
-        rel_part.append(rel)
-        cplx.append(not near)
-    return values, flags, re_part, rel_part, cplx
-
-
-def _divide(a: float, b: float) -> float:
-    """a / b with IEEE results for a zero divisor, bit for bit as numpy
-    divides (0/0 is the CPU's default NaN, whose sign bit is set on x86)."""
-    if b:
-        return a / b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.float64(a) / b)
+            return [-cc / bb]
+    return []
 
 
 def _first_root(q: np.ndarray, kept: complex) -> complex:
@@ -705,15 +585,6 @@ def _first_root(q: np.ndarray, kept: complex) -> complex:
         denom = -bb - disc if abs(-bb - disc) >= abs(-bb + disc) else -bb + disc
         return denom / (2.0 * aa)
     return 0.0
-
-
-def _cluster(values: list[float]) -> list[float]:
-    """Collapse numerically equal roots (multiplicities from the resultant)."""
-    out: list[float] = []
-    for v in sorted(values):
-        if not out or abs(v - out[-1]) > 1e-9 * max(1.0, abs(v)):
-            out.append(v)
-    return out
 
 
 def _polish_seed(q: list, x: float, y: float):
@@ -753,13 +624,11 @@ def _polish_seed(q: list, x: float, y: float):
 
 
 # The polish and residual below run on arrays with one column per seed and
-# one row per equation; each seed carries its own coefficients. Each element
-# must be bitwise what a per-seed scalar loop gives (tests/test_polysolve.py
-# keeps that loop as the reference), so every expression keeps the scalar
-# evaluation order. np.fmax stands in for Python's max(), which skips a NaN
-# that is not its first argument; it is used only where that first argument
-# cannot be NaN. Floating-point warnings are left to the caller's
-# ``np.errstate``.
+# one row per equation. Each element must be bitwise what ``_polish_seed``
+# gives, so every expression keeps the scalar evaluation order. np.fmax
+# stands in for Python's max(), which skips a NaN that is not its first
+# argument, only where that first argument cannot be NaN. Floating-point
+# warnings are left to the caller's ``np.errstate``.
 
 
 def _newton_polish(coef: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -806,22 +675,3 @@ def _normalized_residual(coef: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.n
     # max(r1, r2) keeps a NaN r1, so no fmax here.
     res = np.where(r2 > r1, r2, r1)
     return np.where(np.isfinite(x) & np.isfinite(y), res, np.inf)
-
-
-def _same_pair(new: tuple, kept: tuple) -> bool:
-    """Both components agree within _DEDUPE_RTOL relative to the new pair."""
-    same_x = abs(new[0] - kept[0]) <= _DEDUPE_RTOL * max(1.0, abs(new[0]))
-    return same_x and abs(new[1] - kept[1]) <= _DEDUPE_RTOL * max(1.0, abs(new[1]))
-
-
-def _insert_pair(pairs: list[tuple[tuple, float]], pair: tuple, res: float) -> None:
-    for i, (kept, kept_res) in enumerate(pairs):
-        if _same_pair(pair, kept):
-            if res < kept_res:
-                pairs[i] = (pair, res)
-            return
-    pairs.append((pair, res))
-    if len(pairs) > 4:
-        # Bezout bound: keep the four best-fitting pairs.
-        pairs.sort(key=lambda t: t[1])
-        del pairs[4:]

@@ -626,3 +626,52 @@ def test_singular_row_costs_log_many_stacked_calls(monkeypatch, rows, at):
         assert alone[2][0]
         assert _bits(state[k]) == _bits(alone[0][0])
         assert _bits(cov[k]) == _bits(alone[1][0])
+
+
+def test_score_picks_lowest_cost_then_smallest_norm_then_lowest_slot():
+    # The winner of each row of a (K, S, P) candidate table: the lowest cost
+    # among usable slots; among equal costs the smaller parameter norm, then
+    # the lower slot. A slot that is empty (NaN), not finite or on an anchor
+    # never wins, whatever its norm, and a row without a usable slot gets -1.
+    truth = UdState([300.0, 500.0], [20.0, -30.0], 2000.0, -500.0).as_vector()
+    swapped = truth[[1, 0, 2, 3, 4, 5]]  # another state of the same norm
+    on_anchor = np.concatenate([ANCHORS.positions[0], [0.0, 0.0, 1.0, 1.0]])
+    empty, infinite = np.full(6, np.nan), np.full(6, np.inf)
+    table = np.array([
+        [truth + [40.0, 0, 0, 0, 0, 0], truth, empty, truth],
+        [2.0 * truth, swapped, on_anchor, truth],
+        [3.0 * truth, truth, on_anchor, swapped],
+        [empty, on_anchor, infinite, empty],
+    ])
+    gamma = np.tile(forward_model(UdState.from_vector(truth), ANCHORS).stacked(), (4, 1))
+    # Zero weights make every usable slot of rows 1 and 2 cost 0.
+    weights = np.ones_like(gamma) * np.array([[1.0], [0.0], [0.0], [1.0]])
+    with np.errstate(all="ignore"):
+        cost, usable, winner, _, _ = estimator._score(table, gamma, weights, ANCHORS)
+    assert usable.tolist() == [
+        [True, True, False, True], [True, True, False, True],
+        [True, True, False, True], [False, False, False, False],
+    ]
+    assert cost[0, 1] == cost[0, 3] == 0.0 and cost[0, 0] > 0.0
+    assert np.isinf(cost[~usable]).all()
+    assert winner.tolist() == [1, 1, 1, -1]
+
+
+def test_row_without_a_usable_slot_is_degenerate_and_leaves_the_others_bitwise(monkeypatch):
+    anchors, window = _window(8, 9, 4, noise_free=False, center=False)
+    before = _batch(anchors, window)
+    solve = estimator.solve_pairs
+
+    def empty_row_2(coef):
+        lam, solved, projected, rel = solve(coef)
+        lam[2], solved[2] = np.nan, False
+        return lam, solved, projected, rel
+
+    monkeypatch.setattr(estimator, "solve_pairs", empty_row_2)
+    after = _batch(anchors, window)
+    assert after.degenerate.tolist() == [False, False, True, False]
+    assert after.candidates[2] == 0 and not after.no_real_root[2]
+    assert np.isnan(after.raw[2]).all() and np.isnan(after.refined[2]).all()
+    for k in (0, 1, 3):
+        assert _bits(after.raw[k]) == _bits(before.raw[k])
+        assert _bits(after.refined[k]) == _bits(before.refined[k])
