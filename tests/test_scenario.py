@@ -390,5 +390,7 @@ def test_state_draw_matches_one_uniform_call(seed, region, vmax, offset, drift, 
 
     center = np.array(center)
     got = outcome(lambda rng: sample_ud_state(rng, region, vmax, offset, drift, center=center))
-    want = outcome(lambda rng: _uniform_call_state(rng, region, vmax, offset, drift, center))
+    # The reference's own arithmetic overflows on the extreme ranges drawn.
+    with np.errstate(all="ignore"):
+        want = outcome(lambda rng: _uniform_call_state(rng, region, vmax, offset, drift, center))
     assert got == want
