@@ -492,8 +492,8 @@ def per_row(table):
     of tuples per row, laid out as BivariateSolution: the real pairs in slot
     order, the projections by relative imaginary magnitude."""
     out = []
-    for lam, solved, from_complex, rel in zip(*(v.tolist() for v in table)):
-        slots = [(tuple(p), c, r) for p, s, c, r in zip(lam, solved, from_complex, rel) if s]
+    for lam, solved, projected, rel in zip(*(v.tolist() for v in table)):
+        slots = [(tuple(p), c, r) for p, s, c, r in zip(lam, solved, projected, rel) if s]
         pairs = tuple(p for p, c, _ in slots if not c)
         projections = sorted(((*p, r) for p, c, r in slots if c), key=lambda s: s[2])
         out.append((pairs, tuple(projections)))
