@@ -387,9 +387,9 @@ def test_kept_roots_loop_matches_array_pass_bitwise(cases):
 def _seeds_over(coef):
     """The seeds that ``solve_pairs`` polishes for one row, recorded as they
     reach ``_newton_polish``, as (x, y, first) in the original variables.
-    The first Newton pass takes the real slots' -t1/t2 seeds, which
-    ``first`` marks; the second takes the equation seeds of the slots where
-    those fail."""
+    The first Newton pass takes the -t1/t2 seeds of the real slots alone at
+    their x, which ``first`` marks; the second takes the equation seeds of
+    the slots in a run at one x or whose -t1/t2 fails."""
     calls = []
 
     def record(q, x, y):
