@@ -1,9 +1,13 @@
 """Seeded Monte-Carlo campaigns: RMSE vs SNR sweeps and anchor-count ablations.
 
-Every run derives its own random stream from the master seed, the cell index,
-and the run index, so campaign statistics are bit-identical for a fixed seed
-at any parallelism level. Wall-clock measurements are inherently volatile and
-are kept separate from the deterministic statistics.
+Every run derives its own random streams from the master seed, the cell index,
+the run index and the stream index, ``SeedSequence([seed, cell, run,
+stream])`` as ``default_rng`` seeds them, so campaign statistics are
+bit-identical for a fixed seed at any parallelism level. A window's streams
+are seeded together: their PCG64 states are hashed in one array pass and set,
+run by run, on one reused generator (``_streams``). Wall-clock measurements
+are inherently volatile and are kept separate from the deterministic
+statistics.
 """
 
 from __future__ import annotations
@@ -265,8 +269,8 @@ def _gauss_newton(
 
     Run ``r`` of cell ``c`` starts, for method ``mi``, where
     ``make_initializer`` puts it from its own stream
-    ``SeedSequence([seed, c, r, mi + 1])``, seeded from the ``_entropy``
-    words of those values: N standard normals, scaled and added to the true
+    ``SeedSequence([seed, c, r, mi + 1])``, which ``_streams`` seeds for the
+    whole window at once: N standard normals, scaled and added to the true
     position on the stack as ``Generator.normal`` computes
     ``loc + scale * z``, with zero dynamics. A batch's rows equal, bit for
     bit, what ``gauss_newton`` reports for each run alone. A run whose
@@ -276,13 +280,10 @@ def _gauss_newton(
     n, rows = anchors.ndim, len(truths)
     clock = time.perf_counter()
     inits = np.zeros((len(group) * rows, truths.shape[1]))
+    segments = [(cell_index, start, stop) for cell_index, *_, start, stop in window]
     for g, (mi, spec) in enumerate(group):
         draws = np.array([
-            np.random.default_rng(
-                np.random.SeedSequence(_entropy(cfg.seed, cell_index, run, mi + 1))
-            ).standard_normal(n)
-            for cell_index, _, _, start, stop in window
-            for run in range(start, stop)
+            rng.standard_normal(n) for rng in _streams(cfg.seed, segments, mi + 1)
         ])
         inits[g * rows : (g + 1) * rows, :n] = (
             truths[:, :n] + (0.0 + spec.init_std_m * draws)
@@ -304,8 +305,8 @@ def _gauss_newton(
 def _entropy(*values: int) -> np.ndarray:
     """The uint32 words into which ``SeedSequence`` coerces the list
     ``values``: each value as little-endian 32-bit words, 0 as one word.
-    Passed as an array, they seed the same stream at less cost. A negative
-    value raises ValueError, as it does in the list."""
+    Passed as an array, they seed the same stream. A negative value raises
+    ValueError, as it does in the list."""
     words = []
     for value in values:
         if value < 0:
@@ -318,26 +319,112 @@ def _entropy(*values: int) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
+# numpy's SeedSequence hash (pool of 4 words) and PCG64's LCG multiplier.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` of ``default_rng(SeedSequence(row))`` for
+    each row of a (K, L) array of uint32 entropy words.
+
+    The rows are hashed together, as ``SeedSequence.mix_entropy`` and
+    ``generate_state(4, np.uint64)`` hash one: uint64 arrays that hold
+    32-bit words, masked after each product. Every row steps the hash
+    constants alike, so they are Python ints. PCG64 is then seeded as
+    ``pcg_setseq_128_srandom_r`` does, on Python ints.
+    """
+    rows, length = words.shape
+    entropy = words.astype(np.uint64)
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return value ^ value >> 16
+
+    zero = np.zeros(rows, dtype=np.uint64)
+    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, length):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    const, state = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        state.append(value ^ value >> 16)
+    seeds = np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+    out = []
+    for state_hi, state_lo, seq_hi, seq_lo in seeds.tolist():
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        out.append((((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return out
+
+
+def _streams(seed: int, segments, stream: int):
+    """Yield one ``Generator`` per run of the ``(cell, start, stop)``
+    segments, in order, holding the stream of
+    ``default_rng(SeedSequence([seed, cell, run, stream]))``.
+
+    It is one Generator on one PCG64, whose state is set before each yield,
+    so a run's draws must be taken before the next run's. The runs' states
+    are computed at once from their ``_entropy`` words, grouped by word
+    count: a window whose runs cross 2**32 holds two.
+    """
+    words = [
+        _entropy(seed, cell, run, stream)
+        for cell, start, stop in segments
+        for run in range(start, stop)
+    ]
+    states = [None] * len(words)
+    for length in {len(w) for w in words}:
+        index = [i for i, w in enumerate(words) if len(w) == length]
+        for i, pair in zip(index, _pcg64_states(np.array([words[i] for i in index]))):
+            states[i] = pair
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for state, inc in states:
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
 def _window_inputs(cfg, anchors, cell_index, snr_db, start, stop):
     """The stacked inputs of runs ``start`` to ``stop`` of one cell: the
     (K, 2N+2) true parameter vectors, the (K, 2M) measurements and weights
     and the (K, 4) square-rooted bound blocks.
 
     Run ``r`` draws its device state and then 2M standard normals from its
-    own stream ``SeedSequence([seed, cell, r, 0])``, seeded from the
-    ``_entropy`` words of those values: the variates of ``add_noise``'s two
+    own stream ``SeedSequence([seed, cell, r, 0])``, which ``_streams``
+    seeds for all the runs at once: the variates of ``add_noise``'s two
     ``normal`` calls, which compute ``loc + scale * z``. The true vectors,
     model, sigmas, noise and weights are computed on the stacks, bit for bit
     ``UdState.as_vector``, ``forward_model``, ``noise_for_snr``,
-    ``add_noise`` and ``NoiseSpec.weights`` on each run alone; the generator,
-    the state draw, the ``NoiseSpec`` and the bound stay per run.
+    ``add_noise`` and ``NoiseSpec.weights`` on each run alone; the state
+    draw, the ``NoiseSpec`` and the bound stay per run.
     """
     m, n = anchors.count, anchors.ndim
     center, uds, draws = anchors.center, [], []
-    for run in range(start, stop):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(_entropy(cfg.seed, cell_index, run, 0))
-        )
+    for rng in _streams(cfg.seed, [(cell_index, start, stop)], 0):
         uds.append(sample_ud_state(
             rng, cfg.region_side_m, cfg.vmax_mps, cfg.offset_range_s,
             cfg.drift_range_ppm, center=center, ndim=n,
