@@ -1,9 +1,12 @@
 import json
+import os
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cftwlas import montecarlo
 from cftwlas.cli import main
 from cftwlas.scenario import (
     SPEED_OF_LIGHT,
@@ -69,6 +72,42 @@ class TestSimulateCommand:
             ]) == 0
             blobs.append(csv_path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_seed_above_2_to_the_64_gives_the_same_outputs_at_any_workers(
+        self, tmp_path, monkeypatch
+    ):
+        # A seed of three entropy words reaches the pool's workers, which
+        # seed their windows' streams themselves. The CSV is byte-identical
+        # at 1, 2 and 3 workers, and so is the summary but for the worker
+        # count in its resolved config.
+        pools = []
+
+        class RecordedPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordedPool)
+        cfg_path = write_json(tmp_path / "cfg.json", small_config(runs=20))
+        seed = 2**64 + 12345
+        csvs, summaries = [], []
+        for workers in (1, 2, 3):
+            csv_path, summary_path = tmp_path / f"w{workers}.csv", tmp_path / f"w{workers}.json"
+            assert main([
+                "simulate", "--config", cfg_path, "--seed", str(seed),
+                "--workers", str(workers), "--csv", str(csv_path),
+                "--summary", str(summary_path),
+            ]) == 0
+            summary = summary_path.read_text()
+            assert json.loads(summary)["seed"] == seed
+            assert summary.count(f'"workers": {workers}') == 1
+            csvs.append(csv_path.read_bytes())
+            summaries.append(summary.replace(f'"workers": {workers}', '"workers": 1'))
+        assert csvs[0] == csvs[1] == csvs[2]
+        assert summaries[0] == summaries[1] == summaries[2]
+        # Each layout's 40 rows make 2 windows at 2 workers and 3 at 3.
+        cpus = os.cpu_count() or 1
+        assert pools == ([] if cpus == 1 else [2, 2])
 
     def test_rows_stable_ordered(self, tmp_path):
         cfg_path = write_json(tmp_path / "cfg.json", small_config())

@@ -629,6 +629,70 @@ def test_entropy_words_seed_the_list_streams(seed):
         _entropy(seed, 0, -1, 0)
 
 
+_SEEDS = st.one_of(
+    *(st.integers(max(0, 2**bits - 3), 2**bits + 3) for bits in (32, 64, 128)),
+    st.integers(0, 2**160),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=_SEEDS,
+    cells=st.lists(st.integers(0, 2**33), min_size=1, max_size=3),
+    start=st.one_of(st.integers(0, 20), st.integers(2**32 - 5, 2**32 + 1)),
+    length=st.integers(1, 6),
+    stream=st.integers(0, 4),
+)
+# A window whose runs cross 2**32 holds rows of 4 and 5 words; a seed above
+# 2**64 gives 6 words, above 2**128 7.
+@example(2**64 + 5, [3], 2**32 - 2, 4, 1)
+@example(2**128, [2**32, 0], 2**32 - 1, 3, 0)
+def test_window_streams_equal_the_list_seeded_generators(seed, cells, start, length, stream):
+    # Each run's generator, seeded with the window's others in one pass,
+    # holds the PCG64 state that default_rng gives SeedSequence([seed, cell,
+    # run, stream]), and draws what that generator draws. Each run takes an
+    # odd number of 32-bit draws, so a buffered half word that the next run
+    # inherited would show.
+    segments = [(cell, start, start + length) for cell in cells]
+    runs = [(cell, run) for cell in cells for run in range(start, start + length)]
+    streams = montecarlo._streams(seed, segments, stream)
+    for (cell, run), rng in zip(runs, streams, strict=True):
+        want = np.random.default_rng(np.random.SeedSequence([seed, cell, run, stream]))
+        assert rng.bit_generator.state == want.bit_generator.state
+        for draw in (
+            lambda g: g.integers(2**32, size=3, dtype=np.uint32),
+            lambda g: g.standard_normal(3),
+            lambda g: g.random(2),
+        ):
+            assert draw(rng).tobytes() == draw(want).tobytes()
+    with pytest.raises(ValueError):
+        next(montecarlo._streams(seed, [(0, -1, 1)], stream))
+    with pytest.raises(ValueError):
+        next(montecarlo._streams(-1, segments, stream))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    words=st.integers(1, 9).flatmap(
+        lambda length: st.lists(
+            st.lists(st.integers(0, 2**32 - 1), min_size=length, max_size=length),
+            min_size=1, max_size=5,
+        )
+    )
+)
+# Fewer words than the hash's pool of 4 run the hash out on zeros; more mix
+# each extra word into every pool word.
+@example([[0]])
+@example([[2**32 - 1] * 9, [0] * 9])
+def test_pcg64_states_equal_seed_sequence_of_any_word_count(words):
+    # The states of rows of any common length, shorter or longer than the
+    # pool, equal those that default_rng sets from each row's SeedSequence.
+    rows = np.array(words, dtype=np.uint32)
+    for row, (state, inc) in zip(rows, montecarlo._pcg64_states(rows), strict=True):
+        want = np.random.default_rng(np.random.SeedSequence(row)).bit_generator.state
+        assert want["state"] == {"state": state, "inc": inc}
+
+
 def test_gauss_newton_window_across_run_2_to_the_32_draws_the_list_streams():
     # Runs 2**32 - 1 and 2**32 of one window, started by two Gauss-Newton
     # methods from streams 1 and 2, equal gauss_newton on each run alone
