@@ -5,11 +5,15 @@ square, 30 dB, the closed form only, K=250 runs of cell 0. Each piece is
 timed alone, on the same runs and in the form ``montecarlo._window_inputs``
 uses:
 
-- the generator: each run's ``default_rng`` from its uint32 entropy words
+- the generator: the campaign's own seeding, ``montecarlo._streams`` of
+  stream 0 stepped through the window's runs
 - ``sample_ud_state``
 - the ``NoiseSpec`` list of the window's sigmas
 - ``crlb``
 - the rest of ``_window_inputs``: the whole call less the four pieces above
+- a Gauss-Newton method's initial-guess stream, as
+  ``montecarlo._gauss_newton`` draws it: the seeding of stream 1 and N
+  standard normals per run (the ``contrast_8an_3method`` workload runs two)
 - ``estimate_batch`` on the window, per row
 
 The pieces are timed in turn, ``REPEATS`` rounds of one call each, and
@@ -21,6 +25,7 @@ microseconds. Compare two trees on the same host, one after the other:
 
 from __future__ import annotations
 
+import copy
 import statistics
 import time
 
@@ -28,7 +33,7 @@ import numpy as np
 
 from cftwlas.analysis import crlb
 from cftwlas.estimator import estimate_batch
-from cftwlas.montecarlo import CampaignConfig, _entropy, _window_inputs
+from cftwlas.montecarlo import CampaignConfig, _streams, _window_inputs
 from cftwlas.scenario import NoiseSpec, _sigmas, build_square_scenario, sample_ud_state
 
 RUNS = 250
@@ -42,18 +47,25 @@ WINDOW_PIECES = ("generator", "sample_ud_state", "NoiseSpec list", "crlb")
 def main() -> None:
     cfg = CampaignConfig(snr_db=(SNR_DB,), runs=RUNS, seed=SEED)
     anchors = build_square_scenario(cfg.anchor_side_m, 8, cfg.response_step_s)
-    center, runs = anchors.center, range(RUNS)
+    center, segments = anchors.center, [(0, 0, RUNS)]
 
-    # ``generators`` and ``states`` copy the per-run loop of
-    # ``montecarlo._window_inputs`` (its seeding and its ``sample_ud_state``
-    # arguments); they must track it, or they time code the campaign no
-    # longer runs.
+    def seeding():
+        for _ in _streams(cfg.seed, segments, 0):
+            pass
+
     def generators():
-        return [
-            np.random.default_rng(np.random.SeedSequence(_entropy(cfg.seed, 0, run, 0)))
-            for run in runs
-        ]
+        # Independent copies of the runs' generators, made untimed, so that
+        # the state draw is timed on fresh streams without their seeding.
+        return [copy.deepcopy(rng) for rng in _streams(cfg.seed, segments, 0)]
 
+    def initial_guesses():
+        return np.array([
+            rng.standard_normal(anchors.ndim) for rng in _streams(cfg.seed, segments, 1)
+        ])
+
+    # ``states`` copies the ``sample_ud_state`` call of
+    # ``montecarlo._window_inputs``; it must track it, or it times code the
+    # campaign no longer runs.
     def states(rngs):
         return [
             sample_ud_state(
@@ -80,11 +92,12 @@ def main() -> None:
 
     _, gamma, weights, _ = window()
     pieces = {
-        "generator": lambda _: generators(),
+        "generator": lambda _: seeding(),
         "sample_ud_state": states,
         "NoiseSpec list": lambda _: noise_specs(),
         "crlb": lambda _: bounds(),
         "_window_inputs": lambda _: window(),
+        "GN init stream": lambda _: initial_guesses(),
         "estimate_batch per row": lambda _: estimate_batch(gamma, weights, anchors),
     }
     # Round-robin, so that a drift in the host's speed reaches every piece;
@@ -102,7 +115,7 @@ def main() -> None:
         for whole, *parts in zip(times["_window_inputs"], *map(times.get, WINDOW_PIECES))
     ]
     order = (*WINDOW_PIECES, "rest of _window_inputs", "_window_inputs",
-             "estimate_batch per row")
+             "GN init stream", "estimate_batch per row")
     print(f"cf_8an_30db window, K={RUNS}, seed {cfg.seed}, {REPEATS} repeats")
     print(f"{'piece':<24} {'us/run':>8}")
     for name in order:

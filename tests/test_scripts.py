@@ -1,6 +1,6 @@
 """The measurement scripts under ``scripts/`` still run against the package.
 
-``per_run_costs.py`` copies the per-run loop of ``montecarlo._window_inputs``
+``per_run_costs.py`` copies the state-draw call of ``montecarlo._window_inputs``
 and imports private names, and ``compare_outputs.py`` reads the entries that
 ``output_digests.py --values`` writes; a refactor that breaks either shows
 here, on small inputs.
@@ -33,7 +33,7 @@ def test_per_run_costs_prints_every_piece(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("cf_8an_30db window, K=8, seed 1, 1 repeats")
     pieces = (*per_run_costs.WINDOW_PIECES, "rest of _window_inputs",
-              "_window_inputs", "estimate_batch per row")
+              "_window_inputs", "GN init stream", "estimate_batch per row")
     assert [line[:24].rstrip() for line in lines[2:]] == list(pieces)
     for line in lines[2:]:
         assert np.isfinite(float(line[24:]))
