@@ -328,47 +328,55 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    """The (steps + 1, 1) values that a hash constant of ``SeedSequence``
+    takes over ``steps`` steps: ``init``, then times ``mult`` mod 2**32."""
+    values = [init]
+    for _ in range(steps):
+        values.append(values[-1] * mult & _MASK32)
+    return np.array(values, dtype=np.uint64)[:, None]
+
+
 def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
     """The PCG64 ``(state, inc)`` of ``default_rng(SeedSequence(row))`` for
     each row of a (K, L) array of uint32 entropy words.
 
     The rows are hashed together, as ``SeedSequence.mix_entropy`` and
-    ``generate_state(4, np.uint64)`` hash one: uint64 arrays that hold
-    32-bit words, masked after each product. Every row steps the hash
-    constants alike, so they are Python ints. PCG64 is then seeded as
+    ``generate_state(4, np.uint64)`` hash one, on (4, K) uint64 arrays of
+    32-bit words, masked after each product. The hash constants step alike
+    for every row, and the hashes of one step of the mix that do not depend
+    on each other are taken at once. PCG64 is then seeded as
     ``pcg_setseq_128_srandom_r`` does, on Python ints.
     """
     rows, length = words.shape
-    entropy = words.astype(np.uint64)
-    const = _INIT_A
+    # A row shorter than the pool of 4 words runs the hash out on zeros.
+    entropy = np.zeros((max(length, 4), rows), dtype=np.uint64)
+    entropy[:length] = words.T
+    const = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(length - 4, 0))
+    used = 0
 
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
+    def hashmix(value, n):
+        # n hashes of value, each with the next value of the hash constant.
+        nonlocal used
+        value = (value ^ const[used : used + n]) * const[used + 1 : used + n + 1] & _MASK32
+        used += n
         return value ^ value >> 16
 
     def mix(x, y):
         value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
         return value ^ value >> 16
 
-    zero = np.zeros(rows, dtype=np.uint64)
-    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(4)]
+    pool = hashmix(entropy[:4], 4)
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
     for src in range(4, length):
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    const, state = _INIT_B, []
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const & _MASK32
-        state.append(value ^ value >> 16)
-    seeds = np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+        pool = mix(pool, hashmix(entropy[src], 4))
+    # generate_state(4, np.uint64): 8 words, cycling through the pool.
+    const = _hash_constants(_INIT_B, _MULT_B, 8)
+    state = (np.tile(pool, (2, 1)) ^ const[:8]) * const[1:] & _MASK32
+    state ^= state >> 16
+    seeds = (state[0::2] | state[1::2] << 32).T
     out = []
     for state_hi, state_lo, seq_hi, seq_lo in seeds.tolist():
         inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
