@@ -17,7 +17,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, is_dataclass
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby, islice, repeat
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -416,7 +416,7 @@ def _streams(seed: int, segments, stream: int):
         yield rng
 
 
-def _window_inputs(cfg, anchors, cell_index, snr_db, start, stop):
+def _window_inputs(cfg, anchors, cell_index, snr_db, start, stop, streams=None):
     """The stacked inputs of runs ``start`` to ``stop`` of one cell: the
     (K, 2N+2) true parameter vectors, the (K, 2M) measurements and weights
     and the (K, 4) square-rooted bound blocks.
@@ -424,7 +424,10 @@ def _window_inputs(cfg, anchors, cell_index, snr_db, start, stop):
     Run ``r`` draws its device state and then 2M standard normals from its
     own stream ``SeedSequence([seed, cell, r, 0])``, which ``_streams``
     seeds for all the runs at once: the variates of ``add_noise``'s two
-    ``normal`` calls, which compute ``loc + scale * z``. The true vectors,
+    ``normal`` calls, which compute ``loc + scale * z``. ``streams``, when
+    given, is a ``_streams`` iterator whose next K generators are these
+    runs'; ``_run_window`` passes one for all its segments, so that a window
+    that crosses many small cells seeds its runs in one pass. The true vectors,
     model, sigmas, noise and weights are computed on the stacks, bit for bit
     ``UdState.as_vector``, ``forward_model``, ``noise_for_snr``,
     ``add_noise`` and ``NoiseSpec.weights`` on each run alone; the state
@@ -432,7 +435,9 @@ def _window_inputs(cfg, anchors, cell_index, snr_db, start, stop):
     """
     m, n = anchors.count, anchors.ndim
     center, uds, draws = anchors.center, [], []
-    for rng in _streams(cfg.seed, [(cell_index, start, stop)], 0):
+    if streams is None:
+        streams = _streams(cfg.seed, [(cell_index, start, stop)], 0)
+    for rng in islice(streams, stop - start):
         uds.append(sample_ud_state(
             rng, cfg.region_side_m, cfg.vmax_mps, cfg.offset_range_s,
             cfg.drift_range_ppm, center=center, ndim=n,
@@ -482,8 +487,11 @@ def _run_window(cfg, window):
     anchors = build_square_scenario(
         cfg.anchor_side_m, window[0][1], cfg.response_step_s
     )
+    streams = _streams(
+        cfg.seed, [(cell_index, start, stop) for cell_index, *_, start, stop in window], 0
+    )
     truths, gamma, weights, crlb_sqrt = map(np.concatenate, zip(*(
-        _window_inputs(cfg, anchors, cell_index, snr_db, start, stop)
+        _window_inputs(cfg, anchors, cell_index, snr_db, start, stop, streams)
         for cell_index, _, snr_db, start, stop in window
     )))
     records = [None] * len(cfg.methods)

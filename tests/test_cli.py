@@ -107,7 +107,7 @@ class TestSimulateCommand:
         assert summaries[0] == summaries[1] == summaries[2]
         # Each layout's 40 rows make 2 windows at 2 workers and 3 at 3.
         cpus = os.cpu_count() or 1
-        assert pools == ([] if cpus == 1 else [2, 2])
+        assert pools == [p for p in (min(2, cpus), min(3, cpus)) if p > 1]
 
     def test_rows_stable_ordered(self, tmp_path):
         cfg_path = write_json(tmp_path / "cfg.json", small_config())

@@ -612,6 +612,22 @@ def test_window_inputs_equal_per_run_calls(
         assert stack.tobytes() == np.array(column).tobytes()
 
 
+def test_window_inputs_of_small_cells_from_one_shared_stream_iterator():
+    # Segments of 1 to 3 runs, the last across run 2**32, drawn in turn from
+    # one _streams iterator over all of them as _run_window passes it, equal
+    # each segment seeded alone, and the iterator ends with the last run.
+    cfg = CampaignConfig(snr_db=(10.0, 30.0, 50.0), runs=3, seed=2**64 + 5)
+    anchors = build_square_scenario(cfg.anchor_side_m, 8, cfg.response_step_s)
+    segments = [(0, 2, 3), (1, 0, 3), (2**32 + 1, 2**32 - 1, 2**32 + 1)]
+    streams = montecarlo._streams(cfg.seed, segments, 0)
+    for (cell, start, stop), snr_db in zip(segments, cfg.snr_db):
+        shared = _window_inputs(cfg, anchors, cell, snr_db, start, stop, streams)
+        alone = _window_inputs(cfg, anchors, cell, snr_db, start, stop)
+        for got, want in zip(shared, alone, strict=True):
+            assert got.tobytes() == want.tobytes()
+    assert next(streams, None) is None
+
+
 @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**64 + 5])
 def test_entropy_words_seed_the_list_streams(seed):
     # The uint32 words of (seed, cell, run, stream) are the entropy numpy
@@ -643,8 +659,9 @@ _SEEDS = st.one_of(
     length=st.integers(1, 6),
     stream=st.integers(0, 4),
 )
-# A window whose runs cross 2**32 holds rows of 4 and 5 words; a seed above
-# 2**64 gives 6 words, above 2**128 7.
+# Windows whose runs cross 2**32, so that they hold rows of several word
+# counts: a 3-word seed and a 1-word cell give rows of 6 and 7 words; a 5-word
+# seed and cells of 2 words and 1 give rows of 8, 9 and 10.
 @example(2**64 + 5, [3], 2**32 - 2, 4, 1)
 @example(2**128, [2**32, 0], 2**32 - 1, 3, 0)
 def test_window_streams_equal_the_list_seeded_generators(seed, cells, start, length, stream):
